@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hamiltonian import SpinSystemParams
 
 
@@ -68,12 +66,8 @@ def generation_rate(e: EfficiencyBudget, photons: int, scheme_duration: float) -
     return e.combined ** photons / scheme_duration
 
 
-_FIELD_CACHE: dict = {}
-
-
 def minimize_sequence_field(
     a_par: float,
-    t2: float,
     field_grid,
     mw_ceiling: float = 20e9,
     gamma_e: float = 14e9,
@@ -83,10 +77,9 @@ def minimize_sequence_field(
     (one SWAP + one CZ), subject to the microwave drive frequency
     gamma_e * Bz staying under `mw_ceiling`.
 
-    field_grid is an iterable of (bx, bz) pairs in Tesla. Synthesis results
-    are cached on (a_par, bx, bz, target). Returns (bx, bz, block_time).
-    t2 is accepted for interface stability; the sequence length itself does
-    not depend on it."""
+    field_grid is an iterable of (bx, bz) pairs in Tesla; every admissible
+    point is synthesized afresh with `synth_kwargs`. Returns
+    (bx, bz, block_time)."""
     from .synthesis import synthesize
 
     synth_kwargs = dict(synth_kwargs or {})
@@ -100,10 +93,7 @@ def minimize_sequence_field(
         total = 0.0
         ok = True
         for target in ("swap", "cz"):
-            key = (a_par, bx, bz, target)
-            if key not in _FIELD_CACHE:
-                _FIELD_CACHE[key] = synthesize(target, p, **synth_kwargs)
-            rep = _FIELD_CACHE[key]
+            rep = synthesize(target, p, **synth_kwargs)
             if not rep.met_threshold:
                 ok = False
                 break

@@ -10,7 +10,7 @@ axis; the off-axis field component is confined to x (By = 0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm

@@ -13,14 +13,13 @@ to local unitaries; tests pin that equivalence.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .states import (
-    CNOT, CZ, SWAP, I2, QuantumState, QubitRole, RoleKind, add_photon_qubit,
-    apply_gate, discard_wire, partial_trace, project_measure, ry,
-    state_fidelity,
+    CZ, SWAP, I2, QuantumState, QubitRole, RoleKind, _apply_matrix_vec,
+    apply_gate, electron, nuclear, partial_trace, photon, ry,
 )
 from .hamiltonian import SpinSystemParams
 from .synthesis import (
@@ -56,7 +55,6 @@ class ProtocolSpec:
     m: int
     n: int
     gate_library: dict
-    photon_encoding: str = "polarisation"
     noise: object = None
     params: SpinSystemParams | None = None
     style: str = "pedagogical"
@@ -74,8 +72,6 @@ class ProtocolSpec:
             raise ValueError(f"unknown schedule style {self.style!r}")
         if self.style == "lean" and self.m != 2:
             raise ValueError("lean schedule is defined for M=2 only")
-        if self.photon_encoding not in ("polarisation", "timebin"):
-            raise ValueError(f"unknown encoding {self.photon_encoding!r}")
         if self.completion not in ("corrected", "postselect"):
             raise ValueError(f"unknown completion mode {self.completion!r}")
         for g in ("swap", "cz"):
@@ -163,51 +159,74 @@ def wall_clock_model(spec: ProtocolSpec) -> float:
     return total
 
 
-def _initial_state(spec: ProtocolSpec) -> QuantumState:
-    wires = [QubitRole(RoleKind.ELECTRON)] + [
-        QubitRole(RoleKind.NUCLEAR, j) for j in range(spec.m - 1)
-    ]
-    amp = np.zeros(2 ** spec.m, dtype=complex)
-    amp[-1 if spec.init_one else 0] = 1.0
-    return QuantumState(amp, tuple(wires))
+def _emit(amps: np.ndarray, source: int) -> np.ndarray:
+    """Append a photon in |0> to every row of a (T, 2^n) batch and apply CNOT
+    from wire `source` onto it: the photon copies the source's z value."""
+    a = amps.reshape(len(amps), 2 ** source, 2, -1)
+    out = np.zeros(a.shape + (2,), dtype=complex)
+    out[:, :, 0, :, 0] = a[:, :, 0]
+    out[:, :, 1, :, 1] = a[:, :, 1]
+    return out.reshape(len(amps), -1)
 
 
-def emit_photon(state: QuantumState, encoding: str = "polarisation") -> QuantumState:
-    """Append a photon in |0> and apply CNOT from the electron. Both
-    encodings share this map; the label set differs only in reporting."""
-    state = add_photon_qubit(state, 0)
-    electron = next(
+def emit_photon(state: QuantumState) -> QuantumState:
+    """Append a photon in |0> and apply CNOT from the electron; the one-state
+    case of the batched emission the executor runs."""
+    if not state.pure:
+        raise ValueError("photons can only be emitted from pure states")
+    source = next(
         i for i, w in enumerate(state.wires) if w.kind == RoleKind.ELECTRON
     )
-    return apply_gate(state, CNOT, [electron, state.n_qubits - 1])
+    photons = sum(w.kind == RoleKind.PHOTON for w in state.wires)
+    data = _emit(state.data[None], source)[0]
+    return QuantumState(data, state.wires + (photon(photons),), validate=False)
 
 
 def _gate_unitary(spec, item, compiler, phases, cursor):
-    """4x4 (or 2x2 for ry) unitary for a schedule item; advances the phase
-    cursor when the gate is a noisy DD sequence."""
+    """Unitary for a schedule item, a (T, 4, 4) stack for a DD sequence under
+    (T, segments) phases; advances the phase cursor past a noisy sequence."""
     if item.gate == "ry":
         return spec.gate_library.get("ry", RY_PROTO), cursor
     g = spec.gate_library[item.gate]
-    if isinstance(g, DDSequence):
-        n_seg = 3 * g.k
-        if phases is None:
-            return sequence_unitary(g, compiler), cursor
-        u = noisy_sequence_unitary(g, compiler, phases[cursor:cursor + n_seg])
-        return u, cursor + n_seg
-    return g, cursor
+    if not isinstance(g, DDSequence):
+        return g, cursor
+    if phases is None:
+        return sequence_unitary(g, compiler), cursor
+    n_seg = 3 * g.k
+    u = noisy_sequence_unitary(g, compiler, phases[:, cursor:cursor + n_seg])
+    return u, cursor + n_seg
 
 
-def _execute(spec: ProtocolSpec, sched, compiler, phases=None) -> QuantumState:
-    """Run the schedule up to (not including) the completion measurements."""
-    state = _initial_state(spec)
-    cursor = 0
-    for item in sched:
+def _execute(spec: ProtocolSpec, items, compiler=None, phases=None) -> np.ndarray:
+    """Run the gate and emit items of a schedule on a batch of pure register
+    states, one row per row of `phases` (a single row without them), from
+    the initial spin state. Returns the amplitudes, shaped (T, 2^wires)."""
+    amps = np.zeros((1 if phases is None else len(phases), 2 ** spec.m), dtype=complex)
+    amps[:, -1 if spec.init_one else 0] = 1.0
+    n, cursor = spec.m, 0
+    for item in items:
         if item.kind == "gate":
             u, cursor = _gate_unitary(spec, item, compiler, phases, cursor)
-            state = apply_gate(state, u, list(item.wires))
+            amps = _apply_matrix_vec(amps, u, item.wires, n)
         elif item.kind == "emit":
-            state = emit_photon(state, spec.photon_encoding)
-    return state
+            amps = _emit(amps, 0)
+            n += 1
+    return amps
+
+
+def _sample_phases(spec: ProtocolSpec, items, rng):
+    """Bath phase of every free segment of the DD sequences among `items`,
+    shaped (trials, segments); None without noise."""
+    if spec.noise is None:
+        return None
+    from .noise import segment_phases
+
+    durations = [
+        d for item in items
+        if item.kind == "gate" and isinstance(spec.gate_library.get(item.gate), DDSequence)
+        for d in spec.gate_library[item.gate].segment_durations()
+    ]
+    return segment_phases(spec.noise, np.array(durations), spec.trials, rng)
 
 
 def _compiler_for(spec: ProtocolSpec):
@@ -219,21 +238,18 @@ def _compiler_for(spec: ProtocolSpec):
     return UnitCompiler(spec.params)
 
 
-def _spin_branch(state: QuantumState, m: int, outcome_bits):
-    """Project the m spin wires onto the given z outcomes without
-    renormalizing; returns (photonic amplitude vector, probability)."""
-    amp = state.data.reshape((2,) * state.n_qubits)
-    idx = tuple(outcome_bits) + (slice(None),) * (state.n_qubits - m)
-    vec = np.ascontiguousarray(amp[idx]).ravel()
-    return vec, float(np.vdot(vec, vec).real)
+def _photon_wires(n: int) -> tuple:
+    return tuple(photon(i) for i in range(n))
 
 
-def _apply_photon_locals(vec: np.ndarray, locals_: list) -> np.ndarray:
-    n = int(np.log2(len(vec)))
-    t = vec.reshape((2,) * n)
-    for i, u in enumerate(locals_):
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [i])), 0, i)
-    return t.ravel()
+def _ideal_branches(spec: ProtocolSpec) -> np.ndarray:
+    """Completion branches of the noiseless ideal-gate circuit, one
+    unnormalised photonic vector per spin outcome, shaped (2^m, 2^(m n))."""
+    ideal = replace(spec, gate_library=ideal_library(), noise=None, params=None)
+    branches = _execute(ideal, build_schedule(ideal))[0].reshape(2 ** spec.m, -1)
+    if np.vdot(branches[-1], branches[-1]).real < 1e-12:
+        raise ValueError("all-|1> completion branch has zero probability")
+    return branches
 
 
 def find_corrections(spec: ProtocolSpec):
@@ -242,39 +258,25 @@ def find_corrections(spec: ProtocolSpec):
 
     Returns {outcome bits: list of 2x2 unitaries}. Raises if any branch is
     not locally equivalent to the reference (residual > 1e-9)."""
-    ideal_spec = _ideal_twin(spec)
-    sched = build_schedule(ideal_spec)
-    state = _execute(ideal_spec, sched, None)
-    ref, p_ref = _spin_branch(state, spec.m, (1,) * spec.m)
-    if p_ref < 1e-12:
-        raise ValueError("all-|1> completion branch has zero probability")
-    ref = ref / np.sqrt(p_ref)
+    branches = _ideal_branches(spec)
+    probs = np.sum(np.abs(branches) ** 2, axis=1)
+    ref = branches[-1] / np.sqrt(probs[-1])
     corrections = {}
     rng = np.random.default_rng(7)
-    for bits in np.ndindex(*(2,) * spec.m):
+    for bits, vec, p in zip(np.ndindex(*(2,) * spec.m), branches, probs):
         if all(b == 1 for b in bits):
             corrections[bits] = [I2] * (spec.m * spec.n)
             continue
-        vec, p = _spin_branch(state, spec.m, bits)
         if p < 1e-12:
             corrections[bits] = None
             continue
-        vec = vec / np.sqrt(p)
-        overlap, locals_ = _max_local_overlap(vec, ref, rng, n_starts=6)
+        overlap, locals_ = _max_local_overlap(vec / np.sqrt(p), ref, rng, n_starts=6)
         if 1 - overlap > 1e-9:
             raise ValueError(
                 f"branch {bits} is not locally correctable (overlap {overlap})"
             )
         corrections[bits] = locals_
     return corrections
-
-
-def _ideal_twin(spec: ProtocolSpec) -> ProtocolSpec:
-    return ProtocolSpec(
-        m=spec.m, n=spec.n, gate_library=ideal_library(),
-        photon_encoding=spec.photon_encoding, style=spec.style,
-        init_one=spec.init_one, completion=spec.completion,
-    )
 
 
 def ideal_library() -> dict:
@@ -299,131 +301,106 @@ def packaged_gate_library():
 
 def ideal_target(
     m: int, n: int, style: str = "pedagogical", init_one: bool = False,
-    encoding: str = "polarisation",
 ) -> QuantumState:
     """Noiseless ideal-gate circuit output after the all-|1> completion;
     the reference state for every fidelity in this module."""
     spec = ProtocolSpec(
-        m=m, n=n, gate_library=ideal_library(), photon_encoding=encoding,
-        style=style, init_one=init_one,
+        m=m, n=n, gate_library=ideal_library(), style=style, init_one=init_one,
     )
-    sched = build_schedule(spec)
-    state = _execute(spec, sched, None)
-    vec, p = _spin_branch(state, m, (1,) * m)
-    if p < 1e-12:
-        raise ValueError("all-|1> completion branch has zero probability")
-    wires = tuple(QubitRole(RoleKind.PHOTON, i) for i in range(m * n))
-    return QuantumState(vec / np.sqrt(p), wires)
+    vec = _ideal_branches(spec)[-1]
+    return QuantumState(vec / np.linalg.norm(vec), _photon_wires(m * n))
 
 
 def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
-    """Execute the protocol; with noise, average `trials` trajectories into
-    a mixed photonic state. Fidelity is against the ideal-gate target."""
+    """Execute the protocol on one trajectory without noise, on `trials`
+    noisy trajectories otherwise, and complete each. With noise the
+    photonic state is their mixture. Fidelity is against the ideal-gate
+    target: F = sqrt(sum o_t / sum w_t) over the per-trajectory overlaps
+    o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1> probability
+    under postselection); its standard error is the ratio estimator's."""
     sched = build_schedule(spec)
     compiler = _compiler_for(spec)
-    target = ideal_target(
-        spec.m, spec.n, spec.style, spec.init_one, spec.photon_encoding
-    )
-    wall = wall_clock_model(spec)
+    if spec.noise is not None and compiler is None:
+        raise ValueError("noisy runs require DD-sequence gates and spin parameters")
+    target = ideal_target(spec.m, spec.n, spec.style, spec.init_one)
     corrections = (
         find_corrections(spec) if spec.completion == "corrected" and spec.n > 0
         else None
     )
-    if spec.noise is None:
-        vec, ps_prob = _complete_pure(
-            _execute(spec, sched, compiler), spec, corrections,
-            np.random.default_rng(spec.seed),
-        )
-        if spec.completion == "postselect" and ps_prob > 1e-300:
-            vec = vec / np.sqrt(ps_prob)
-        photonic = QuantumState(vec, target.wires)
-        fid = float(abs(np.vdot(target.data, vec)))
-        result_se = 0.0
-        rho_state = photonic
-        prep_f = block_f = None
-        if components:
-            prep_f, block_f = component_fidelities(spec)
-        return ProtocolResult(
-            rho_state, fid, result_se, prep_f, block_f, wall, ps_prob, 1
-        )
-
-    if spec.params is None or compiler is None:
-        raise ValueError("noisy runs require DD-sequence gates and spin parameters")
-    from .noise import segment_phases
-
-    durations = []
-    for item in sched:
-        if item.kind == "gate" and item.gate in spec.gate_library:
-            g = spec.gate_library[item.gate]
-            if isinstance(g, DDSequence):
-                durations.extend(g.segment_durations())
     rng = np.random.default_rng(spec.seed)
-    phases = segment_phases(spec.noise, np.array(durations), spec.trials, rng)
-
-    dim = 2 ** (spec.m * spec.n)
-    rho = np.zeros((dim, dim), dtype=complex)
-    overlaps = np.empty(spec.trials)
-    ps_weight = 0.0
-    for t in range(spec.trials):
-        state = _execute(spec, sched, compiler, phases[t])
-        vec, w = _complete_pure(state, spec, corrections, rng)
-        if spec.completion == "postselect":
-            ps_weight += w
-            rho += np.outer(vec, vec.conj())
-            overlaps[t] = w  # weight; overlap folded in below
-        else:
-            rho += np.outer(vec, vec.conj())
-            overlaps[t] = abs(np.vdot(target.data, vec)) ** 2
-    if spec.completion == "postselect":
-        ps_prob = ps_weight / spec.trials
-        rho /= max(ps_weight, 1e-300)
-    else:
-        ps_prob = 1.0
-        rho /= spec.trials
-    fid = float(
-        np.sqrt(max(np.real(np.vdot(target.data, rho @ target.data)), 0.0))
+    phases = _sample_phases(spec, sched, rng)
+    vecs, weights = _complete(
+        _execute(spec, sched, compiler, phases), spec, corrections, rng
     )
-    if spec.completion == "corrected":
-        se = float(np.std(overlaps, ddof=1) / np.sqrt(spec.trials))
-        se = se / (2 * fid) if fid > 0 else se
+    overlaps = np.abs(vecs @ target.data.conj()) ** 2
+    total_weight = max(weights.sum(), 1e-300)
+    fid2 = overlaps.sum() / total_weight
+    fid = float(np.sqrt(max(fid2, 0.0)))
+    if spec.noise is None:
+        se = 0.0
+        photonic = QuantumState(
+            vecs[0] / np.sqrt(max(weights[0], 1e-300)), target.wires
+        )
     else:
-        se = float("nan")
-    photonic = QuantumState(rho, target.wires)
+        t = len(vecs)
+        resid = overlaps - fid2 * weights
+        se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
+        se = se / (2 * fid) if fid > 0 else se
+        rho = vecs.T @ vecs.conj()
+        rho /= total_weight
+        photonic = QuantumState(rho, target.wires)
+    ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
     prep_f = block_f = None
     if components:
         prep_f, block_f = component_fidelities(spec)
-    return ProtocolResult(photonic, fid, se, prep_f, block_f, wall, ps_prob, spec.trials)
+    return ProtocolResult(
+        photonic, fid, se, prep_f, block_f, wall_clock_model(spec), ps_prob,
+        len(vecs),
+    )
 
 
-def _complete_pure(state, spec, corrections, rng):
-    """Completion measurement on one pure pre-measurement state.
+def _complete(amps, spec, corrections, rng):
+    """Completion measurement of the spin wires on each row of a (T, 2^n)
+    batch; returns (photonic vectors (T, 2^(n-m)), weights (T,)).
 
-    corrected mode: sample the spin outcomes, apply the cached local photon
-    corrections, return the normalized photonic vector and weight 1.
-    postselect mode: project onto all-|1> and return the unnormalized
-    branch vector plus its probability."""
-    m = spec.m
-    if spec.completion == "postselect" or corrections is None:
-        vec, p = _spin_branch(state, m, (1,) * m)
+    corrected mode: sample each trajectory's spin outcomes by the Born rule,
+    wire by wire from one uniform each, and apply the cached local photon
+    corrections to the normalised branch; weight 1.
+    postselect mode (corrections None): the unnormalised all-|1> branch and
+    its probability; without photons to correct, corrected mode takes that
+    branch normalised, with weight 1."""
+    t, m = len(amps), spec.m
+    branches = amps.reshape(t, 2 ** m, -1)
+    if corrections is None:
+        vecs = branches[:, -1]
+        w = np.sum(np.abs(vecs) ** 2, axis=1)
         if spec.completion == "postselect":
-            return vec, p
-        return (vec / np.sqrt(p) if p > 1e-300 else vec), p
-    # sample each spin via the Born rule on the joint state
-    amp = state.data.reshape((2,) * state.n_qubits)
-    bits = []
-    for w in range(m):
-        sub = amp[tuple(bits)]
-        p0 = float(np.sum(np.abs(sub[0]) ** 2))
-        norm = float(np.sum(np.abs(sub) ** 2))
-        b = 0 if rng.random() * norm < p0 else 1
-        bits.append(b)
-    bits = tuple(bits)
-    vec = np.ascontiguousarray(amp[bits]).ravel()
-    vec = vec / np.linalg.norm(vec)
-    locals_ = corrections.get(bits)
-    if locals_ is None:
-        raise RuntimeError(f"sampled a branch with no cached correction: {bits}")
-    return _apply_photon_locals(vec, locals_), 1.0
+            return vecs, w
+        return vecs / np.sqrt(np.maximum(w, 1e-300))[:, None], np.ones(t)
+    probs = np.sum(np.abs(branches) ** 2, axis=2)
+    uniforms = rng.random((t, m))
+    rows = np.arange(t)
+    outcome = np.zeros(t, dtype=int)
+    for wire in range(m):
+        sub = probs.reshape(t, 2 ** wire, 2, -1)[rows, outcome]
+        p0, norm = sub[:, 0].sum(axis=1), sub.sum(axis=(1, 2))
+        outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
+    vecs = branches[rows, outcome]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    n_photons = spec.m * spec.n
+    outcome_bits = list(np.ndindex(*(2,) * m))
+    for o in np.unique(outcome):
+        locals_ = corrections.get(outcome_bits[o])
+        if locals_ is None:
+            raise RuntimeError(
+                f"sampled a branch with no cached correction: {outcome_bits[o]}"
+            )
+        sel = outcome == o
+        corrected = vecs[sel]
+        for i, u in enumerate(locals_):
+            corrected = _apply_matrix_vec(corrected, u, [i], n_photons)
+        vecs[sel] = corrected
+    return vecs, np.ones(t)
 
 
 def component_fidelities(spec: ProtocolSpec):
@@ -448,50 +425,17 @@ def _schedule_split(spec):
 
 
 def _segment_fidelity(spec, prep_only: bool) -> float:
-    one_col = ProtocolSpec(
-        m=spec.m, n=min(spec.n, 1), gate_library=spec.gate_library,
-        photon_encoding=spec.photon_encoding, noise=spec.noise,
-        params=spec.params, style=spec.style, init_one=spec.init_one,
-        trials=spec.trials, seed=spec.seed + (1 if prep_only else 2),
+    one_col = replace(
+        spec, n=min(spec.n, 1), seed=spec.seed + (1 if prep_only else 2)
     )
     prep_sched, block_sched = _schedule_split(one_col)
-    sched = prep_sched if prep_only else block_sched
-    ideal_twin = _ideal_twin(one_col)
-    ref = _run_items(ideal_twin, sched, None, None)
-    compiler = _compiler_for(one_col)
-    if one_col.noise is None:
-        out = _run_items(one_col, sched, compiler, None)
-        return float(abs(np.vdot(ref.data, out.data)))
-    from .noise import segment_phases
-
-    durations = []
-    for item in sched:
-        if item.kind == "gate" and isinstance(
-            one_col.gate_library.get(item.gate), DDSequence
-        ):
-            durations.extend(one_col.gate_library[item.gate].segment_durations())
-    if not durations:
-        out = _run_items(one_col, sched, compiler, None)
-        return float(abs(np.vdot(ref.data, out.data)))
-    rng = np.random.default_rng(one_col.seed)
-    phases = segment_phases(one_col.noise, np.array(durations), one_col.trials, rng)
-    acc = 0.0
-    for t in range(one_col.trials):
-        out = _run_items(one_col, sched, compiler, phases[t])
-        acc += abs(np.vdot(ref.data, out.data)) ** 2
-    return float(np.sqrt(acc / one_col.trials))
-
-
-def _run_items(spec, items, compiler, phases):
-    state = _initial_state(spec)
-    cursor = 0
-    for item in items:
-        if item.kind == "gate":
-            u, cursor = _gate_unitary(spec, item, compiler, phases, cursor)
-            state = apply_gate(state, u, list(item.wires))
-        elif item.kind == "emit":
-            state = emit_photon(state, spec.photon_encoding)
-    return state
+    items = prep_sched if prep_only else block_sched
+    ref = _execute(replace(one_col, gate_library=ideal_library()), items)[0]
+    out = _execute(
+        one_col, items, _compiler_for(one_col),
+        _sample_phases(one_col, items, np.random.default_rng(one_col.seed)),
+    )
+    return float(np.sqrt(np.mean(np.abs(out @ ref.conj()) ** 2)))
 
 
 # -------------------------------------------------- local-unitary analysis
@@ -617,28 +561,21 @@ class AppendixReport:
 def verify_appendix_a() -> AppendixReport:
     """Step-by-step M=3, N=1 run with ideal gates from all-|1>, checking the
     completed photonic state is locally equivalent to the linear 3-qubit
-    graph state."""
+    graph state. Step i is the executor run on the first i schedule items."""
     spec = ProtocolSpec(
         m=3, n=1, gate_library=ideal_library(), style="pedagogical",
         init_one=True,
     )
-    sched = build_schedule(spec)
+    items = [s for s in build_schedule(spec) if s.kind != "measure"]
+    spins = (electron(), nuclear(0), nuclear(1))
     steps = []
-    state = _initial_state(spec)
-    steps.append(("init", state))
-    for item in sched:
-        if item.kind == "measure":
-            continue
-        if item.kind == "gate":
-            u = spec.gate_library.get(item.gate, RY_PROTO)
-            state = apply_gate(state, u, list(item.wires))
-        else:
-            state = emit_photon(state, spec.photon_encoding)
-        steps.append((item.label(), state))
-    vec, p = _spin_branch(state, 3, (1, 1, 1))
-    photonic = QuantumState(
-        vec / np.sqrt(p), tuple(QubitRole(RoleKind.PHOTON, i) for i in range(3))
-    )
+    for i, label in enumerate(["init"] + [s.label() for s in items]):
+        amps = _execute(spec, items[:i])[0]
+        wires = spins + _photon_wires(amps.size.bit_length() - 1 - spec.m)
+        steps.append((label, QuantumState(amps, wires, validate=False)))
+    vec = steps[-1][1].data.reshape(2 ** spec.m, -1)[-1]
+    p = float(np.vdot(vec, vec).real)
+    photonic = QuantumState(vec / np.sqrt(p), _photon_wires(3))
     steps.append(("completion", photonic))
     rep = lu_equivalence(photonic, linear_graph_state(3))
-    return AppendixReport(steps, float(p), rep.overlap, rep.equivalent)
+    return AppendixReport(steps, p, rep.overlap, rep.equivalent)

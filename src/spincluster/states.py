@@ -160,25 +160,21 @@ def rz(theta: float) -> np.ndarray:
     )
 
 
-def _apply_matrix_vec(vec: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix to the given wires of a length-2^n vector."""
+def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix, or a (T, 2^k, 2^k) stack of them, to the
+    given wires of every row of a (T, 2^n) batch of vectors."""
     k = len(targets)
-    psi = vec.reshape([2] * n)
-    src = list(targets)
-    psi = np.moveaxis(psi, src, range(k))
-    psi = psi.reshape(2 ** k, -1)
-    psi = u @ psi
-    psi = psi.reshape([2] * n)
-    psi = np.moveaxis(psi, range(k), src)
-    return psi.reshape(-1)
+    src = [1 + t for t in targets]
+    dst = list(range(1, k + 1))
+    psi = np.moveaxis(vecs.reshape([-1] + [2] * n), src, dst)
+    psi = u @ psi.reshape(len(vecs), 2 ** k, -1)
+    psi = np.moveaxis(psi.reshape([-1] + [2] * n), dst, src)
+    return psi.reshape(len(psi), -1)
 
 
 def expand_unitary(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Embed a k-qubit unitary acting on `targets` into the full 2^n space."""
-    full = np.eye(2 ** n, dtype=complex)
-    return np.column_stack(
-        [_apply_matrix_vec(full[:, i], u, targets, n) for i in range(2 ** n)]
-    )
+    return _apply_matrix_vec(np.eye(2 ** n, dtype=complex), u, targets, n).T
 
 
 def apply_gate(state: QuantumState, u: Unitary | np.ndarray, targets: Sequence[int]) -> QuantumState:
@@ -196,7 +192,7 @@ def apply_gate(state: QuantumState, u: Unitary | np.ndarray, targets: Sequence[i
     if any(t < 0 or t >= n for t in targets):
         raise ValueError("target wire out of range")
     if state.pure:
-        out = _apply_matrix_vec(state.data, mat, targets, n)
+        out = _apply_matrix_vec(state.data[None], mat, targets, n)[0]
     else:
         big = expand_unitary(mat, targets, n)
         out = big @ state.data @ big.conj().T
@@ -259,7 +255,7 @@ def project_measure(
     proj = np.zeros((2, 2), dtype=complex)
     proj[m, m] = 1.0
     if rotated.pure:
-        collapsed = _apply_matrix_vec(rotated.data, proj, [wire], n) / np.sqrt(p)
+        collapsed = _apply_matrix_vec(rotated.data[None], proj, [wire], n)[0] / np.sqrt(p)
     else:
         big = expand_unitary(proj, [wire], n)
         collapsed = big @ rotated.data @ big / p

@@ -8,7 +8,7 @@ with coordinate-wise sweeps over the discrete electron-gate insertions.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -114,23 +114,19 @@ def sequence_unitary(seq: DDSequence, compiler: UnitCompiler) -> np.ndarray:
 
 
 def noisy_sequence_unitary(seq: DDSequence, compiler: UnitCompiler, phases: np.ndarray) -> np.ndarray:
-    """Sequence unitary with an electron z rotation by `phases[j]` (rad)
-    inserted in free segment j. Exact because the bath term commutes with
-    the free Hamiltonian."""
-    def dephase(phi):
-        half = phi / 2
-        return np.diag([np.exp(-1j * half)] * 2 + [np.exp(1j * half)] * 2)
+    """Sequence unitary with an electron z rotation D(phi) = exp(-i phi Z_e / 2)
+    by `phases[..., j]` (rad) after free segment j. Phases shaped (3k,) give
+    one 4x4 unitary, phases shaped (T, 3k) a (T, 4, 4) stack.
 
-    u = np.eye(4, dtype=complex)
-    j = 0
+    The bath term commutes with the electron-diagonal free Hamiltonian and
+    Pi D(b) = D(-b) Pi, so the three rotations of unit i fold exactly into
+    one, D(phi_1 - phi_2 + phi_3), applied after the noiseless unit."""
+    phases = np.asarray(phases, float)
+    half = np.exp(-0.5j * (phases[..., 0::3] - phases[..., 1::3] + phases[..., 2::3]))
+    dephase = np.stack([half, half, half.conj(), half.conj()], axis=-1)[..., None]
+    u = np.broadcast_to(np.eye(4, dtype=complex), phases.shape[:-1] + (4, 4))
     for i, t in enumerate(seq.tau_f):
-        u = _GATE_4X4[seq.electron_gates[i]] @ u
-        f1 = compiler.free_propagator(t)
-        f2 = compiler.free_propagator(2 * t)
-        u = dephase(phases[j]) @ f1 @ u
-        u = dephase(phases[j + 1]) @ f2 @ PI_PULSE @ u
-        u = dephase(phases[j + 2]) @ f1 @ PI_PULSE @ u
-        j += 3
+        u = dephase[..., i, :, :] * ((dd_unit(t, compiler) @ _GATE_4X4[seq.electron_gates[i]]) @ u)
     return _GATE_4X4[seq.electron_gates[-1]] @ u
 
 
@@ -334,16 +330,12 @@ def noisy_gate_fidelity(seq: DDSequence, p: SpinSystemParams, noise, trials: int
     if trials < 100:
         raise ValueError("need at least 100 trajectories")
     compiler = UnitCompiler(p)
-    u_ref = sequence_unitary(seq, compiler)
-    refs = [u_ref @ v for v in TOMOGRAPHY_INPUTS]
+    inputs = np.array(TOMOGRAPHY_INPUTS).T
+    refs = sequence_unitary(seq, compiler) @ inputs
     rng = np.random.default_rng(noise.seed if seed is None else seed)
-    durations = seq.segment_durations()
-    phases = segment_phases(noise, durations, trials, rng)
-    per_traj = np.empty(trials)
-    for i in range(trials):
-        u = noisy_sequence_unitary(seq, compiler, phases[i])
-        overlaps = [abs(np.vdot(r, u @ v)) ** 2 for r, v in zip(refs, TOMOGRAPHY_INPUTS)]
-        per_traj[i] = np.mean(overlaps)
+    phases = segment_phases(noise, seq.segment_durations(), trials, rng)
+    outs = noisy_sequence_unitary(seq, compiler, phases) @ inputs
+    per_traj = np.mean(np.abs(np.sum(refs.conj() * outs, axis=1)) ** 2, axis=1)
     mean_overlap = float(np.mean(per_traj))
     se_overlap = float(np.std(per_traj, ddof=1) / np.sqrt(trials))
     fid = np.sqrt(max(mean_overlap, 0.0))

@@ -88,12 +88,12 @@ class TestGenerationRate:
 
 
 class TestFieldSelection:
-    # loose threshold keeps the searches fast; results are cached across tests
+    # loose threshold keeps the searches fast
     CHEAP = dict(threshold=0.7, restarts=10, ks=[8], hops=3, seed=0)
 
     def test_single_point(self):
         bx, bz, total = minimize_sequence_field(
-            70e6, 300e-6, [(0.6, 0.6)], synth_kwargs=self.CHEAP
+            70e6, [(0.6, 0.6)], synth_kwargs=self.CHEAP
         )
         assert (bx, bz) == (0.6, 0.6)
         assert total > 0
@@ -101,19 +101,27 @@ class TestFieldSelection:
     def test_picks_shorter_block(self):
         grid = [(0.6, 0.6), (1.2, 1.2)]
         bx, bz, total = minimize_sequence_field(
-            70e6, 300e-6, grid, synth_kwargs=self.CHEAP
+            70e6, grid, synth_kwargs=self.CHEAP
         )
         assert (bx, bz) in grid
         for other in grid:
             alt = minimize_sequence_field(
-                70e6, 300e-6, [other], synth_kwargs=self.CHEAP
+                70e6, [other], synth_kwargs=self.CHEAP
             )
             assert total <= alt[2] + 1e-15
+
+    def test_threshold_change_not_served_stale(self):
+        # a pass at a loose threshold must not answer a later call whose
+        # stricter settings fail at the same point
+        minimize_sequence_field(70e6, [(0.6, 0.6)], synth_kwargs=self.CHEAP)
+        strict = dict(threshold=0.9999999, ks=[2], restarts=1, hops=0, seed=0)
+        with pytest.raises(RuntimeError):
+            minimize_sequence_field(70e6, [(0.6, 0.6)], synth_kwargs=strict)
 
     def test_mw_ceiling(self):
         with pytest.raises(ValueError):
             minimize_sequence_field(
-                70e6, 300e-6, [(0.6, 10.0)], mw_ceiling=20e9,
+                70e6, [(0.6, 10.0)], mw_ceiling=20e9,
                 synth_kwargs=self.CHEAP,
             )
 

@@ -63,8 +63,6 @@ class TestSchedule:
             _spec(2, -1)
         with pytest.raises(ValueError):
             _spec(2, 1, completion="discard")
-        with pytest.raises(ValueError):
-            _spec(2, 1, photon_encoding="frequency")
         with pytest.raises(KeyError):
             ProtocolSpec(m=2, n=1, gate_library={"cz": CZ})
 
@@ -202,6 +200,23 @@ class TestNoisyRuns:
         a = run(spec)
         b = run(spec)
         assert a.fidelity == b.fidelity
+
+    def test_postselect_standard_error(self, packaged):
+        # the ratio-estimator SE of F^2 = sum o_t / sum w_t, carried to F,
+        # must describe the seed-to-seed spread of the fidelity
+        lib, params, _ = packaged
+        noise = ou_from_coherence(t2_star=0.08e-6, t2_hahn=8e-6, seed=0)
+        fids, ses = [], []
+        for seed in range(20):
+            spec = ProtocolSpec(m=2, n=1, gate_library=lib, params=params,
+                                style="lean", noise=noise, trials=100,
+                                seed=seed, completion="postselect")
+            res = run(spec)
+            fids.append(res.fidelity)
+            ses.append(res.fidelity_se)
+        assert all(np.isfinite(se) and se > 0 for se in ses)
+        spread = np.std(fids, ddof=1)
+        assert spread / 2 <= np.median(ses) <= 2 * spread
 
     def test_noise_without_params_rejected(self):
         noise = OUNoise(b=1e5, tau_c=1e-3)
