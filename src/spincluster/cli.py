@@ -61,11 +61,15 @@ def cmd_synthesize(args) -> int:
     p = spin_params(args.preset)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SecularApproximationWarning)
-        report = synthesize(
-            args.target, p, threshold=args.threshold, max_k=args.max_k,
-            seed=args.seed, restarts=args.restarts,
-            duration_limit=args.duration_limit,
-        )
+        try:
+            report = synthesize(
+                args.target, p, threshold=args.threshold, max_k=args.max_k,
+                seed=args.seed, restarts=args.restarts,
+                duration_limit=args.duration_limit,
+            )
+        except ValueError as e:
+            print(f"synthesize: {e}", file=sys.stderr)
+            return EXIT_USAGE
     out, close = _open_output(args)
     out.write(serialize_sequence(report, p))
     if close:

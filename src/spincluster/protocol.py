@@ -197,13 +197,17 @@ def _gate_unitary(spec, item, compiler, phases, cursor):
     return u, cursor + n_seg
 
 
-def _execute(spec: ProtocolSpec, items, compiler=None, phases=None) -> np.ndarray:
+def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) -> np.ndarray:
     """Run the gate and emit items of a schedule on a batch of pure register
     states, one row per row of `phases` (a single row without them), from
-    the initial spin state. Returns the amplitudes, shaped (T, 2^wires)."""
-    amps = np.zeros((1 if phases is None else len(phases), 2 ** spec.m), dtype=complex)
-    amps[:, -1 if spec.init_one else 0] = 1.0
-    n, cursor = spec.m, 0
+    the initial spin state, or from the (1, 2^wires) amplitudes `start`.
+    Returns the amplitudes, shaped (T, 2^wires)."""
+    rows = 1 if phases is None else len(phases)
+    if start is None:
+        start = np.zeros((1, 2 ** spec.m), dtype=complex)
+        start[0, -1 if spec.init_one else 0] = 1.0
+    amps = np.broadcast_to(start, (rows, start.shape[1]))
+    n, cursor = start.shape[1].bit_length() - 1, 0
     for item in items:
         if item.kind == "gate":
             u, cursor = _gate_unitary(spec, item, compiler, phases, cursor)
@@ -408,7 +412,8 @@ def component_fidelities(spec: ProtocolSpec):
     square-root state fidelity of the noisy output against the ideal one.
 
     Preparation runs the initialisation block alone; the building block runs
-    one column starting from the ideally prepared spin register."""
+    one column starting from the ideally prepared spin register, the output
+    of the initialisation block with ideal gates and no noise."""
     prep = _segment_fidelity(spec, prep_only=True)
     block = _segment_fidelity(spec, prep_only=False)
     return prep, block
@@ -429,11 +434,16 @@ def _segment_fidelity(spec, prep_only: bool) -> float:
         spec, n=min(spec.n, 1), seed=spec.seed + (1 if prep_only else 2)
     )
     prep_sched, block_sched = _schedule_split(one_col)
-    items = prep_sched if prep_only else block_sched
-    ref = _execute(replace(one_col, gate_library=ideal_library()), items)[0]
+    ideal = replace(one_col, gate_library=ideal_library())
+    if prep_only:
+        items, start = prep_sched, None
+    else:
+        items, start = block_sched, _execute(ideal, prep_sched)
+    ref = _execute(ideal, items, start=start)[0]
     out = _execute(
         one_col, items, _compiler_for(one_col),
         _sample_phases(one_col, items, np.random.default_rng(one_col.seed)),
+        start=start,
     )
     return float(np.sqrt(np.mean(np.abs(out @ ref.conj()) ** 2)))
 

@@ -27,6 +27,7 @@ ELECTRON_GATES = {
 }
 _GATE_NAMES = list(ELECTRON_GATES)
 _GATE_4X4 = {name: np.kron(g, I2) for name, g in ELECTRON_GATES.items()}
+_ALL_GATES = np.array(list(_GATE_4X4.values()))  # in _GATE_NAMES order
 
 PI_PULSE = np.kron(rx(np.pi), I2)
 
@@ -85,31 +86,55 @@ class SynthesisReport:
 
 
 class UnitCompiler:
-    """Caches the eigendecomposition of the free Hamiltonian for fast
-    propagators of the DD segments."""
+    """Caches the eigendecomposition H = V diag(h) V^dag of the free
+    Hamiltonian and the pi pulse in that eigenbasis, Pi' = V^dag Pi V, for
+    fast propagators of the DD segments."""
 
     def __init__(self, p: SpinSystemParams):
         self.params = p
         self.h = free_hamiltonian(p)
         self._vals, self._vecs = np.linalg.eigh(self.h)
+        self._pi = self._vecs.conj().T @ PI_PULSE @ self._vecs
 
     def free_propagator(self, t: float) -> np.ndarray:
         return (self._vecs * np.exp(-2j * np.pi * self._vals * t)) @ self._vecs.conj().T
+
+    def units(self, taus, derivative: bool = False):
+        """DD units F(tau) Pi F(2 tau) Pi F(tau) for all spacings at once, a
+        (k, 4, 4) stack, and with `derivative` also their d/dtau stack.
+
+        In the eigenbasis F(t) is the diagonal D(t), so a unit is
+        V D1 Pi' D2 Pi' D1 V^dag with D2 = D1^2, and H' = diag(h) commutes
+        through every D: d/dtau = -2 pi i V (H' b + b H' + 2 D1 Pi' H' D2 Pi' D1) V^dag."""
+        d1 = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(taus, float), self._vals))
+        d2 = d1 * d1
+        left = d1[:, :, None] * self._pi  # D1 Pi'
+        right = self._pi * d1[:, None, :]  # Pi' D1
+        b = (left * d2[:, None, :]) @ right
+        vecs, vecs_h = self._vecs, self._vecs.conj().T
+        if not derivative:
+            return vecs @ b @ vecs_h
+        h = self._vals
+        db = h[:, None] * b + b * h + 2 * ((left * (h * d2)[:, None, :]) @ right)
+        return vecs @ b @ vecs_h, -2j * np.pi * (vecs @ db @ vecs_h)
 
 
 def dd_unit(tau_f: float, compiler: UnitCompiler) -> np.ndarray:
     """F(tau) Pi F(2 tau) Pi F(tau) on (electron, nucleus)."""
     if tau_f <= 0:
         raise ValueError("tau_f must be positive")
-    f1 = compiler.free_propagator(tau_f)
-    f2 = compiler.free_propagator(2 * tau_f)
-    return f1 @ PI_PULSE @ f2 @ PI_PULSE @ f1
+    return compiler.units([tau_f])[0]
+
+
+def _gate_stack(names) -> np.ndarray:
+    return np.array([_GATE_4X4[g] for g in names]).reshape(-1, 4, 4)
 
 
 def sequence_unitary(seq: DDSequence, compiler: UnitCompiler) -> np.ndarray:
+    factors = compiler.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
     u = np.eye(4, dtype=complex)
-    for i, t in enumerate(seq.tau_f):
-        u = dd_unit(t, compiler) @ _GATE_4X4[seq.electron_gates[i]] @ u
+    for f in factors:
+        u = f @ u
     return _GATE_4X4[seq.electron_gates[-1]] @ u
 
 
@@ -124,9 +149,10 @@ def noisy_sequence_unitary(seq: DDSequence, compiler: UnitCompiler, phases: np.n
     phases = np.asarray(phases, float)
     half = np.exp(-0.5j * (phases[..., 0::3] - phases[..., 1::3] + phases[..., 2::3]))
     dephase = np.stack([half, half, half.conj(), half.conj()], axis=-1)[..., None]
+    factors = compiler.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
     u = np.broadcast_to(np.eye(4, dtype=complex), phases.shape[:-1] + (4, 4))
-    for i, t in enumerate(seq.tau_f):
-        u = dephase[..., i, :, :] * ((dd_unit(t, compiler) @ _GATE_4X4[seq.electron_gates[i]]) @ u)
+    for i, f in enumerate(factors):
+        u = dephase[..., i, :, :] * (f @ u)
     return _GATE_4X4[seq.electron_gates[-1]] @ u
 
 
@@ -140,56 +166,43 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
 
 # ------------------------------------------------------------ optimization
 
-def _unit_and_derivative(tau_f, compiler):
-    f1 = compiler.free_propagator(tau_f)
-    f2 = compiler.free_propagator(2 * tau_f)
-    h = compiler.h
-    b = f1 @ PI_PULSE @ f2 @ PI_PULSE @ f1
-    db = -2j * np.pi * (
-        h @ b
-        + 2 * (f1 @ PI_PULSE @ h @ f2 @ PI_PULSE @ f1)
-        + f1 @ PI_PULSE @ f2 @ PI_PULSE @ h @ f1
-    )
-    return b, db
+def _environments(units, gates, target):
+    """Environments of the units in U = G_k B_{k-1} G_{k-1} ... B_0 G_0.
+
+    With the prefix R_i = B_{i-1} G_{i-1} ... B_0 G_0 and the suffix
+    W_i = G_k B_{k-1} G_{k-1} ... B_{i+1} G_{i+1}, both built in one loop,
+    returns E_i = R_i T^dag W_i, a (k, 4, 4) stack with
+    Tr(T^dag U) = Tr(E_i B_i G_i) for every i, and R_k T^dag, with
+    Tr(T^dag U) = Tr(R_k T^dag G_k)."""
+    k = len(units)
+    factors = list(units @ gates[:-1])
+    prefix, suffix = [np.eye(4, dtype=complex)], [gates[-1]]
+    for i in range(k - 1):
+        prefix.append(factors[i] @ prefix[-1])
+        suffix.append(suffix[-1] @ factors[k - 1 - i])
+    t_dag = target.conj().T
+    return np.array(prefix) @ t_dag @ np.array(suffix[::-1]), factors[-1] @ prefix[-1] @ t_dag
 
 
-def _fidelity_and_gradient(taus, gate_mats, target, compiler):
-    k = len(taus)
-    units = [_unit_and_derivative(t, compiler) for t in taus]
-    factors = []
-    for i in range(k):
-        factors.append(gate_mats[i])
-        factors.append(units[i][0])
-    factors.append(gate_mats[k])
-    m = len(factors)
-    right = [np.eye(4, dtype=complex)]
-    for f in factors:
-        right.append(f @ right[-1])
-    left = [np.eye(4, dtype=complex)]
-    for f in reversed(factors):
-        left.append(left[-1] @ f)
-    left = left[::-1]  # left[i] = product of factors applied after factor i-1
-    overlap = np.trace(target.conj().T @ right[-1])
+def _fidelity_and_gradient(taus, gates, target, compiler):
+    """|Tr(T^dag U)| / 4 and its gradient in the spacings, for the (k+1, 4, 4)
+    electron-gate stack `gates`."""
+    units, d_units = compiler.units(taus, derivative=True)
+    env, tail = _environments(units, gates, target)
+    overlap = np.sum(tail * gates[-1].T)
     fid = abs(overlap) / 4
-    grad = np.zeros(k)
+    grad = np.zeros(len(taus))
     if abs(overlap) > 1e-300:
-        for i in range(k):
-            j = 2 * i + 1
-            d_overlap = np.trace(target.conj().T @ (left[j + 1] @ units[i][1] @ right[j]))
-            grad[i] = np.real(np.conj(overlap) * d_overlap) / (abs(overlap) * 4)
+        d_overlap = np.einsum("kab,kba->k", env, d_units @ gates[:-1])
+        grad = np.real(np.conj(overlap) * d_overlap) / (abs(overlap) * 4)
     return fid, grad
 
 
-def _sequence_fidelity(taus, gate_names, target, compiler):
-    seq = DDSequence(tuple(float(t) for t in taus), tuple(gate_names))
-    return gate_fidelity(sequence_unitary(seq, compiler), target)
-
-
 def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
-    gate_mats = [_GATE_4X4[g] for g in gate_names]
+    gates = _gate_stack(gate_names)
 
     def neg(x):
-        f, g = _fidelity_and_gradient(x, gate_mats, target, compiler)
+        f, g = _fidelity_and_gradient(x, gates, target, compiler)
         return 1 - f, -g
 
     res = minimize(
@@ -200,24 +213,41 @@ def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
     return res.x, 1 - res.fun, res.nfev
 
 
+def _slot_fidelities(units, names, target):
+    """|Tr(T^dag U)| / 4 with each electron gate in each slot of the sequence,
+    the other slots held fixed: a (k+1, len(_GATE_NAMES)) table.
+
+    The overlap is linear in the gate G of one slot s, Tr(M_s G), with the
+    environment M_s = E_s B_s (M_k = R_k T^dag for the last slot), so every
+    entry costs one contraction."""
+    env, tail = _environments(units, _gate_stack(names), target)
+    slots = np.concatenate([env @ units, tail[None]])
+    return np.abs(np.einsum("gab,sba->sg", _ALL_GATES, slots)) / 4
+
+
 def _discrete_sweep(taus, gate_names, target, compiler, rng):
+    """Coordinate-wise sweep over the electron-gate slots at fixed spacings,
+    accepting any candidate that raises the fidelity by more than 1e-12; the
+    table of candidate fidelities is rebuilt only after a slot changes."""
     names = list(gate_names)
-    best = _sequence_fidelity(taus, names, target, compiler)
+    units = compiler.units(taus)
+    table = _slot_fidelities(units, names, target)
+    best = table[0, _GATE_NAMES.index(names[0])]
     improved = True
     evals = 0
     while improved:
         improved = False
         for slot in rng.permutation(len(names)):
             current = names[slot]
-            for cand in _GATE_NAMES:
+            for cand, f in zip(_GATE_NAMES, table[slot]):
                 if cand == current:
                     continue
-                trial = list(names)
-                trial[slot] = cand
-                f = _sequence_fidelity(taus, trial, target, compiler)
                 evals += 1
                 if f > best + 1e-12:
-                    best, names, improved = f, trial, True
+                    best, improved = f, True
+                    names[slot] = cand
+            if names[slot] != current:
+                table = _slot_fidelities(units, names, target)
     return names, best, evals
 
 
@@ -248,6 +278,12 @@ def synthesize(
         raise ValueError("threshold must be in (0, 1]")
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
+    ks = list(range(2, max_k + 1, 2)) if ks is None else list(ks)
+    if not ks or min(ks) < 1:
+        raise ValueError(
+            f"unit counts to search must be non-empty and all >= 1, got {ks} "
+            "(without ks, the even counts 2..max_k are searched, so max_k must be >= 2)"
+        )
 
     identity_fid = gate_fidelity(np.eye(4, dtype=complex), target)
     if identity_fid >= threshold:
@@ -260,8 +296,6 @@ def synthesize(
     rng = np.random.default_rng(seed)
     best_f, best_x, best_names, best_k = 0.0, None, None, 0
     evals = 0
-    if ks is None:
-        ks = [k for k in range(2, max_k + 1, 2)]
 
     def admissible(x):
         return duration_limit is None or 4 * np.sum(x) <= duration_limit

@@ -1,10 +1,18 @@
-"""Reference checks for the batched trajectory engine.
+"""Reference checks for the batched trajectory engine and the synthesis
+hot path.
 
 The package folds the three bath rotations of each DD unit into one
 toggling-frame rotation and runs all trajectories as one batch. The slow
 references here do neither: they build every noisy unit from its free
 propagators, pi pulses and per-segment electron z rotations, and step one
 trajectory at a time through `apply_gate` and `emit_photon`.
+
+Synthesis builds all DD units and their spacing derivatives in one
+eigenbasis pass, takes the objective's gradient from prefix and suffix
+environments, and prices every candidate gate of the discrete sweep with one
+contraction. The references build each unit from free propagators, keep
+explicit lists of partial products for the objective, and evaluate each
+candidate as a full sequence.
 """
 import numpy as np
 import pytest
@@ -15,7 +23,9 @@ from spincluster.protocol import (
 )
 from spincluster.states import I2, Z, QuantumState, apply_gate, electron, nuclear
 from spincluster.synthesis import (
-    ELECTRON_GATES, PI_PULSE, DDSequence, UnitCompiler, noisy_sequence_unitary,
+    _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
+    _discrete_sweep, _fidelity_and_gradient, _gate_stack, _slot_fidelities,
+    gate_fidelity, noisy_sequence_unitary, sequence_unitary,
 )
 
 Z_E = np.kron(Z, I2)
@@ -86,3 +96,152 @@ def test_executor_matches_per_trajectory_loop(packaged):
                 state = apply_gate(state, u, item.wires)
         assert cursor == n_seg
         assert np.max(np.abs(row - state.data)) <= 1e-12
+
+
+def unit_and_derivative(tau, compiler):
+    """One DD unit F(tau) Pi F(2 tau) Pi F(tau) and its d/dtau, one term per
+    free segment."""
+    f1, f2, h = compiler.free_propagator(tau), compiler.free_propagator(2 * tau), compiler.h
+    b = f1 @ PI_PULSE @ f2 @ PI_PULSE @ f1
+    db = -2j * np.pi * (
+        h @ b
+        + 2 * (f1 @ PI_PULSE @ h @ f2 @ PI_PULSE @ f1)
+        + f1 @ PI_PULSE @ f2 @ PI_PULSE @ h @ f1
+    )
+    return b, db
+
+
+def list_fidelity_and_gradient(taus, gate_names, target, compiler):
+    """Objective and gradient from explicit lists of left and right partial
+    products over the factors G_0, B_0, G_1, ..., B_{k-1}, G_k."""
+    k = len(taus)
+    units = [unit_and_derivative(t, compiler) for t in taus]
+    gates = [np.kron(ELECTRON_GATES[g], I2) for g in gate_names]
+    factors = []
+    for i in range(k):
+        factors += [gates[i], units[i][0]]
+    factors.append(gates[k])
+    right = [np.eye(4, dtype=complex)]
+    for f in factors:
+        right.append(f @ right[-1])
+    left = [np.eye(4, dtype=complex)]
+    for f in reversed(factors):
+        left.append(left[-1] @ f)
+    left = left[::-1]  # left[i]: product of the factors from i on
+    overlap = np.trace(target.conj().T @ right[-1])
+    grad = np.zeros(k)
+    for i in range(k):
+        j = 2 * i + 1
+        d_overlap = np.trace(target.conj().T @ (left[j + 1] @ units[i][1] @ right[j]))
+        grad[i] = np.real(np.conj(overlap) * d_overlap) / (abs(overlap) * 4)
+    return abs(overlap) / 4, grad
+
+
+def full_sequence_sweep(taus, gate_names, target, compiler, rng):
+    """The discrete sweep with every candidate evaluated as a full sequence."""
+    def fidelity(names):
+        seq = DDSequence(tuple(taus), tuple(names))
+        return gate_fidelity(sequence_unitary(seq, compiler), target)
+
+    names = list(gate_names)
+    best, improved, evals = fidelity(names), True, 0
+    while improved:
+        improved = False
+        for slot in rng.permutation(len(names)):
+            current = names[slot]
+            for cand in _GATE_NAMES:
+                if cand == current:
+                    continue
+                trial = names[:slot] + [cand] + names[slot + 1:]
+                f = fidelity(trial)
+                evals += 1
+                if f > best + 1e-12:
+                    best, names, improved = f, trial, True
+    return names, best, evals
+
+
+def random_sequence(rng, k):
+    taus = rng.uniform(1e-9, 9e-8, size=k)
+    names = [_GATE_NAMES[i] for i in rng.integers(len(_GATE_NAMES), size=k + 1)]
+    return taus, names
+
+
+def test_unit_stacks_match_per_unit_products(siv):
+    compiler = UnitCompiler(siv)
+    taus = np.random.default_rng(5).uniform(1e-9, 2e-7, size=9)
+    units, d_units = compiler.units(taus, derivative=True)
+    assert units.shape == d_units.shape == (9, 4, 4)
+    assert np.max(np.abs(compiler.units(taus) - units)) <= 1e-12
+    # d/dtau is of order 2 pi |H|, about 1e9 per second here
+    scale = 2 * np.pi * np.linalg.norm(compiler.h, 2)
+    for t, u, du in zip(taus, units, d_units):
+        ref_u, ref_du = unit_and_derivative(t, compiler)
+        assert np.max(np.abs(u - ref_u)) <= 1e-12
+        assert np.max(np.abs(du - ref_du)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [1, 4, 12])
+@pytest.mark.parametrize("target", ["cz", "swap"])
+def test_objective_matches_list_products(siv, k, target):
+    compiler = UnitCompiler(siv)
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        taus, names = random_sequence(rng, k)
+        fid, grad = _fidelity_and_gradient(taus, _gate_stack(names), TARGETS[target], compiler)
+        ref_fid, ref_grad = list_fidelity_and_gradient(taus, names, TARGETS[target], compiler)
+        assert abs(fid - ref_fid) <= 1e-12
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_gradient_matches_central_difference(siv):
+    compiler = UnitCompiler(siv)
+    taus, names = random_sequence(np.random.default_rng(8), 6)
+    gates = _gate_stack(names)
+    _, grad = _fidelity_and_gradient(taus, gates, TARGETS["cz"], compiler)
+    # a 0.1 ps step: truncation (h^2 f''') and rounding (eps / h) both stay
+    # below 1e-8 of the gradient
+    h = 1e-13
+    numeric = np.zeros_like(grad)
+    for i in range(len(taus)):
+        step = np.zeros_like(taus)
+        step[i] = h
+        up = _fidelity_and_gradient(taus + step, gates, TARGETS["cz"], compiler)[0]
+        down = _fidelity_and_gradient(taus - step, gates, TARGETS["cz"], compiler)[0]
+        numeric[i] = (up - down) / (2 * h)
+    assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_slot_fidelities_match_full_sequences(siv, k):
+    compiler = UnitCompiler(siv)
+    rng = np.random.default_rng(20 + k)
+    for target in ("cz", "swap"):
+        taus, names = random_sequence(rng, k)
+        table = _slot_fidelities(compiler.units(taus), names, TARGETS[target])
+        assert table.shape == (k + 1, len(_GATE_NAMES))
+        for slot in range(k + 1):
+            for g, cand in enumerate(_GATE_NAMES):
+                trial = names[:slot] + [cand] + names[slot + 1:]
+                u = sequence_unitary(DDSequence(tuple(taus), tuple(trial)), compiler)
+                assert abs(table[slot, g] - gate_fidelity(u, TARGETS[target])) <= 1e-12
+
+
+def test_sweep_matches_full_sequence_sweep(packaged):
+    # the packaged CZ with three slots scrambled, so the sweep accepts swaps
+    lib, params, _ = packaged
+    compiler = UnitCompiler(params)
+    seq = lib["cz"]
+    rng = np.random.default_rng(11)
+    changed = 0
+    for trial in range(4):
+        names = list(seq.electron_gates)
+        for slot in rng.choice(len(names), 3, replace=False):
+            names[slot] = _GATE_NAMES[rng.integers(len(_GATE_NAMES))]
+        got = _discrete_sweep(np.array(seq.tau_f), names, TARGETS["cz"], compiler,
+                              np.random.default_rng(trial))
+        ref = full_sequence_sweep(seq.tau_f, names, TARGETS["cz"], compiler,
+                                  np.random.default_rng(trial))
+        assert got[0] == ref[0] and got[2] == ref[2]
+        assert abs(got[1] - ref[1]) <= 1e-12
+        changed += got[0] != names
+    assert changed

@@ -1,9 +1,11 @@
-"""Every module-level import of a package module is used by that module.
+"""Every module-level import of a package module is used by that module,
+and every module-level private function or class is used by the package.
 
 No linter is a dependency of the project, so this parses each module with
 `ast`: a name bound by a top-level import must be read somewhere else in the
 module. `__init__.py` is skipped, since its imports are the package's
-re-exports.
+re-exports. A top-level `def _name` or `class _Name` must be read, as a name
+or an attribute, in some module of the package.
 """
 import ast
 from pathlib import Path
@@ -12,10 +14,8 @@ import pytest
 
 import spincluster
 
-MODULES = sorted(
-    p for p in Path(spincluster.__file__).parent.glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(spincluster.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -44,3 +44,36 @@ def test_no_unused_module_imports(path):
 def test_check_flags_an_unused_import():
     src = "import os\nfrom numpy import array, zeros\nzeros(3)\n"
     assert unused_imports(src) == ["array (line 2)", "os (line 1)"]
+
+
+def unreferenced_private(sources: dict) -> list:
+    """Module-level `_private` functions and classes of {file name: source}
+    that no module reads."""
+    defined, read = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = f"{name} line {node.lineno}"
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in read)
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_check_flags_an_unreferenced_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+                "class _Gone:\n    pass\n\ndef public():\n    return _used()\n",
+        "b.py": "import c\n\nclass _Kept:\n    pass\n\nc._helper(_Kept)\n",
+        "c.py": "def _helper():\n    pass\n",
+    }
+    assert unreferenced_private(sources) == ["_Gone (a.py line 7)", "_dead (a.py line 4)"]

@@ -64,6 +64,15 @@ class TestCLI:
                    "--output", str(tmp_path / "x.ddseq")])
         assert rc == EXIT_USAGE
 
+    def test_synthesize_without_unit_counts_exit_code(self, tmp_path, capsys):
+        # --max-k 1 leaves no even unit count to search
+        out = tmp_path / "cz.ddseq"
+        rc = main(["synthesize", "--target", "cz", "--max-k", "1",
+                   "--output", str(out)])
+        assert rc == EXIT_USAGE
+        assert "unit counts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthesize_below_threshold(self, tmp_path):
         # an unattainably tight threshold with a tiny search must report
         # failure through the exit code but still write the best sequence

@@ -146,6 +146,17 @@ class TestNoiselessRuns:
         assert abs(res.prep_fidelity - 1) < 1e-9
         assert abs(res.block_fidelity - 1) < 1e-9
 
+    def test_block_starts_from_prepared_register(self):
+        # an identity in place of CZ acts like CZ on |00>, so a building
+        # block run from the initial register would read 1; from the
+        # prepared register the missing entanglement shows
+        lib = dict(ideal_library(), cz=np.eye(4, dtype=complex))
+        prep, block = component_fidelities(
+            ProtocolSpec(m=2, n=1, gate_library=lib, style="lean")
+        )
+        assert abs(prep - 1) < 1e-12
+        assert block < 1 - 1e-3
+
 
 class TestCorrections:
     def test_all_branches_correctable(self):
