@@ -320,7 +320,6 @@ def cmd_verify(args) -> int:
 
         def lu_prefilter():
             t1 = ideal_target(2, 1)
-            t2_ = ideal_target(3, 1)
             same = lu_equivalence(t1, t1)
             return same.equivalent, f"self-overlap={same.overlap:.9f}"
 

@@ -13,7 +13,9 @@ to local unitaries; tests pin that equivalence.
 from __future__ import annotations
 
 import importlib.resources
+import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +83,10 @@ class ProtocolSpec:
 
 @dataclass
 class ProtocolResult:
-    photonic_state: QuantumState
+    """Outcome of `run`: the completed vectors (T, 2^(MN)) and weights (T,)."""
+    vectors: np.ndarray
+    weights: np.ndarray
+    mixed: bool
     fidelity: float
     fidelity_se: float
     prep_fidelity: float | None
@@ -89,6 +94,22 @@ class ProtocolResult:
     wall_clock_model: float
     postselect_probability: float
     trials: int
+
+    @cached_property
+    def photonic_state(self) -> QuantumState:
+        """The normalised vector of a noiseless run; the mixture V^T V*/sum w
+        of a noisy one, built when first read and refused (ValueError) before
+        allocation if it needs more bytes than the machine's physical memory."""
+        vecs, wires = self.vectors, _photon_wires(self.vectors.shape[1].bit_length() - 1)
+        if not self.mixed:
+            return QuantumState(vecs[0] / np.sqrt(max(self.weights[0], 1e-300)), wires)
+        need = vecs.itemsize * vecs.shape[1] ** 2
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ValueError(f"rho needs {need} B, more than the {have} B of physical memory")
+        rho = vecs.T @ vecs.conj()
+        rho /= max(self.weights.sum(), 1e-300)
+        return QuantumState(rho, wires)
 
 
 def build_schedule(spec: ProtocolSpec) -> list:
@@ -317,8 +338,8 @@ def ideal_target(
 
 def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     """Execute the protocol on one trajectory without noise, on `trials`
-    noisy trajectories otherwise, and complete each. With noise the
-    photonic state is their mixture. Fidelity is against the ideal-gate
+    noisy trajectories otherwise, and complete each; with noise the photonic
+    state is their mixture, built when read. Fidelity is against the ideal-gate
     target: F = sqrt(sum o_t / sum w_t) over the per-trajectory overlaps
     o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1> probability
     under postselection); its standard error is the ratio estimator's."""
@@ -337,29 +358,22 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
         _execute(spec, sched, compiler, phases), spec, corrections, rng
     )
     overlaps = np.abs(vecs @ target.data.conj()) ** 2
-    total_weight = max(weights.sum(), 1e-300)
-    fid2 = overlaps.sum() / total_weight
+    fid2 = overlaps.sum() / max(weights.sum(), 1e-300)
     fid = float(np.sqrt(max(fid2, 0.0)))
     if spec.noise is None:
         se = 0.0
-        photonic = QuantumState(
-            vecs[0] / np.sqrt(max(weights[0], 1e-300)), target.wires
-        )
     else:
         t = len(vecs)
         resid = overlaps - fid2 * weights
         se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
         se = se / (2 * fid) if fid > 0 else se
-        rho = vecs.T @ vecs.conj()
-        rho /= total_weight
-        photonic = QuantumState(rho, target.wires)
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
     prep_f = block_f = None
     if components:
         prep_f, block_f = component_fidelities(spec)
     return ProtocolResult(
-        photonic, fid, se, prep_f, block_f, wall_clock_model(spec), ps_prob,
-        len(vecs),
+        vecs, weights, spec.noise is not None, fid, se, prep_f, block_f,
+        wall_clock_model(spec), ps_prob, len(vecs),
     )
 
 
@@ -376,7 +390,7 @@ def _complete(amps, spec, corrections, rng):
     t, m = len(amps), spec.m
     branches = amps.reshape(t, 2 ** m, -1)
     if corrections is None:
-        vecs = branches[:, -1]
+        vecs = branches[:, -1].copy()  # a view would keep the whole batch alive
         w = np.sum(np.abs(vecs) ** 2, axis=1)
         if spec.completion == "postselect":
             return vecs, w

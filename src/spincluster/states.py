@@ -172,11 +172,6 @@ def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n
     return psi.reshape(len(psi), -1)
 
 
-def expand_unitary(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """Embed a k-qubit unitary acting on `targets` into the full 2^n space."""
-    return _apply_matrix_vec(np.eye(2 ** n, dtype=complex), u, targets, n).T
-
-
 def apply_gate(state: QuantumState, u: Unitary | np.ndarray, targets: Sequence[int]) -> QuantumState:
     if isinstance(u, Unitary):
         mat, arity = u.matrix, u.arity
@@ -194,8 +189,9 @@ def apply_gate(state: QuantumState, u: Unitary | np.ndarray, targets: Sequence[i
     if state.pure:
         out = _apply_matrix_vec(state.data[None], mat, targets, n)[0]
     else:
-        big = expand_unitary(mat, targets, n)
-        out = big @ state.data @ big.conj().T
+        # U rho U^dagger in two passes: rho's rows give rho U^dagger, its columns U(.)
+        half = _apply_matrix_vec(state.data, mat.conj(), targets, n)
+        out = _apply_matrix_vec(half.T, mat, targets, n).T
     return QuantumState(out, state.wires, validate=False)
 
 
@@ -233,15 +229,10 @@ def project_measure(
     if wire < 0 or wire >= n:
         raise ValueError("wire out of range")
     rot = _BASIS_ROT[basis]
-    rotated = apply_gate(state, rot.conj().T, [wire]) if basis != "z" else state
+    rotated = apply_gate(state, rot, [wire]) if basis != "z" else state
 
-    if rotated.pure:
-        psi = rotated.data.reshape([2] * n)
-        probs = [float(np.sum(np.abs(np.take(psi, m, axis=wire)) ** 2)) for m in (0, 1)]
-    else:
-        rho = rotated.data
-        diag = np.real(np.diag(rho)).reshape([2] * n)
-        probs = [float(np.sum(np.take(diag, m, axis=wire))) for m in (0, 1)]
+    diag = np.abs(rotated.data) ** 2 if rotated.pure else np.real(np.diag(rotated.data))
+    probs = [float(np.sum(np.take(diag.reshape([2] * n), m, axis=wire))) for m in (0, 1)]
 
     if outcome is None:
         rng = rng if rng is not None else np.random.default_rng()
@@ -252,16 +243,11 @@ def project_measure(
             raise ValueError(f"forced outcome {m} has probability ~0")
     p = probs[m]
 
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[m, m] = 1.0
-    if rotated.pure:
-        collapsed = _apply_matrix_vec(rotated.data[None], proj, [wire], n)[0] / np.sqrt(p)
-    else:
-        big = expand_unitary(proj, [wire], n)
-        collapsed = big @ rotated.data @ big / p
+    proj = np.outer(I2[m], I2[m])
+    collapsed = apply_gate(rotated, proj, [wire]).data / (np.sqrt(p) if rotated.pure else p)
     out = QuantumState(collapsed, state.wires, validate=False)
     if basis != "z":
-        out = apply_gate(out, rot, [wire])
+        out = apply_gate(out, rot.conj().T, [wire])
     return m, out, p
 
 

@@ -294,7 +294,7 @@ def synthesize(
     if ub is None:
         ub = 0.7 * resonance_spacing(p, 1, "unconditional")
     rng = np.random.default_rng(seed)
-    best_f, best_x, best_names, best_k = 0.0, None, None, 0
+    best_f, best_x, best_names = 0.0, None, None
     evals = 0
 
     def admissible(x):
@@ -323,7 +323,7 @@ def synthesize(
                 if fp > f and (admissible(xp) or not admissible(x)):
                     x, f, names = xp, fp, names_p
             if f > best_f and (admissible(x) or best_x is None or not admissible(best_x)):
-                best_f, best_x, best_names, best_k = f, x.copy(), list(names), k
+                best_f, best_x, best_names = f, x.copy(), list(names)
             if best_f >= threshold and admissible(best_x):
                 break
         if best_f >= threshold and admissible(best_x):

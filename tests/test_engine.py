@@ -5,7 +5,10 @@ The package folds the three bath rotations of each DD unit into one
 toggling-frame rotation and runs all trajectories as one batch. The slow
 references here do neither: they build every noisy unit from its free
 propagators, pi pulses and per-segment electron z rotations, and step one
-trajectory at a time through `apply_gate` and `emit_photon`.
+trajectory at a time through `apply_gate` and `emit_photon`. Gates and
+projections on density matrices, applied by the package as two passes over
+rho's rows and columns, are checked against the full 2^n-square operator
+built from Kronecker products.
 
 Synthesis builds all DD units and their spacing derivatives in one
 eigenbasis pass, takes the objective's gradient from prefix and suffix
@@ -14,6 +17,8 @@ contraction. The references build each unit from free propagators, keep
 explicit lists of partial products for the objective, and evaluate each
 candidate as a full sequence.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,7 +26,9 @@ from scipy.linalg import expm
 from spincluster.protocol import (
     RY_PROTO, ProtocolSpec, _execute, build_schedule, emit_photon,
 )
-from spincluster.states import I2, Z, QuantumState, apply_gate, electron, nuclear
+from spincluster.states import (
+    I2, Z, QuantumState, apply_gate, electron, nuclear, photon, project_measure,
+)
 from spincluster.synthesis import (
     _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
     _discrete_sweep, _fidelity_and_gradient, _gate_stack, _slot_fidelities,
@@ -96,6 +103,69 @@ def test_executor_matches_per_trajectory_loop(packaged):
                 state = apply_gate(state, u, item.wires)
         assert cursor == n_seg
         assert np.max(np.abs(row - state.data)) <= 1e-12
+
+
+def kron_embed(u, targets, n):
+    """The k-qubit matrix u on `targets` (targets[0] the most significant bit
+    of u's index) as a 2^n-square matrix: a sum over u's entries of
+    Kronecker products of one-wire factors."""
+    k = len(targets)
+    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for a, b in np.ndindex(2 ** k, 2 ** k):
+        factors = []
+        for wire in range(n):
+            if wire in targets:
+                shift = k - 1 - targets.index(wire)
+                f = np.zeros((2, 2))
+                f[(a >> shift) & 1, (b >> shift) & 1] = 1.0
+                factors.append(f)
+            else:
+                factors.append(I2)
+        full += u[a, b] * reduce(np.kron, factors)
+    return full
+
+
+def random_mixed_state(rng, n):
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    return QuantumState(rho / np.trace(rho).real, tuple(photon(i) for i in range(n)))
+
+
+@pytest.mark.parametrize("n,targets", [
+    (1, [0]), (2, [1]), (2, [0, 1]), (2, [1, 0]), (3, [2, 0]), (3, [1]),
+    (4, [0, 3]), (4, [3, 1]), (4, [2]),
+])
+def test_mixed_apply_gate_matches_kron_embedding(n, targets):
+    rng = np.random.default_rng(10 * n + sum(targets))
+    state = random_mixed_state(rng, n)
+    k = len(targets)
+    u, _ = np.linalg.qr(rng.normal(size=(2 ** k, 2 ** k))
+                        + 1j * rng.normal(size=(2 ** k, 2 ** k)))
+    big = kron_embed(u, targets, n)
+    out = apply_gate(state, u, targets)
+    assert not out.pure
+    assert np.max(np.abs(out.data - big @ state.data @ big.conj().T)) <= 1e-12
+
+
+# outcome m of a measurement in each basis projects onto column m
+BASIS_KETS = {
+    "z": np.eye(2, dtype=complex),
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+}
+
+
+@pytest.mark.parametrize("basis", sorted(BASIS_KETS))
+@pytest.mark.parametrize("n,wire", [(1, 0), (2, 1), (3, 0), (4, 2)])
+def test_mixed_project_measure_matches_kron_embedding(n, wire, basis):
+    state = random_mixed_state(np.random.default_rng(n + wire), n)
+    for m in (0, 1):
+        ket = BASIS_KETS[basis][:, m]
+        big = kron_embed(np.outer(ket, ket.conj()), [wire], n)
+        p = np.trace(big @ state.data).real
+        got, out, prob = project_measure(state, wire, basis, outcome=m)
+        assert got == m and abs(prob - p) <= 1e-12
+        assert np.max(np.abs(out.data - big @ state.data @ big / p)) <= 1e-12
 
 
 def unit_and_derivative(tau, compiler):

@@ -1,11 +1,14 @@
 """Every module-level import of a package module is used by that module,
-and every module-level private function or class is used by the package.
+every module-level private function or class is used by the package, and
+every local variable a function assigns is read.
 
 No linter is a dependency of the project, so this parses each module with
 `ast`: a name bound by a top-level import must be read somewhere else in the
 module. `__init__.py` is skipped, since its imports are the package's
 re-exports. A top-level `def _name` or `class _Name` must be read, as a name
-or an attribute, in some module of the package.
+or an attribute, in some module of the package. A name assigned in a function
+must be read in that function or in a function nested in it, unless it
+starts with `_`.
 """
 import ast
 from pathlib import Path
@@ -77,3 +80,52 @@ def test_check_flags_an_unreferenced_private_definition():
         "c.py": "def _helper():\n    pass\n",
     }
     assert unreferenced_private(sources) == ["_Gone (a.py line 7)", "_dead (a.py line 4)"]
+
+
+def unused_locals(source: str) -> list:
+    """Names assigned in a function and read neither there nor in the
+    functions nested in it; `_`-prefixed and global/nonlocal names are
+    exempt."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = list(ast.walk(func))
+        read = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {name for n in body if isinstance(n, (ast.Global, ast.Nonlocal))
+                 for name in n.names}
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            for t in targets:
+                for n in ast.walk(t):
+                    if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                            and not n.id.startswith("_") and n.id not in read):
+                        found.add(f"{n.id} (line {n.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_local_assignments(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_check_flags_an_unused_local():
+    src = (
+        "def f(a):\n"
+        "    x, y = a\n"
+        "    _z = 1\n"
+        "    w: int = 2\n"
+        "    v = 3\n"
+        "    def g():\n"
+        "        nonlocal v\n"
+        "        v = 4\n"
+        "        u = 5\n"
+        "        return w\n"
+        "    return x + g()\n"
+    )
+    assert unused_locals(src) == ["u (line 9)", "y (line 2)"]

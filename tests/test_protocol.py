@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spincluster import protocol
 from spincluster.noise import OUNoise, ou_from_coherence
 from spincluster.protocol import (
     ProtocolSpec, build_schedule, component_fidelities, emit_photon,
@@ -10,7 +13,7 @@ from spincluster.protocol import (
 )
 from spincluster.states import (
     CZ, H, X, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
-    partial_trace, photon,
+    partial_trace, photon, state_fidelity,
 )
 from spincluster.synthesis import DDSequence
 
@@ -233,6 +236,60 @@ class TestNoisyRuns:
         noise = OUNoise(b=1e5, tau_c=1e-3)
         with pytest.raises(ValueError):
             run(_spec(2, 1, noise=noise))
+
+
+class TestTrajectoryFactor:
+    """A run keeps its completed vectors V (T, 2^(MN)) and weights w (T,);
+    a noisy run builds rho = V^T V* / sum w only when `photonic_state` is
+    read."""
+
+    @staticmethod
+    def _lean_2x2(packaged, completion, seed):
+        lib, params, _ = packaged
+        noise = ou_from_coherence(t2_star=0.08e-6, t2_hahn=8e-6, seed=seed)
+        return ProtocolSpec(m=2, n=2, gate_library=lib, params=params,
+                            style="lean", noise=noise, trials=100, seed=seed,
+                            completion=completion)
+
+    @pytest.mark.parametrize("completion", ["corrected", "postselect"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rho_is_the_mixture_of_the_factor(self, packaged, completion, seed):
+        res = run(self._lean_2x2(packaged, completion, seed))
+        v, w = res.vectors, res.weights
+        assert v.shape == (100, 16) and w.shape == (100,)
+        assert v.base is None  # not a view that keeps the executor's batch alive
+        rho = sum(np.outer(vt, vt.conj()) for vt in v) / w.sum()
+        state = res.photonic_state
+        assert not state.pure and state.n_qubits == 4
+        assert np.max(np.abs(state.data - rho)) <= 1e-12
+        assert res.photonic_state is state
+        target = ideal_target(2, 2, style="lean")
+        assert abs(state_fidelity(state, target) - res.fidelity) <= 1e-12
+
+    def test_oversized_rho_refused_before_allocation(self, packaged, monkeypatch):
+        res = run(self._lean_2x2(packaged, "corrected", 1))
+        # the 4-photon rho needs 16 * 4^4 = 4096 B; report 63 pages of 64 B
+        monkeypatch.setattr(
+            protocol.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 63, "SC_PAGE_SIZE": 64}[name]
+        )
+        with pytest.raises(ValueError, match="4096 B, more than the 4032 B"):
+            res.photonic_state
+        assert 0.5 < res.fidelity < 1 and res.fidelity_se > 0
+
+    def test_long_lattice_run_holds_no_dense_rho(self, packaged):
+        lib, params, _ = packaged
+        noise = ou_from_coherence(t2_star=3e-6, t2_hahn=300e-6, seed=1)
+        spec = ProtocolSpec(m=2, n=6, gate_library=lib, params=params,
+                            style="lean", noise=noise, trials=20, seed=1)
+        tracemalloc.start()
+        try:
+            res = run(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a quarter of the 12-photon rho, 16 * 4^12 B
+        assert peak < 16 * 4 ** 12 / 4
+        assert res.vectors.shape == (20, 4 ** 6)
 
 
 class TestWallClock:

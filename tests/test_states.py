@@ -118,6 +118,16 @@ class TestMeasure:
         assert abs(p - 0.5) < 1e-12
         np.testing.assert_allclose(collapsed.data, [1, 0, 0, 0], atol=1e-12)
 
+    def test_basis_eigenstates_are_deterministic(self):
+        # |+>, |-> in the x basis and |+i>, |-i> in the y basis give 0 and 1
+        # with certainty, and are left unchanged
+        for basis, phase in (("x", 1), ("y", 1j)):
+            for m, sign in ((0, 1), (1, -1)):
+                s = _pure(np.array([1, sign * phase]) / np.sqrt(2), (electron(),))
+                got, out, p = project_measure(s, 0, basis, outcome=m)
+                assert got == m and abs(p - 1) < 1e-12
+                np.testing.assert_allclose(out.data, s.data, atol=1e-12)
+
     def test_zero_probability_forced(self):
         s = _pure([1, 0], (electron(),))
         with pytest.raises(ValueError):
