@@ -273,11 +273,14 @@ def cmd_verify(args) -> int:
         check("resonance_spacing_ratios", resonance_ratios)
 
         def seed_reproducibility():
-            n1 = OUNoise(b=1e6, tau_c=1e-3, seed=args.seed)
-            from .noise import sample_trajectory
-            a = sample_trajectory(n1, 1e-4)
-            b = sample_trajectory(n1, 1e-4)
-            return bool(np.array_equal(a, b)), "identical seed, identical bytes"
+            lib, params, _ = packaged_gate_library()
+            spec = ProtocolSpec(
+                m=2, n=1, gate_library=lib, params=params, style="lean", trials=150,
+                noise=ou_from_coherence(3e-6, 300e-6, seed=args.seed), seed=args.seed,
+            )
+            a, b = run(spec), run(spec)
+            same = a.fidelity == b.fidelity and np.array_equal(a.vectors, b.vectors)
+            return bool(same), "two noisy 2x1 runs, one seed: identical F and vectors"
 
         check("seed_reproducibility", seed_reproducibility)
 

@@ -13,8 +13,15 @@ free-induction oracle in the tests is the binding check on this convention.
 Because the bath term commutes with every free-precession Hamiltonian used
 here (electron-diagonal), a noisy free segment is exactly the noiseless
 propagator followed by an electron z rotation by the integrated phase
-phi = int B dt. `segment_phases` produces those integrals; the generic
-piecewise-constant path (`apply_noise_segment`) is retained as a cross-check.
+phi = int B dt.
+
+Every sampler draws from one exact update: over a segment of length
+Delta, the end value B(Delta) and the integral int B dt given B(0) are
+jointly Gaussian with closed-form moments (D. T. Gillespie, Phys. Rev. E
+54, 2084 (1996)). One draw per segment is exact for any segment length, so
+no sampler has a step size: `segment_phases` draws the integrals over a
+list of segments, `fid_echo_signals` reads them on the grid {0, t/2, t},
+and `sample_trajectory` keeps the B values on its output grid.
 """
 from __future__ import annotations
 
@@ -23,22 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .states import I2, Z, QuantumState, apply_gate
-from .hamiltonian import propagator
-
 
 @dataclass(frozen=True)
 class OUNoise:
     b: float  # rad/s
     tau_c: float  # s
-    dt: float | None = None  # s; None = auto per use site
     seed: int = 0
 
     def __post_init__(self):
         if self.b <= 0 or self.tau_c <= 0:
             raise ValueError("b and tau_c must be positive")
-        if self.dt is not None and self.dt > self.tau_c / 10:
-            raise ValueError("dt must be <= tau_c / 10")
 
     @property
     def sigma_st(self) -> float:
@@ -52,42 +53,64 @@ class OUNoise:
     def t2_hahn(self) -> float:
         return (12 * self.tau_c / self.b ** 2) ** (1 / 3)
 
-    def step_dt(self, shortest_segment: float) -> float:
-        if self.dt is not None:
-            return self.dt
-        return min(self.tau_c / 50, shortest_segment / 20)
 
-
-def ou_from_coherence(t2_star: float, t2_hahn: float, dt: float | None = None, seed: int = 0) -> OUNoise:
+def ou_from_coherence(t2_star: float, t2_hahn: float, seed: int = 0) -> OUNoise:
     if t2_star <= 0:
         raise ValueError("T2* must be positive")
     if t2_hahn <= t2_star:
         raise ValueError("T2 must exceed T2* (motional-narrowing formulas)")
     b = np.sqrt(2) / t2_star
     tau_c = t2_hahn ** 3 * b ** 2 / 12
-    return OUNoise(b=b, tau_c=tau_c, dt=dt, seed=seed)
+    return OUNoise(b=b, tau_c=tau_c, seed=seed)
 
 
-def _ou_step_coeffs(noise: OUNoise, dt: float):
-    decay = np.exp(-dt / noise.tau_c)
-    kick = noise.sigma_st * np.sqrt(1 - decay ** 2)
-    return decay, kick
+def _ou_segments(noise: OUNoise, durations: np.ndarray, n_traj: int, rng: np.random.Generator):
+    """Exact joint draw of B at the segment ends and of int B dt over each
+    segment, for n_traj stationary OU paths continuous across the segments.
+
+    Returns (b, phases) shaped (n_traj, S + 1) and (n_traj, S). With
+    x = Delta / tau_c, mu = exp(-x) and s = sigma_st, given B0:
+    B1 ~ N(mu B0, s^2 (1 - mu^2)), and given B0 and B1 the integral has
+    mean tau_c (1 - mu) B0 + tau_c (1 - mu) / (1 + mu) (B1 - mu B0), which
+    is tau_c tanh(x / 2) (B0 + B1), and variance
+    2 s^2 tau_c^2 (x - 2 tanh(x / 2)).
+    """
+    x = np.asarray(durations, float) / noise.tau_c
+    s, tau = noise.sigma_st, noise.tau_c
+    half = np.tanh(x / 2)
+    # x - 2 tanh(x/2) cancels to ~x^3/12; below 1e-2 its series is exact to
+    # rounding, above it the direct form loses at most ~1e-11 relative
+    excess = x - 2 * half
+    small = x < 1e-2
+    xs = x[small]
+    excess[small] = xs ** 3 / 12 - xs ** 5 / 120 + 17 * xs ** 7 / 20160
+    # B_j = mu_j B_(j-1) + s sqrt(1 - mu_j^2) xi_j as a prefix scan: log2(S)
+    # vectorised passes; decay 0 in front makes B_0 = s xi_0 stationary
+    b = rng.standard_normal((n_traj, len(x) + 1))
+    b *= s * np.sqrt(np.concatenate(([1.0], -np.expm1(-2 * x))))
+    decay = np.concatenate(([0.0], np.exp(-x)))
+    d = 1
+    while d < len(decay):
+        b[:, d:] += decay[d:] * b[:, :-d]
+        decay[d:] = decay[d:] * decay[:-d]
+        d *= 2
+    phases = rng.standard_normal((n_traj, len(x)))
+    phases *= s * tau * np.sqrt(2 * excess)
+    mean = b[:, :-1] + b[:, 1:]
+    mean *= tau * half
+    phases += mean
+    return b, phases
 
 
 def sample_trajectory(noise: OUNoise, duration: float, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Stationary OU samples B(0), B(dt), ..., covering [0, duration]."""
+    """Stationary OU samples B(0), B(dt), ..., covering [0, duration], on
+    the grid dt = min(tau_c / 50, duration / 20)."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(noise.seed) if rng is None else rng
-    dt = noise.step_dt(duration)
+    dt = min(noise.tau_c / 50, duration / 20)
     n = int(np.ceil(duration / dt)) + 1
-    decay, kick = _ou_step_coeffs(noise, dt)
-    out = np.empty(n)
-    out[0] = noise.sigma_st * rng.standard_normal()
-    xi = rng.standard_normal(n - 1)
-    for i in range(1, n):
-        out[i] = out[i - 1] * decay + kick * xi[i - 1]
-    return out
+    return _ou_segments(noise, np.full(n - 1, dt), 1, rng)[0][0]
 
 
 def segment_phases(
@@ -95,52 +118,13 @@ def segment_phases(
     durations: np.ndarray,
     n_traj: int,
     rng: np.random.Generator,
-    steps_per_segment: int = 20,
 ) -> np.ndarray:
     """Integrated phases int B dt per free segment, shape (n_traj, n_segments).
 
     One independent stationary OU path per trajectory, continuous across
     segments (the bath does not reset between gates).
     """
-    durations = np.asarray(durations, float)
-    b_now = noise.sigma_st * rng.standard_normal(n_traj)
-    phases = np.empty((n_traj, len(durations)))
-    for j, seg in enumerate(durations):
-        dt = min(noise.tau_c / 50, seg / steps_per_segment)
-        n_steps = max(int(np.ceil(seg / dt)), 1)
-        dt = seg / n_steps
-        decay, kick = _ou_step_coeffs(noise, dt)
-        acc = np.zeros(n_traj)
-        for _ in range(n_steps):
-            acc += b_now * dt
-            b_now = b_now * decay + kick * rng.standard_normal(n_traj)
-        phases[:, j] = acc
-    return phases
-
-
-def apply_noise_segment(
-    state: QuantumState,
-    trajectory: np.ndarray,
-    h: np.ndarray,
-    t: float,
-    dt: float,
-    targets=None,
-) -> QuantumState:
-    """Piecewise-constant evolution under H + B(t_k) sigma_z/2 (x) I.
-
-    `h` is in Hz on (electron, nucleus); B samples are rad/s. Slow reference
-    path; the production path uses `segment_phases`.
-    """
-    n_steps = int(np.round(t / dt))
-    if n_steps * dt > t + 1e-15 or len(trajectory) < n_steps:
-        raise ValueError("trajectory does not cover the requested time")
-    if targets is None:
-        targets = [0, 1]
-    bath = np.kron(Z / 2, I2)
-    for k in range(n_steps):
-        h_tot = h + (trajectory[k] / (2 * np.pi)) * bath  # rad/s -> Hz
-        state = apply_gate(state, propagator(h_tot, dt), targets)
-    return state
+    return _ou_segments(noise, durations, n_traj, rng)[1]
 
 
 # ---------------------------------------------------------------- oracles
@@ -153,24 +137,14 @@ def fid_echo_signals(noise: OUNoise, times: np.ndarray, n_traj: int, seed: int |
     """
     rng = np.random.default_rng(noise.seed if seed is None else seed)
     times = np.asarray(times, float)
-    t_max = float(times.max())
-    # one fine grid pass; phases at t and t/2 read off the cumulative integral
-    dt = min(noise.tau_c / 50, t_max / 2000)
-    n = int(np.ceil(t_max / dt)) + 1
-    decay, kick = _ou_step_coeffs(noise, dt)
-    b_now = noise.sigma_st * rng.standard_normal(n_traj)
-    cum = np.zeros((n_traj, n + 1))
-    for i in range(n):
-        cum[:, i + 1] = cum[:, i] + b_now * dt
-        b_now = b_now * decay + kick * rng.standard_normal(n_traj)
-    def phase_at(t):
-        idx = np.clip(t / dt, 0, n)
-        lo = np.floor(idx).astype(int)
-        frac = idx - lo
-        hi = np.minimum(lo + 1, n)
-        return cum[:, lo] * (1 - frac) + cum[:, hi] * frac
-    fid = np.array([np.mean(np.cos(phase_at(t))) for t in times])
-    echo = np.array([np.mean(np.cos(phase_at(t) - 2 * phase_at(t / 2))) for t in times])
+    # one path over the sorted grid {0, t/2, t}; phi(t) is its running sum
+    grid = np.unique(np.concatenate(([0.0], times / 2, times)))
+    cum = np.zeros((n_traj, len(grid)))
+    cum[:, 1:] = np.cumsum(segment_phases(noise, np.diff(grid), n_traj, rng), axis=1)
+    phi = cum[:, np.searchsorted(grid, times)]
+    phi_half = cum[:, np.searchsorted(grid, times / 2)]
+    fid = np.mean(np.cos(phi), axis=0)
+    echo = np.mean(np.cos(phi - 2 * phi_half), axis=0)
     return fid, echo
 
 

@@ -56,6 +56,17 @@ def _check_roles(wires: Sequence[QubitRole]):
             raise ValueError(f"{kind.value} indices must be contiguous from 0")
 
 
+def _check_hermitian(mat: np.ndarray):
+    """Raise unless ||mat - mat^dagger||_F <= 1e-9. The norm is summed over
+    16 row blocks, so no temporary is larger than a sixteenth of mat."""
+    step = -(-len(mat) // 16)
+    sq = 0.0
+    for i in range(0, len(mat), step):
+        sq += np.linalg.norm(mat[i:i + step] - mat[:, i:i + step].conj().T) ** 2
+    if np.sqrt(sq) > 1e-9:
+        raise ValueError("density matrix is not Hermitian")
+
+
 class QuantumState:
     """Pure state (vector) or mixed state (density matrix) over labeled wires."""
 
@@ -94,8 +105,7 @@ class QuantumState:
         else:
             if abs(np.trace(self.data).real - 1.0) > 1e-9:
                 raise ValueError("density matrix trace != 1")
-            if np.linalg.norm(self.data - self.data.conj().T) > 1e-9:
-                raise ValueError("density matrix is not Hermitian")
+            _check_hermitian(self.data)
 
     def wire_index(self, role: QubitRole) -> int:
         return self.wires.index(role)
@@ -313,7 +323,6 @@ def state_fidelity(rho: QuantumState, psi: QuantumState) -> float:
 def max_pure_fidelity(rho: QuantumState) -> float:
     """max over pure |a> of sqrt(<a|rho|a>) = sqrt of the largest eigenvalue."""
     mat = rho.density_matrix()
-    if np.linalg.norm(mat - mat.conj().T) > 1e-9:
-        raise ValueError("density matrix is not Hermitian")
+    _check_hermitian(mat)
     lam = np.linalg.eigvalsh(mat)[-1]
     return float(np.sqrt(max(lam, 0.0)))

@@ -10,6 +10,11 @@ projections on density matrices, applied by the package as two passes over
 rho's rows and columns, are checked against the full 2^n-square operator
 built from Kronecker products.
 
+The bath enters a free segment as one electron z rotation by the
+integrated phase after the noiseless propagator. The reference for that
+insertion steps the Hamiltonian plus the sampled field B(t) sigma_z / 2 in
+piecewise-constant slices.
+
 Synthesis builds all DD units and their spacing derivatives in one
 eigenbasis pass, takes the objective's gradient from prefix and suffix
 environments, and prices every candidate gate of the discrete sweep with one
@@ -23,11 +28,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spincluster.hamiltonian import evolve, free_hamiltonian, propagator
 from spincluster.protocol import (
     RY_PROTO, ProtocolSpec, _execute, build_schedule, emit_photon,
 )
 from spincluster.states import (
-    I2, Z, QuantumState, apply_gate, electron, nuclear, photon, project_measure,
+    I2, Z, QuantumState, apply_gate, electron, nuclear, photon, project_measure, rz,
 )
 from spincluster.synthesis import (
     _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
@@ -103,6 +109,64 @@ def test_executor_matches_per_trajectory_loop(packaged):
                 state = apply_gate(state, u, item.wires)
         assert cursor == n_seg
         assert np.max(np.abs(row - state.data)) <= 1e-12
+
+
+def apply_noise_segment(state, trajectory, h, t, dt, targets=None):
+    """Piecewise-constant evolution under H + B(t_k) sigma_z/2 (x) I.
+
+    `h` is in Hz on (electron, nucleus); B samples are rad/s.
+    """
+    n_steps = int(np.round(t / dt))
+    if n_steps * dt > t + 1e-15 or len(trajectory) < n_steps:
+        raise ValueError("trajectory does not cover the requested time")
+    if targets is None:
+        targets = [0, 1]
+    bath = np.kron(Z / 2, I2)
+    for k in range(n_steps):
+        h_tot = h + (trajectory[k] / (2 * np.pi)) * bath  # rad/s -> Hz
+        state = apply_gate(state, propagator(h_tot, dt), targets)
+    return state
+
+
+def test_zero_noise_limit(siv):
+    h = free_hamiltonian(siv)
+    s = QuantumState(np.array([0.5, 0.5, 0.5, 0.5], complex),
+                     (electron(), nuclear(0)))
+    tiny = np.zeros(1000)
+    out = apply_noise_segment(s, tiny, h, t=1e-7, dt=1e-9)
+    ref = evolve(s, h, 1e-7)
+    assert abs(abs(np.vdot(ref.data, out.data)) - 1) < 1e-9
+
+
+def test_sigma_z_eigenstate_immune(siv):
+    # |0>_e is an eigenstate of the bath operator: only a global phase
+    h = free_hamiltonian(siv)
+    s = QuantumState(np.array([1, 0, 0, 0], complex), (electron(), nuclear(0)))
+    traj = 5e5 * np.ones(100)
+    noisy = apply_noise_segment(s, traj, h, t=1e-8, dt=1e-10)
+    clean = apply_noise_segment(s, np.zeros(100), h, t=1e-8, dt=1e-10)
+    assert abs(abs(np.vdot(clean.data, noisy.data)) - 1) < 1e-9
+
+
+def test_commutation_fast_path(siv):
+    # constant-B evolution equals noiseless propagator followed by an
+    # electron z rotation by phi = B * t, validating the phase insertion
+    # used by the production path
+    h = free_hamiltonian(siv)
+    v = np.array([0.2 + 0.1j, 0.4, -0.5j, 0.7], complex)
+    v /= np.linalg.norm(v)
+    s = QuantumState(v, (electron(), nuclear(0)))
+    b0, t = 3e5, 1e-8
+    stepped = apply_noise_segment(s, b0 * np.ones(1000), h, t=t, dt=t / 1000)
+    fast = apply_gate(evolve(s, h, t), rz(b0 * t), [0])
+    assert abs(abs(np.vdot(fast.data, stepped.data)) - 1) < 1e-8
+
+
+def test_trajectory_too_short(siv):
+    h = free_hamiltonian(siv)
+    s = QuantumState(np.array([1, 0, 0, 0], complex), (electron(), nuclear(0)))
+    with pytest.raises(ValueError):
+        apply_noise_segment(s, np.zeros(5), h, t=1e-8, dt=1e-9)
 
 
 def kron_embed(u, targets, n):

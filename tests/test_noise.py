@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from spincluster.hamiltonian import SpinSystemParams, free_hamiltonian
 from spincluster.noise import (
-    OUNoise, apply_noise_segment, fid_echo_signals, fit_t2_hahn, fit_t2star,
-    ou_from_coherence, sample_trajectory, segment_phases,
+    OUNoise, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
+    sample_trajectory, segment_phases,
 )
-from spincluster.states import QuantumState, electron, nuclear
+
+
+def fid_variance(x):
+    """x - 1 + e^-x: the variance of int_0^t B dt over 2 s^2 tau_c^2, for
+    x = t / tau_c. Below 1e-2 its series avoids the x^2 cancellation."""
+    x = np.asarray(x, float)
+    series = x ** 2 / 2 - x ** 3 / 6 + x ** 4 / 24 - x ** 5 / 120
+    return np.where(x < 1e-2, series, x + np.expm1(-x))
+
+
+def echo_variance(x):
+    """x - 3 + 4 e^(-x/2) - e^-x: the variance of the Hahn-echo phase
+    phi(t) - 2 phi(t/2) over 2 s^2 tau_c^2. It starts at x^3 / 12."""
+    x = np.asarray(x, float)
+    series = x ** 3 / 12 - x ** 4 / 32 + 7 * x ** 5 / 960 - x ** 6 / 768
+    return np.where(x < 1e-2, series, x + 4 * np.expm1(-x / 2) - np.expm1(-x))
 
 
 class TestCalibration:
@@ -35,8 +49,6 @@ class TestCalibration:
             OUNoise(b=0.0, tau_c=1e-3)
         with pytest.raises(ValueError):
             OUNoise(b=1e5, tau_c=-1.0)
-        with pytest.raises(ValueError):
-            OUNoise(b=1e5, tau_c=1e-3, dt=1e-3)  # dt > tau_c / 10
 
 
 class TestTrajectories:
@@ -49,7 +61,7 @@ class TestTrajectories:
     def test_autocorrelation_time(self):
         n = OUNoise(b=1e5, tau_c=1e-5, seed=3)
         traj = sample_trajectory(n, duration=2e-2)
-        dt = n.step_dt(2e-2)
+        dt = min(n.tau_c / 50, 2e-2 / 20)  # sample_trajectory's grid
         lag = int(round(n.tau_c / dt))
         x = traj - traj.mean()
         corr = np.dot(x[:-lag], x[lag:]) / np.dot(x, x) * len(x) / (len(x) - lag)
@@ -85,6 +97,57 @@ class TestTrajectories:
         assert r > 0.99
 
 
+class TestExactIntegral:
+    """Second moments of the sampled phases against their closed forms.
+
+    The phases have mean zero, so mean(phi^2) estimates the variance with
+    relative standard error sqrt(2 / T); every bound is four of those."""
+
+    T = 40000
+    BOUND = 4 * np.sqrt(2 / T)
+    XS = [1e-7, 1e-4, 1e-2, 0.3, 1.0, 10.0]
+
+    @pytest.mark.parametrize("x", XS)
+    def test_single_segment(self, x):
+        n = OUNoise(b=1e5, tau_c=2e-3)
+        phases = segment_phases(n, np.array([x * n.tau_c]), self.T, np.random.default_rng(31))
+        expect = 2 * n.sigma_st ** 2 * n.tau_c ** 2 * fid_variance(x)
+        assert abs(np.mean(phases[:, 0] ** 2) / expect - 1) < self.BOUND
+
+    @pytest.mark.parametrize("x", XS)
+    def test_sum_over_segments(self, x):
+        # a bath reset between segments would give sum fid_variance(x_i) instead
+        n = OUNoise(b=1e5, tau_c=0.5)
+        parts = x * np.array([0.1, 0.5, 0.15, 0.25])
+        phases = segment_phases(n, parts * n.tau_c, self.T, np.random.default_rng(32))
+        expect = 2 * n.sigma_st ** 2 * n.tau_c ** 2 * fid_variance(x)
+        assert abs(np.mean(phases.sum(axis=1) ** 2) / expect - 1) < self.BOUND
+
+    @pytest.mark.parametrize("x", XS)
+    def test_hahn_echo_phase(self, x):
+        # fid_echo_signals' grid {0, t/2, t}: phi(t) - 2 phi(t/2) = p_2 - p_1
+        n = OUNoise(b=1e5, tau_c=1e-6)
+        half = x * n.tau_c / 2
+        p = segment_phases(n, np.array([half, half]), self.T, np.random.default_rng(33))
+        expect = 2 * n.sigma_st ** 2 * n.tau_c ** 2 * echo_variance(x)
+        assert abs(np.mean((p[:, 1] - p[:, 0]) ** 2) / expect - 1) < self.BOUND
+
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 10.0])
+    def test_signals_are_gaussian_decays(self, x):
+        # Gaussian phases: <cos phi> = exp(-Var / 2); b puts Var(phi(t)) at 1
+        # for the middle time, and t/2 of the last time is the middle time
+        tau_c = 1e-4
+        n = OUNoise(b=1 / (tau_c * np.sqrt(fid_variance(x))), tau_c=tau_c, seed=34)
+        times = x * tau_c * np.array([0.5, 1.0, 2.0])
+        fid, echo = fid_echo_signals(n, times, self.T)
+        scale = n.b ** 2 * tau_c ** 2  # 2 s^2 tau_c^2
+        for got, var in ((fid, scale * fid_variance(times / tau_c)),
+                         (echo, scale * echo_variance(times / tau_c))):
+            expect = np.exp(-var / 2)
+            sd = np.sqrt(((1 + np.exp(-2 * var)) / 2 - np.exp(-var)) / self.T)
+            assert np.all(np.abs(got - expect) <= 4 * sd + 1e-12)
+
+
 class TestCoherenceOracles:
     def test_fid_matches_t2star(self):
         n = OUNoise(b=2e5, tau_c=1e-2, seed=11)  # quasi-static regime
@@ -115,46 +178,3 @@ class TestCoherenceOracles:
         fid, _ = fid_echo_signals(n, times, n_traj=20000)
         expect = np.exp(-(n.b * times) ** 2 / 4)
         assert np.max(np.abs(fid - expect)) < 0.02
-
-
-class TestNoisyEvolution:
-    def test_zero_noise_limit(self, siv):
-        h = free_hamiltonian(siv)
-        s = QuantumState(np.array([0.5, 0.5, 0.5, 0.5], complex),
-                         (electron(), nuclear(0)))
-        tiny = np.zeros(1000)
-        out = apply_noise_segment(s, tiny, h, t=1e-7, dt=1e-9)
-        from spincluster.hamiltonian import evolve
-        ref = evolve(s, h, 1e-7)
-        assert abs(abs(np.vdot(ref.data, out.data)) - 1) < 1e-9
-
-    def test_sigma_z_eigenstate_immune(self, siv):
-        # |0>_e is an eigenstate of the bath operator: only a global phase
-        h = free_hamiltonian(siv)
-        s = QuantumState(np.array([1, 0, 0, 0], complex), (electron(), nuclear(0)))
-        traj = 5e5 * np.ones(100)
-        noisy = apply_noise_segment(s, traj, h, t=1e-8, dt=1e-10)
-        clean = apply_noise_segment(s, np.zeros(100), h, t=1e-8, dt=1e-10)
-        assert abs(abs(np.vdot(clean.data, noisy.data)) - 1) < 1e-9
-
-    def test_commutation_fast_path(self, siv):
-        # constant-B evolution equals noiseless propagator followed by an
-        # electron z rotation by phi = B * t, validating the phase insertion
-        # used by the production path
-        from spincluster.hamiltonian import evolve
-        from spincluster.states import apply_gate, rz
-
-        h = free_hamiltonian(siv)
-        v = np.array([0.2 + 0.1j, 0.4, -0.5j, 0.7], complex)
-        v /= np.linalg.norm(v)
-        s = QuantumState(v, (electron(), nuclear(0)))
-        b0, t = 3e5, 1e-8
-        stepped = apply_noise_segment(s, b0 * np.ones(1000), h, t=t, dt=t / 1000)
-        fast = apply_gate(evolve(s, h, t), rz(b0 * t), [0])
-        assert abs(abs(np.vdot(fast.data, stepped.data)) - 1) < 1e-8
-
-    def test_trajectory_too_short(self, siv):
-        h = free_hamiltonian(siv)
-        s = QuantumState(np.array([1, 0, 0, 0], complex), (electron(), nuclear(0)))
-        with pytest.raises(ValueError):
-            apply_noise_segment(s, np.zeros(5), h, t=1e-8, dt=1e-9)

@@ -276,6 +276,22 @@ class TestTrajectoryFactor:
             res.photonic_state
         assert 0.5 < res.fidelity < 1 and res.fidelity_se > 0
 
+    def test_reading_rho_holds_no_rho_sized_temporary(self, packaged):
+        lib, params, _ = packaged
+        noise = ou_from_coherence(t2_star=3e-6, t2_hahn=300e-6, seed=1)
+        spec = ProtocolSpec(m=2, n=4, gate_library=lib, params=params,
+                            style="lean", noise=noise, trials=20, seed=1)
+        res = run(spec)
+        tracemalloc.start()
+        try:
+            state = res.photonic_state
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rho itself is 16 * 4^8 B; validating it may add half of that at most
+        assert peak < 1.5 * 16 * 4 ** 8
+        assert state.data.shape == (4 ** 4, 4 ** 4)
+
     def test_long_lattice_run_holds_no_dense_rho(self, packaged):
         lib, params, _ = packaged
         noise = ou_from_coherence(t2_star=3e-6, t2_hahn=300e-6, seed=1)
