@@ -287,7 +287,9 @@ def cmd_verify(args) -> int:
         def ou_calibration():
             noise = ou_from_coherence(1e-6, 10e-6, seed=args.seed)
             times = np.linspace(0.05e-6, 2.5e-6, 12)
-            fid, _ = fid_echo_signals(noise, times, 800, seed=args.seed)
+            # 6400 paths put the fitted T2*'s SD near 1.3%, so the 5% bound
+            # sits about 4 SD out
+            fid, _ = fid_echo_signals(noise, times, 6400, seed=args.seed)
             t2s = fit_t2star(times, fid)
             ok = abs(t2s - noise.t2_star) / noise.t2_star < 0.05
             return ok, f"fitted T2*={t2s * 1e6:.3f}us vs {noise.t2_star * 1e6:.3f}us"

@@ -19,9 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .clifford import Tableau, completion_corrections
 from .states import (
-    CZ, SWAP, I2, QuantumState, QubitRole, RoleKind, _apply_matrix_vec,
-    apply_gate, electron, nuclear, partial_trace, photon, ry,
+    CZ, SWAP, I2, X, Y, Z, QuantumState, QubitRole, RoleKind,
+    _apply_matrix_vec, apply_gate, electron, nuclear, partial_trace, photon, ry,
 )
 from .hamiltonian import SpinSystemParams
 from .synthesis import (
@@ -267,41 +268,32 @@ def _photon_wires(n: int) -> tuple:
     return tuple(photon(i) for i in range(n))
 
 
-def _ideal_branches(spec: ProtocolSpec) -> np.ndarray:
-    """Completion branches of the noiseless ideal-gate circuit, one
-    unnormalised photonic vector per spin outcome, shaped (2^m, 2^(m n))."""
-    ideal = replace(spec, gate_library=ideal_library(), noise=None, params=None)
-    branches = _execute(ideal, build_schedule(ideal))[0].reshape(2 ** spec.m, -1)
-    if np.vdot(branches[-1], branches[-1]).real < 1e-12:
-        raise ValueError("all-|1> completion branch has zero probability")
-    return branches
+# the single-qubit Pauli with x part x and z part z, at index 2 x + z
+_PAULIS = np.stack([I2, Z, X, Y])
 
 
 def find_corrections(spec: ProtocolSpec):
-    """Per-spin-outcome local photon unitaries mapping each completion
-    branch of the noiseless ideal-gate circuit onto the all-|1> branch.
+    """Per-spin-outcome Pauli photon corrections mapping each completion
+    branch of the noiseless ideal-gate circuit onto the all-|1> branch, up
+    to phase.
 
-    Returns {outcome bits: list of 2x2 unitaries}. Raises if any branch is
-    not locally equivalent to the reference (residual > 1e-9)."""
-    branches = _ideal_branches(spec)
-    probs = np.sum(np.abs(branches) ** 2, axis=1)
-    ref = branches[-1] / np.sqrt(probs[-1])
-    corrections = {}
-    rng = np.random.default_rng(7)
-    for bits, vec, p in zip(np.ndindex(*(2,) * spec.m), branches, probs):
-        if all(b == 1 for b in bits):
-            corrections[bits] = [I2] * (spec.m * spec.n)
-            continue
-        if p < 1e-12:
-            corrections[bits] = None
-            continue
-        overlap, locals_ = _max_local_overlap(vec / np.sqrt(p), ref, rng, n_starts=6)
-        if 1 - overlap > 1e-9:
-            raise ValueError(
-                f"branch {bits} is not locally correctable (overlap {overlap})"
-            )
-        corrections[bits] = locals_
-    return corrections
+    Every gate of the ideal schedule is Clifford, so a stabiliser tableau of
+    the register (Aaronson & Gottesman, PRA 70, 052328 (2004)) gives each
+    correction exactly, with no dense state: branch o is reachable iff
+    o xor 1...1 is a GF(2) combination of the stabilisers' spin x parts, and
+    the photon part of that stabiliser is the correction. Of the corrections
+    that differ by a stabiliser of the target, the first combination found
+    by forward elimination over the generators in schedule order is taken,
+    so the choice is integer arithmetic and does not depend on rounding.
+
+    Returns {outcome bits: list of 2x2 Paulis, or None for a branch of
+    probability zero}; the all-|1> branch gets identities. Raises ValueError
+    if the all-|1> branch has probability zero."""
+    tab = Tableau(spec.m, ones=spec.init_one).run(build_schedule(spec))
+    return {
+        bits: None if q is None else list(_PAULIS[2 * q[0] + q[1]])
+        for bits, q in completion_corrections(tab, spec.m).items()
+    }
 
 
 def ideal_library() -> dict:
@@ -332,8 +324,11 @@ def ideal_target(
     spec = ProtocolSpec(
         m=m, n=n, gate_library=ideal_library(), style=style, init_one=init_one,
     )
-    vec = _ideal_branches(spec)[-1]
-    return QuantumState(vec / np.linalg.norm(vec), _photon_wires(m * n))
+    vec = _execute(spec, build_schedule(spec))[0].reshape(2 ** m, -1)[-1]
+    norm = np.linalg.norm(vec)
+    if norm ** 2 < 1e-12:
+        raise ValueError("all-|1> completion branch has zero probability")
+    return QuantumState(vec / norm, _photon_wires(m * n))
 
 
 def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:

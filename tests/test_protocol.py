@@ -1,18 +1,20 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from spincluster import protocol
 from spincluster.noise import OUNoise, ou_from_coherence
+from spincluster.clifford import Tableau, completion_corrections
 from spincluster.protocol import (
-    ProtocolSpec, build_schedule, component_fidelities, emit_photon,
+    ProtocolSpec, ScheduleItem, build_schedule, component_fidelities, emit_photon,
     find_corrections, ideal_library, ideal_target, linear_graph_state,
     lu_equivalence, packaged_gate_library, run, schedule_labels,
     verify_appendix_a, wall_clock_model,
 )
 from spincluster.states import (
-    CZ, H, X, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
+    CZ, H, X, Y, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
     partial_trace, photon, state_fidelity,
 )
 from spincluster.synthesis import DDSequence
@@ -161,6 +163,42 @@ class TestNoiselessRuns:
         assert block < 1 - 1e-3
 
 
+_CORRECTION_GRID = [
+    (m, n, style, init_one)
+    for m, n, style in [(2, n, "lean") for n in range(1, 5)]
+    + [(2, 1, "pedagogical"), (2, 2, "pedagogical"), (2, 3, "pedagogical"),
+       (3, 1, "pedagogical"), (3, 2, "pedagogical")]
+    for init_one in (False, True)
+]
+
+
+def _dense_branches(spec, items=None):
+    """Completion branches of the dense ideal-gate run, one unnormalised
+    photonic vector per spin outcome: the reference for the tableau."""
+    items = build_schedule(spec) if items is None else items
+    return protocol._execute(spec, items)[0].reshape(2 ** spec.m, -1)
+
+
+def _paulis(x, z):
+    """Photon Pauli X^x Z^z on each wire, as a list of 2x2 factors."""
+    return [np.linalg.matrix_power(X, int(a)) @ np.linalg.matrix_power(Z, int(b))
+            for a, b in zip(x, z)]
+
+
+def _signed_pauli(x, z, r):
+    """Dense tableau row: (-1)^r times the Pauli string with (1, 1) = Y."""
+    return (-1) ** r * 1j ** int(np.sum(x & z)) * reduce(np.kron, _paulis(x, z))
+
+
+def _target_stabiliser(spec):
+    """Photon part of a stabiliser generator with no spin x part: a Pauli
+    string that fixes the target up to phase, as its local factors."""
+    tab = Tableau(spec.m, ones=spec.init_one).run(build_schedule(spec))
+    k = len(tab.echelon(range(spec.m)))
+    row = next(i for i in range(k, len(tab.r)) if tab.x[i, spec.m:].any())
+    return _paulis(tab.x[row, spec.m:], tab.z[row, spec.m:])
+
+
 class TestCorrections:
     def test_all_branches_correctable(self):
         for m, n, style in ((2, 1, "lean"), (2, 2, "pedagogical"), (3, 1, "pedagogical")):
@@ -173,6 +211,161 @@ class TestCorrections:
         corr = find_corrections(_spec(2, 1))
         for u in corr[(1, 1)]:
             np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("m,n,style,init_one", _CORRECTION_GRID)
+    def test_against_dense_branches(self, m, n, style, init_one):
+        # the residual check the random-start search needed in the package:
+        # every corrected branch must equal the all-|1> branch up to phase
+        spec = _spec(m, n, style=style, init_one=init_one)
+        corr = find_corrections(spec)
+        branches = _dense_branches(spec)
+        probs = np.sum(np.abs(branches) ** 2, axis=1)
+        ref = branches[-1] / np.sqrt(probs[-1])
+        paulis = (np.eye(2), X, Y, Z)
+        assert list(corr) == list(np.ndindex(*(2,) * m))
+        for (bits, locals_), vec, p in zip(corr.items(), branches, probs):
+            assert (locals_ is None) == (p < 1e-12), bits
+            if locals_ is None:
+                continue
+            assert len(locals_) == m * n
+            for u in locals_:
+                assert any(abs(abs(np.trace(q.conj().T @ u)) - 2) <= 1e-12 for q in paulis)
+            out = (vec / np.sqrt(p))[None]
+            for i, u in enumerate(locals_):
+                out = protocol._apply_matrix_vec(out, u, [i], m * n)
+            phase = np.vdot(ref, out[0])
+            assert np.max(np.abs(out[0] - phase * ref)) <= 1e-12
+            assert abs(abs(phase) - 1) <= 1e-12
+        again = find_corrections(spec)
+        for bits, locals_ in corr.items():
+            assert (again[bits] is None) == (locals_ is None)
+            assert locals_ is None or all(
+                np.array_equal(a, b) for a, b in zip(locals_, again[bits])
+            )
+
+    def test_no_dense_run_no_randomness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_corrections must not call this")
+
+        for name in ("_execute", "_max_local_overlap"):
+            monkeypatch.setattr(protocol, name, refuse)
+        monkeypatch.setattr(protocol.np.random, "default_rng", refuse)
+        corr = find_corrections(_spec(2, 3, style="lean"))
+        assert len(corr) == 4
+
+    def test_long_lattice_needs_no_dense_state(self):
+        # the dense ideal 2x10 register alone is 2^22 * 16 B = 64 MiB
+        spec = _spec(2, 10, style="lean")
+        tracemalloc.start()
+        try:
+            corr = find_corrections(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert len(corr[(0, 0)]) == 20
+
+    @pytest.mark.parametrize("init_one", [False, True])
+    def test_unreachable_branches(self, init_one):
+        # ry on wire 0 and one emission leave wire 1 in its initial state:
+        # from |1> the branches with wire 1 at 0 have probability zero; from
+        # |0> so does the all-|1> branch, which has nothing to correct to
+        spec = _spec(2, 1, init_one=init_one)
+        items = [ScheduleItem("gate", "ry", (0,)), ScheduleItem("emit")]
+        tab = Tableau(2, ones=init_one).run(items)
+        if not init_one:
+            with pytest.raises(ValueError, match="zero probability"):
+                completion_corrections(tab, 2)
+            return
+        corr = completion_corrections(tab, 2)
+        probs = np.sum(np.abs(_dense_branches(spec, items)) ** 2, axis=1)
+        for (bits, q), p in zip(corr.items(), probs):
+            assert (q is None) == (p < 1e-12), bits
+        assert corr[(1, 1)][0].tolist() == [False] and corr[(1, 1)][1].tolist() == [False]
+
+    @pytest.mark.parametrize("m,n,style,init_one", _CORRECTION_GRID[::3])
+    def test_tableau_stabilises_the_dense_register(self, m, n, style, init_one):
+        spec = _spec(m, n, style=style, init_one=init_one)
+        items = [s for s in build_schedule(spec) if s.kind != "measure"]
+        tab = Tableau(m, ones=init_one).run(items)
+        psi = protocol._execute(spec, items)[0]
+        for reduced in (False, True):
+            if reduced:
+                # independent generators: a full set of pivots, each column
+                # cleared below its pivot row
+                pivots = tab.echelon(range(2 * len(tab.r)))
+                bits = np.hstack([tab.x, tab.z])
+                assert len(pivots) == len(tab.r)
+                for k, c in enumerate(pivots):
+                    assert bits[k, c] and not bits[k + 1:, c].any()
+            for x, z, r in zip(tab.x, tab.z, tab.r):
+                assert np.max(np.abs(_signed_pauli(x, z, r) @ psi - psi)) <= 1e-12
+
+    def test_generator_product_keeps_the_sign(self):
+        rows = np.array(list(np.ndindex(*(2,) * 5)), dtype=bool)
+        dense = [_signed_pauli(b[:2], b[2:4], b[4]) for b in rows]
+        for a, pa in zip(rows, dense):
+            for b, pb in zip(rows, dense):
+                if np.max(np.abs(pa @ pb - pb @ pa)) > 1e-12:
+                    continue  # only commuting generators are ever multiplied
+                tab = Tableau(2)
+                both = np.stack([b, a])
+                tab.x, tab.z, tab.r = both[:, :2], both[:, 2:4], both[:, 4]
+                tab._multiply(0, 1)
+                prod = _signed_pauli(tab.x[0], tab.z[0], tab.r[0])
+                assert np.max(np.abs(prod - pa @ pb)) <= 1e-12
+
+    @pytest.mark.parametrize("gate,wires,u", [
+        ("ry", (0,), np.kron(protocol.RY_PROTO, np.eye(2))),
+        ("ry", (1,), np.kron(np.eye(2), protocol.RY_PROTO)),
+        ("cz", (0, 1), CZ), ("swap", (0, 1), protocol.SWAP),
+    ])
+    def test_gate_conjugates_every_pauli(self, gate, wires, u):
+        # the tableau's update of a row must be U P U^dagger, sign included
+        tab = Tableau(2)
+        bits = np.array(list(np.ndindex(*(2,) * 5)), dtype=bool)
+        tab.x, tab.z, tab.r = bits[:, :2].copy(), bits[:, 2:4].copy(), bits[:, 4].copy()
+        before = [_signed_pauli(x, z, r) for x, z, r in zip(tab.x, tab.z, tab.r)]
+        getattr(tab, gate)(*wires)
+        for p, x, z, r in zip(before, tab.x, tab.z, tab.r):
+            assert np.max(np.abs(u @ p @ u.conj().T - _signed_pauli(x, z, r))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fidelity_does_not_depend_on_the_choice(self, packaged, monkeypatch, seed):
+        # a correction times a photonic stabiliser S of the target is another
+        # correction: F and SE stay, and the trajectories it corrects move by S
+        spec = TestTrajectoryFactor._lean_2x2(packaged, "corrected", seed)
+        s_locals = _target_stabiliser(spec)
+        s = reduce(np.kron, s_locals)
+        target = ideal_target(2, 2, style="lean").data
+        assert abs(abs(np.vdot(target, s @ target)) - 1) <= 1e-12
+        base = run(spec)
+        rho = base.photonic_state.data
+        shipped = protocol.find_corrections
+        for branches in ([(0, 1)], list(np.ndindex(2, 2))):
+            def chosen(spec_, branches=branches):
+                corr = shipped(spec_)
+                for bits in branches:
+                    corr[bits] = [v @ u for v, u in zip(s_locals, corr[bits])]
+                return corr
+
+            monkeypatch.setattr(protocol, "find_corrections", chosen)
+            res = run(spec)
+            assert abs(res.fidelity - base.fidelity) <= 1e-12
+            assert abs(res.fidelity_se - base.fidelity_se) <= 1e-12
+            kept = np.max(np.abs(res.vectors - base.vectors), axis=1) <= 1e-12
+            moved = np.max(np.abs(res.vectors - base.vectors @ s.T), axis=1) <= 1e-12
+            assert np.all(kept ^ moved)
+            rho_s = res.photonic_state.data
+            if len(branches) == 4:
+                assert moved.all()
+                assert np.max(np.abs(rho_s - s @ rho @ s.conj().T)) <= 1e-12
+            else:
+                assert moved.any() and kept.any()
+                part = base.vectors[moved]
+                expect = rho + (s @ part.T @ part.conj() @ s.conj().T
+                                - part.T @ part.conj()) / base.weights.sum()
+                assert np.max(np.abs(rho_s - expect)) <= 1e-12
 
 
 class TestNoisyRuns:
