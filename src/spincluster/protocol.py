@@ -377,8 +377,9 @@ def _complete(amps, spec, corrections, rng):
     batch; returns (photonic vectors (T, 2^(n-m)), weights (T,)).
 
     corrected mode: sample each trajectory's spin outcomes by the Born rule,
-    wire by wire from one uniform each, and apply the cached local photon
-    corrections to the normalised branch; weight 1.
+    wire by wire from one uniform each, and apply the cached Pauli photon
+    correction to the normalised branch as one index flip and one phase
+    vector; weight 1.
     postselect mode (corrections None): the unnormalised all-|1> branch and
     its probability; without photons to correct, corrected mode takes that
     branch normalised, with weight 1."""
@@ -400,7 +401,7 @@ def _complete(amps, spec, corrections, rng):
         outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
     vecs = branches[rows, outcome]
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    n_photons = spec.m * spec.n
+    index = np.arange(vecs.shape[1])
     outcome_bits = list(np.ndindex(*(2,) * m))
     for o in np.unique(outcome):
         locals_ = corrections.get(outcome_bits[o])
@@ -409,11 +410,22 @@ def _complete(amps, spec, corrections, rng):
                 f"sampled a branch with no cached correction: {outcome_bits[o]}"
             )
         sel = outcome == o
-        corrected = vecs[sel]
-        for i, u in enumerate(locals_):
-            corrected = _apply_matrix_vec(corrected, u, [i], n_photons)
-        vecs[sel] = corrected
+        flip, phase = _pauli_action(locals_)
+        vecs[sel] = phase * vecs[np.ix_(sel, index ^ flip)]
     return vecs, np.ones(t)
+
+
+def _pauli_action(locals_):
+    """A product of one-qubit Paulis, each up to a factor +-1 or +-i, on the
+    photon wires as (flip, phase) with (P v)[r] = phase[r] v[r ^ flip]; wire 0
+    is the most significant bit of r. Every entry is 0, +-1 or +-i, so the
+    phase and its product with v are exact."""
+    flip, phase = 0, np.ones(1, dtype=complex)
+    for u in locals_:
+        x = int(u[0, 0] == 0)  # 1 for an off-diagonal X or Y
+        flip = 2 * flip + x
+        phase = np.multiply.outer(phase, u[[0, 1], [x, 1 - x]]).ravel()
+    return flip, phase
 
 
 def component_fidelities(spec: ProtocolSpec):

@@ -198,6 +198,14 @@ def _fidelity_and_gradient(taus, gates, target, compiler):
     return fid, grad
 
 
+# L-BFGS-B stops once a step lowers 1 - F by at most _FTOL (the objective lies
+# in [0, 1], so scipy's relative test is absolute here). F near 1 is resolved
+# only to ~1.1e-16, so a tolerance at that scale fires only on steps that leave
+# F's float unchanged and the polish ends in rounding noise; 1e-12 is ~1e4
+# times that resolution and far below any fidelity gap the search compares.
+_FTOL = 1e-12
+
+
 def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
     gates = _gate_stack(gate_names)
 
@@ -208,7 +216,7 @@ def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
     res = minimize(
         neg, taus, jac=True, method="L-BFGS-B",
         bounds=[(lb, ub)] * len(taus),
-        options=dict(maxiter=maxiter, ftol=1e-16, gtol=1e-14),
+        options=dict(maxiter=maxiter, ftol=_FTOL, gtol=1e-14),
     )
     return res.x, 1 - res.fun, res.nfev
 

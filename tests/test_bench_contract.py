@@ -56,3 +56,14 @@ def test_workload_builds(workload):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_synth_cz_is_criterion_3s_cz_job(monkeypatch):
+    # the workload times criterion 3's CZ job; the two must not drift apart
+    from test_acceptance import CRITERION_3_JOBS
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    assert workloads.SYNTH_CZ == CRITERION_3_JOBS["cz"]

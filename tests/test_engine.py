@@ -5,7 +5,9 @@ The package folds the three bath rotations of each DD unit into one
 toggling-frame rotation and runs all trajectories as one batch. The slow
 references here do neither: they build every noisy unit from its free
 propagators, pi pulses and per-segment electron z rotations, and step one
-trajectory at a time through `apply_gate` and `emit_photon`. Gates and
+trajectory at a time through `apply_gate` and `emit_photon`. The corrected
+completion applies each Pauli correction as one index flip and one phase
+vector; the reference applies it as one 2x2 matrix per photon wire. Gates and
 projections on density matrices, applied by the package as two passes over
 rho's rows and columns, are checked against the full 2^n-square operator
 built from Kronecker products.
@@ -29,11 +31,14 @@ import pytest
 from scipy.linalg import expm
 
 from spincluster.hamiltonian import evolve, free_hamiltonian, propagator
+from spincluster.noise import ou_from_coherence
 from spincluster.protocol import (
-    RY_PROTO, ProtocolSpec, _execute, build_schedule, emit_photon,
+    RY_PROTO, ProtocolSpec, _complete, _execute, _sample_phases, build_schedule,
+    emit_photon, find_corrections,
 )
 from spincluster.states import (
-    I2, Z, QuantumState, apply_gate, electron, nuclear, photon, project_measure, rz,
+    I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, photon,
+    project_measure, rz,
 )
 from spincluster.synthesis import (
     _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
@@ -109,6 +114,55 @@ def test_executor_matches_per_trajectory_loop(packaged):
                 state = apply_gate(state, u, item.wires)
         assert cursor == n_seg
         assert np.max(np.abs(row - state.data)) <= 1e-12
+
+
+def complete_by_wire_passes(amps, spec, corrections, rng):
+    """Corrected completion with each branch's correction applied as one 2x2
+    pass per photon wire."""
+    t, m = len(amps), spec.m
+    branches = amps.reshape(t, 2 ** m, -1)
+    probs = np.sum(np.abs(branches) ** 2, axis=2)
+    uniforms = rng.random((t, m))
+    rows = np.arange(t)
+    outcome = np.zeros(t, dtype=int)
+    for wire in range(m):
+        sub = probs.reshape(t, 2 ** wire, 2, -1)[rows, outcome]
+        p0, norm = sub[:, 0].sum(axis=1), sub.sum(axis=(1, 2))
+        outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
+    vecs = branches[rows, outcome]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    outcome_bits = list(np.ndindex(*(2,) * m))
+    for o in np.unique(outcome):
+        sel = outcome == o
+        corrected = vecs[sel]
+        for i, u in enumerate(corrections[outcome_bits[o]]):
+            corrected = _apply_matrix_vec(corrected, u, [i], m * spec.n)
+        vecs[sel] = corrected
+    return vecs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n,trials", [(2, 200), (6, 20)])
+@pytest.mark.parametrize("times_y", [False, True])
+def test_completion_matches_per_wire_passes(packaged, n, trials, seed, times_y):
+    # times_y turns every correction into Y times it, so that the phases
+    # include +-i and products of Paulis
+    lib, params, _ = packaged
+    spec = ProtocolSpec(
+        m=2, n=n, gate_library=lib, params=params, style="lean", trials=trials, seed=seed,
+        noise=ou_from_coherence(3e-6, 300e-6, seed=seed),
+    )
+    sched = build_schedule(spec)
+    phases = _sample_phases(spec, sched, np.random.default_rng(seed))
+    amps = _execute(spec, sched, UnitCompiler(params), phases)
+    corrections = {
+        bits: None if locals_ is None else [Y @ u if times_y else u for u in locals_]
+        for bits, locals_ in find_corrections(spec).items()
+    }
+    vecs, weights = _complete(amps, spec, corrections, np.random.default_rng(seed))
+    ref = complete_by_wire_passes(amps, spec, corrections, np.random.default_rng(seed))
+    assert np.array_equal(vecs, ref)
+    assert np.array_equal(weights, np.ones(trials))
 
 
 def apply_noise_segment(state, trajectory, h, t, dt, targets=None):

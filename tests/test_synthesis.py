@@ -3,6 +3,7 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
+from spincluster import synthesis
 from spincluster.hamiltonian import resonance_spacing
 from spincluster.noise import OUNoise
 from spincluster.states import CZ, I2, SWAP, Z, rz
@@ -201,3 +202,55 @@ class TestSerialization:
         bad = text.replace("format_version 1", "format_version 99")
         with pytest.raises(ValueError):
             deserialize_sequence(bad)
+
+
+# criterion 3's CZ job cut to three restarts at one unit count (~0.4 s)
+REDUCED_CZ = dict(threshold=0.999, seed=101, restarts=3, ks=[10], ub=9e-8, duration_limit=2.2e-6)
+
+
+class TestStoppingRule:
+    def test_polish_stops_on_progress_not_noise(self, siv, monkeypatch):
+        # an evaluation made once 1 - F is within 1e-12 of where its polish
+        # ends gains nothing the search compares; a stopping tolerance at
+        # F's float resolution spends about half of all evaluations so
+        late = total = 0
+        inner = synthesis.minimize
+
+        def counted(fun, x0, **kw):
+            nonlocal late, total
+            values = []
+
+            def recorded(x):
+                out = fun(x)
+                values.append(out[0])
+                return out
+
+            res = inner(recorded, x0, **kw)
+            settled = next(i for i, v in enumerate(values) if abs(v - res.fun) <= 1e-12)
+            late += len(values) - 1 - settled
+            total += len(values)
+            return res
+
+        monkeypatch.setattr(synthesis, "minimize", counted)
+        synthesize("cz", siv, **REDUCED_CZ)
+        assert total > 0
+        assert late <= 0.2 * total, (late, total)
+
+    @pytest.mark.parametrize("target,kw", [
+        ("cz", REDUCED_CZ),
+        ("rz90_nuclear", dict(threshold=0.99, ks=[4], restarts=6, hops=2, seed=5)),
+    ])
+    def test_last_bit_of_the_objective_does_not_steer(self, siv, monkeypatch, target, kw):
+        # shift F by one ulp up or down, the sign fixed by the bits of tau
+        base = synthesize(target, siv, **kw)
+        exact = synthesis._fidelity_and_gradient
+
+        def shifted(taus, *args):
+            f, g = exact(taus, *args)
+            up = np.asarray(taus, float).view(np.uint64).sum() % 2
+            return f + (1 if up else -1) * np.spacing(f), g
+
+        monkeypatch.setattr(synthesis, "_fidelity_and_gradient", shifted)
+        moved = synthesize(target, siv, **kw)
+        assert moved.sequence.electron_gates == base.sequence.electron_gates
+        np.testing.assert_allclose(moved.sequence.tau_f, base.sequence.tau_f, rtol=1e-6, atol=0)
