@@ -19,9 +19,10 @@ from .synthesis import (
 )
 from .protocol import (
     ProtocolSpec, ProtocolResult, build_schedule, emit_photon, run,
-    ideal_target, lu_equivalence, verify_appendix_a, ideal_library,
+    ideal_target, verify_appendix_a, ideal_library,
     packaged_gate_library,
 )
+from .clifford import lc_equivalence
 from .emission import EmissionParams, dephased_state, emission_fidelity, colour_encoding_floor
 from .budget import (
     EfficiencyBudget, FidelityBudget, extrapolated_fidelity, generation_rate,

@@ -15,13 +15,14 @@ import numpy as np
 
 from . import __version__
 from .budget import EfficiencyBudget, FidelityBudget, extrapolated_fidelity, generation_rate
+from .clifford import lc_equivalence
 from .emission import EmissionParams, emission_fidelity
 from .hamiltonian import SecularApproximationWarning, resonance_spacing
 from .noise import OUNoise, ou_from_coherence, fid_echo_signals, fit_t2star
 from .presets import load_preset, preset_names, spin_params
 from .protocol import (
-    ProtocolSpec, ideal_library, ideal_target, lu_equivalence,
-    packaged_gate_library, run, verify_appendix_a,
+    ProtocolSpec, ideal_library, packaged_gate_library, run,
+    target_tableau, verify_appendix_a,
 )
 from .synthesis import TARGETS, serialize_sequence, synthesize
 
@@ -323,12 +324,17 @@ def cmd_verify(args) -> int:
 
         check("emission_fidelity_limits", emission_limits)
 
-        def lu_prefilter():
-            t1 = ideal_target(2, 1)
-            same = lu_equivalence(t1, t1)
-            return same.equivalent, f"self-overlap={same.overlap:.9f}"
+        def rail_order():
+            # lean emits the second column's rails in the opposite order
+            ped, lean = target_tableau(2, 2), target_tableau(2, 2, "lean")
+            emitted = lc_equivalence(ped, lean) is not None
+            lean.swap(2, 3)
+            swapped = lc_equivalence(ped, lean) is not None
+            return not emitted and swapped, (
+                f"lean vs pedagogical 2x2 LC-equivalent: as emitted {emitted}, "
+                f"photons 2 and 3 swapped {swapped}")
 
-        check("lu_equivalence_sanity", lu_prefilter)
+        check("rail_order_equivalence", rail_order)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

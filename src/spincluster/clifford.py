@@ -1,5 +1,6 @@
-"""Stabiliser tableau of the ideal-gate schedule and the completion
-corrections it gives exactly (Aaronson & Gottesman, PRA 70, 052328 (2004)).
+"""Stabiliser tableau of the ideal-gate schedule, the completion
+corrections it gives exactly (Aaronson & Gottesman, PRA 70, 052328 (2004)),
+and an exact local-Clifford equivalence test of two stabiliser states.
 
 Only what that schedule does is supported: the RY_PROTO rotation ry(-pi/2),
 CZ and SWAP on register wires, and the emission of a photon in |0> followed
@@ -34,6 +35,13 @@ class Tableau:
         self.x = np.zeros((n, n), dtype=bool)
         self.z = np.eye(n, dtype=bool)
         self.r = np.full(n, ones)
+
+    @classmethod
+    def graph(cls, adjacency) -> "Tableau":
+        """Graph state: generator k is X_k times Z on the neighbours of k."""
+        tab = cls(len(adjacency))
+        tab.x, tab.z = tab.z, np.array(adjacency, dtype=bool)
+        return tab
 
     def ry(self, a: int):
         """ry(-pi/2) on wire a: X -> Z, Z -> -X, Y -> Y."""
@@ -98,28 +106,32 @@ class Tableau:
         return pivots
 
 
-def completion_corrections(tab: Tableau, m: int) -> dict:
-    """Photon Pauli corrections of a z measurement of wires 0..m-1.
+def completion_corrections(tab: Tableau, m: int):
+    """Photon Pauli corrections of a z measurement of wires 0..m-1, and the
+    photons' tableau in the all-|1> branch.
 
     Branch o is reachable iff o xor 1...1 lies in the GF(2) span of the spin
     x parts of the stabilisers. A stabiliser P (x) Q whose spin x part is
     o xor 1...1 gives <1...1|P (x) Q|psi> = <1...1|psi>, so its photon part
     Q maps branch o onto the all-|1> branch up to phase. Q is the first
     combination that forward elimination over the generators, in schedule
-    order, finds.
+    order, finds. The generators past the spin x pivots have no spin x part;
+    their photon parts, each sign times <1...1|spin Z part|1...1>, stabilise
+    the all-|1> branch.
 
-    Returns {outcome bits: (x, z) bool photon parts of Q, or None for a
-    branch of probability zero}. Raises ValueError if the all-|1> branch has
-    probability zero."""
+    Returns ({outcome bits: (x, z) bool photon parts of Q, or None for a
+    branch of probability zero}, branch Tableau). Raises ValueError if the
+    all-|1> branch has probability zero."""
     tab = copy.deepcopy(tab)
     n = len(tab.r)
     photons = [*range(m, n), *range(n + m, 2 * n)]
     pivots = tab.echelon([*range(m), *photons])
     k = sum(c < m for c in pivots)
+    # <1...1|(-1)^r Z^z|1...1> = (-1)^(r + |z|) for a row with no spin x part
+    signs = tab.r ^ (tab.z[:, :m].sum(axis=1) % 2 == 1)
     # the rows past the pivots are +-Z strings on the spins alone, which the
-    # all-|1> outcome must satisfy: <1...1|(-1)^r Z^z|1...1> = (-1)^(r + |z|)
-    rest = slice(len(pivots), None)
-    if np.any(tab.r[rest] ^ (tab.z[rest, :m].sum(axis=1) % 2 == 1)):
+    # all-|1> outcome must satisfy
+    if np.any(signs[len(pivots):]):
         raise ValueError("all-|1> completion branch has zero probability")
     out = {}
     for bits in np.ndindex(*(2,) * m):
@@ -131,4 +143,60 @@ def completion_corrections(tab: Tableau, m: int) -> dict:
                 qx ^= tab.x[row, m:]
                 qz ^= tab.z[row, m:]
         out[bits] = None if d.any() else (qx, qz)
-    return out
+    branch, rows = Tableau(n - m), slice(k, len(pivots))
+    branch.x, branch.z, branch.r = tab.x[rows, m:], tab.z[rows, m:], signs[rows]
+    return out, branch
+
+
+def _nullspace(a: np.ndarray) -> np.ndarray:
+    """Rows spanning the GF(2) nullspace of the bool matrix `a`: the rows of
+    I that forward elimination of [a^T | I] leaves beside zero rows."""
+    t, k = np.hstack([a.T, np.eye(a.shape[1], dtype=bool)]), 0
+    for c in range(a.shape[0]):
+        rows = k + np.flatnonzero(t[k:, c])
+        if rows.size:
+            t[[k, rows[0]]] = t[[rows[0], k]]
+            t[rows[1:]] ^= t[k]
+            k += 1
+    return t[k:, a.shape[0]:]
+
+
+def lc_equivalence(a: Tableau, b: Tableau):
+    """Per-qubit GF(2) maps Q_i = (a_i b_i; c_i d_i) of the (x, z) parts,
+    a bool (n, 2, 2) array, that take the stabilisers of `a` onto those of
+    `b` up to sign; None if the states are not local-Clifford equivalent
+    (Van den Nest, Dehaene & De Moor, PRA 70, 034302 (2004)).
+
+    Q does so iff every stabiliser of `b` commutes with Q applied to every
+    stabiliser of `a`: n^2 linear equations in 4n unknowns. Invertibility,
+    a_i d_i + b_i c_i = 1, couples one qubit's unknowns only, so the search
+    splits over blocks of qubits that share a nullspace basis vector: all of
+    a block of dimension <= 4, else its basis vectors and their pairwise
+    sums (Bouchet, Combinatorica 11, 315 (1991))."""
+    # imported here: no run or synthesis needs csgraph, which costs ~1 MB
+    from scipy.sparse.csgraph import connected_components
+
+    if a.x.shape != b.x.shape:
+        raise ValueError("qubit counts differ")
+    n = len(a.r)
+    # <s2, Q s1> = sum_i z2 (a x1 + b z1) + x2 (c x1 + d z1) over row pairs
+    eqs = np.einsum("pji,qki->jkpqi", np.stack([b.z, b.x]), np.stack([a.x, a.z]))
+    basis = _nullspace(eqs.reshape(n * n, 4 * n))
+    support = basis.reshape(-1, 4, n).any(axis=1)
+    # blocks: qubits joined by shared vectors; a qubit in none must map to 0
+    _, block = connected_components(support.T.astype(int) @ support)
+    found = np.zeros(4 * n, dtype=bool)
+    for qubits in block == np.unique(block)[:, None]:
+        vecs = basis[support[:, qubits].any(axis=1)]
+        if len(vecs) <= 4:
+            combos = np.arange(2 ** len(vecs))[:, None] >> np.arange(len(vecs)) & 1
+            cands = (combos @ vecs) % 2 == 1
+        else:
+            i, j = np.triu_indices(len(vecs), 1)
+            cands = np.vstack([vecs, vecs[i] ^ vecs[j]])
+        qa, qb, qc, qd = cands.reshape(-1, 4, n).transpose(1, 0, 2)
+        ok = ((qa & qd) ^ (qb & qc))[:, qubits].all(axis=1)
+        if not ok.any():
+            return None
+        found ^= cands[ok.argmax()]
+    return found.reshape(4, n).T.reshape(n, 2, 2)

@@ -1,6 +1,6 @@
 """Cluster-state generation circuit: schedule construction, execution with
-optional dephasing noise, completion measurements, and local-unitary
-equivalence checks.
+optional dephasing noise, completion measurements, and the Appendix-A
+walkthrough with its local-Clifford equivalence certificate.
 
 Rails map to register wires as wire 0 = electron proxy, wires 1..M-1 =
 nuclear register; photons append in emission order. Two schedule styles are
@@ -8,7 +8,7 @@ provided: "pedagogical" follows the published step listing literally (SWAP
 cycling for every rotation and emission), "lean" is an M=2 variant with one
 SWAP and one CZ per column, trading layout fidelity of the intermediate
 steps for a shorter noisy sequence. Both produce the same cluster state up
-to local unitaries; tests pin that equivalence.
+to local Cliffords and an order of the rails; tests pin that equivalence.
 """
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import Tableau, completion_corrections
+from .clifford import Tableau, completion_corrections, lc_equivalence
 from .states import (
-    CZ, SWAP, I2, X, Y, Z, QuantumState, QubitRole, RoleKind,
-    _apply_matrix_vec, apply_gate, electron, nuclear, partial_trace, photon, ry,
+    CZ, SWAP, H, I2, X, Y, Z, QuantumState, RoleKind,
+    _apply_matrix_vec, apply_gate, electron, nuclear, photon, ry,
 )
 from .hamiltonian import SpinSystemParams
 from .synthesis import (
@@ -292,7 +292,7 @@ def find_corrections(spec: ProtocolSpec):
     tab = Tableau(spec.m, ones=spec.init_one).run(build_schedule(spec))
     return {
         bits: None if q is None else list(_PAULIS[2 * q[0] + q[1]])
-        for bits, q in completion_corrections(tab, spec.m).items()
+        for bits, q in completion_corrections(tab, spec.m)[0].items()
     }
 
 
@@ -469,95 +469,45 @@ def _segment_fidelity(spec, prep_only: bool) -> float:
     return float(np.sqrt(np.mean(np.abs(out @ ref.conj()) ** 2)))
 
 
-# -------------------------------------------------- local-unitary analysis
+# -------------------------------------------------- local-Clifford analysis
 
-@dataclass
-class LUReport:
-    equivalent: bool
-    overlap: float
-    residual: float
-    local_unitaries: list
-
-
-def _local_spectra(vec: np.ndarray):
-    n = int(np.log2(len(vec)))
-    state = QuantumState(vec, tuple(QubitRole(RoleKind.PHOTON, i) for i in range(n)))
-    out = []
-    for i in range(n):
-        red = partial_trace(state, [i])
-        out.append(np.sort(np.linalg.eigvalsh(red.data)))
-    return out
+# the one-qubit Clifford whose conjugation maps the Pauli (x, z) to Q (x, z),
+# up to sign, for each invertible Q = (a b; c d), keyed by (a, b, c, d)
+_S = np.diag([1, 1j])
+_LOCAL_CLIFFORDS = {
+    (1, 0, 0, 1): I2, (0, 1, 1, 0): H, (1, 0, 1, 1): _S,
+    (1, 1, 0, 1): H @ _S @ H, (0, 1, 1, 1): _S @ H, (1, 1, 1, 0): H @ _S,
+}
 
 
-def _max_local_overlap(psi1, psi2, rng, n_starts=8, iters=300, tol=1e-13):
-    """Maximize |<psi2| (x)_i U_i |psi1>| over single-qubit unitaries by
-    alternating per-qubit SVD updates; returns (best overlap, locals)."""
-    n = int(np.log2(len(psi1)))
-    t2c = psi2.conj().reshape((2,) * n)
-    best = (0.0, [I2] * n)
-    for s in range(n_starts):
-        if s == 0:
-            locals_ = [np.eye(2, dtype=complex) for _ in range(n)]
-        else:
-            locals_ = [_random_unitary(rng) for _ in range(n)]
-        prev = 0.0
-        for _ in range(iters):
-            for i in range(n):
-                phi = psi1.reshape((2,) * n)
-                for j, u in enumerate(locals_):
-                    if j != i:
-                        phi = np.moveaxis(
-                            np.tensordot(u, phi, axes=([1], [j])), 0, j
-                        )
-                axes = [j for j in range(n) if j != i]
-                env = np.tensordot(t2c, phi, axes=(axes, axes))
-                w, _, vh = np.linalg.svd(env.T)
-                locals_[i] = (w @ vh).conj().T.copy()
-            # overlap after this sweep
-            phi = psi1.reshape((2,) * n)
-            for j, u in enumerate(locals_):
-                phi = np.moveaxis(np.tensordot(u, phi, axes=([1], [j])), 0, j)
-            ov = abs(np.vdot(psi2, phi.ravel()))
-            if ov - prev < tol:
-                break
-            prev = ov
-        if ov > best[0]:
-            best = (ov, [u.copy() for u in locals_])
-        if best[0] > 1 - 1e-12:
-            break
-    return best
+def _lc_overlap(psi: np.ndarray, graph: Tableau, target: np.ndarray, maps) -> float:
+    """|<target|P (x)_i C_i|psi>|, C_i the Clifford of maps[i] and P the
+    Pauli that puts every generator of `graph`, the tableau of `target`,
+    back to +1: only Z_k anticommutes with generator k alone, so P is the
+    product of Z_k over the generators whose sign is wrong."""
+    phi = psi[None]
+    for i, q in enumerate(maps):
+        phi = _apply_matrix_vec(phi, _LOCAL_CLIFFORDS[tuple(q.ravel())], [i], len(maps))
+    phi, index, wrong = phi[0], np.arange(len(psi)), []
+    for x, z, r in zip(graph.x, graph.z, graph.r):
+        flip, phase = _pauli_action(_PAULIS[2 * x + z])
+        wrong.append(r ^ (np.vdot(phi, phase * phi[index ^ flip]).real < 0))
+    _, phase = _pauli_action(_PAULIS[np.array(wrong, dtype=int)])
+    return float(abs(np.vdot(target, phase * phi)))
 
 
-def _random_unitary(rng) -> np.ndarray:
-    q, r = np.linalg.qr(
-        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    )
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def lu_equivalence(psi1: QuantumState, psi2: QuantumState, seed: int = 0) -> LUReport:
-    """Numerical local-unitary equivalence of two pure states (<= 6 qubits).
-
-    Prefilter: all single-qubit reduced spectra must match within 1e-9;
-    then the local overlap is maximized from multiple starts."""
-    if psi1.n_qubits != psi2.n_qubits:
-        raise ValueError("qubit counts differ")
-    if psi1.n_qubits > 6:
-        raise ValueError("local-unitary search limited to 6 qubits")
-    v1, v2 = psi1.data, psi2.data
-    for s1, s2 in zip(_local_spectra(v1), _local_spectra(v2)):
-        if np.max(np.abs(s1 - s2)) > 1e-9:
-            return LUReport(False, 0.0, 1.0, [])
-    rng = np.random.default_rng(seed)
-    overlap, locals_ = _max_local_overlap(v1, v2, rng)
-    return LUReport(overlap > 1 - 1e-6, float(overlap), float(1 - overlap), locals_)
+def target_tableau(
+    m: int, n: int, style: str = "pedagogical", init_one: bool = False,
+) -> Tableau:
+    """Stabiliser tableau of `ideal_target`, with no dense state."""
+    spec = ProtocolSpec(m=m, n=n, gate_library=ideal_library(), style=style)
+    return completion_corrections(Tableau(m, ones=init_one).run(build_schedule(spec)), m)[1]
 
 
 def linear_graph_state(n: int) -> QuantumState:
     """|+>^n with CZ on every neighboring pair."""
     vec = np.full(2 ** n, 2 ** (-n / 2), dtype=complex)
-    wires = tuple(QubitRole(RoleKind.PHOTON, i) for i in range(n))
-    state = QuantumState(vec, wires)
+    state = QuantumState(vec, _photon_wires(n))
     for i in range(n - 1):
         state = apply_gate(state, CZ, [i, i + 1])
     return state
@@ -591,8 +541,10 @@ class AppendixReport:
 
 def verify_appendix_a() -> AppendixReport:
     """Step-by-step M=3, N=1 run with ideal gates from all-|1>, checking the
-    completed photonic state is locally equivalent to the linear 3-qubit
-    graph state. Step i is the executor run on the first i schedule items."""
+    completed photonic state is local-Clifford equivalent to the linear
+    3-qubit graph state; `overlap` is theirs after the local Cliffords and
+    Pauli the check constructs (0 if there are none). Step i is the executor
+    run on the first i schedule items."""
     spec = ProtocolSpec(
         m=3, n=1, gate_library=ideal_library(), style="pedagogical",
         init_one=True,
@@ -608,5 +560,9 @@ def verify_appendix_a() -> AppendixReport:
     p = float(np.vdot(vec, vec).real)
     photonic = QuantumState(vec / np.sqrt(p), _photon_wires(3))
     steps.append(("completion", photonic))
-    rep = lu_equivalence(photonic, linear_graph_state(3))
-    return AppendixReport(steps, p, rep.overlap, rep.equivalent)
+    graph = Tableau.graph(np.eye(3, k=1) + np.eye(3, k=-1))
+    maps = lc_equivalence(target_tableau(3, 1, init_one=True), graph)
+    overlap = 0.0 if maps is None else _lc_overlap(
+        photonic.data, graph, linear_graph_state(3).data, maps
+    )
+    return AppendixReport(steps, p, overlap, maps is not None)

@@ -233,7 +233,9 @@ def project_measure(
 ):
     """Projective measurement of one wire. Returns (outcome, collapsed, probability).
 
-    With `outcome=None` the result is sampled from the Born rule using `rng`.
+    With `outcome=None` the result is sampled from the Born rule using `rng`,
+    which must then be given (ValueError otherwise): one seed sets every
+    random draw of a run.
     """
     n = state.n_qubits
     if wire < 0 or wire >= n:
@@ -245,7 +247,8 @@ def project_measure(
     probs = [float(np.sum(np.take(diag.reshape([2] * n), m, axis=wire))) for m in (0, 1)]
 
     if outcome is None:
-        rng = rng if rng is not None else np.random.default_rng()
+        if rng is None:
+            raise ValueError("sampling an outcome needs an rng")
         m = int(rng.random() >= probs[0])
     else:
         m = int(outcome)
@@ -261,7 +264,7 @@ def project_measure(
     return m, out, p
 
 
-def discard_wire(state: QuantumState, wire: int, renumber: bool = True) -> QuantumState:
+def discard_wire(state: QuantumState, wire: int) -> QuantumState:
     """Drop a wire that is in a product |0> or |1> state after measurement."""
     n = state.n_qubits
     if state.pure:
@@ -273,9 +276,7 @@ def discard_wire(state: QuantumState, wire: int, renumber: bool = True) -> Quant
     else:
         keep = [i for i in range(n) if i != wire]
         return partial_trace(state, keep)
-    wires = [w for i, w in enumerate(state.wires) if i != wire]
-    if renumber:
-        wires = _renumber(wires)
+    wires = _renumber([w for i, w in enumerate(state.wires) if i != wire])
     return QuantumState(data, wires, validate=False)
 
 

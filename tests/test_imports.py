@@ -1,6 +1,7 @@
 """Every module-level import of a package module is used by that module,
 every module-level private function or class is used by the package, and
-every local variable a function assigns is read.
+every local variable a function assigns is read, and no module draws from an
+unseeded random generator.
 
 No linter is a dependency of the project, so this parses each module with
 `ast`: a name bound by a top-level import must be read somewhere else in the
@@ -129,3 +130,30 @@ def test_check_flags_an_unused_local():
         "    return x + g()\n"
     )
     assert unused_locals(src) == ["u (line 9)", "y (line 2)"]
+
+
+def unseeded_generators(source: str) -> list:
+    """Calls of `default_rng()` with no seed: they draw from operating-system
+    entropy, so no seed of a run would set their stream."""
+    return sorted(
+        f"line {n.lineno}" for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and not n.args and not n.keywords
+        and getattr(n.func, "attr", getattr(n.func, "id", None)) == "default_rng"
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unseeded_generators(path):
+    assert unseeded_generators(path.read_text()) == []
+
+
+def test_check_flags_an_unseeded_generator():
+    src = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "a = np.random.default_rng()\n"
+        "b = np.random.default_rng(3)\n"
+        "c = default_rng()\n"
+        "d = default_rng(seed=None)\n"
+    )
+    assert unseeded_generators(src) == ["line 3", "line 5"]

@@ -1,20 +1,22 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from spincluster import protocol
 from spincluster.noise import OUNoise, ou_from_coherence
-from spincluster.clifford import Tableau, completion_corrections
+from spincluster.clifford import Tableau, completion_corrections, lc_equivalence
 from spincluster.protocol import (
     ProtocolSpec, ScheduleItem, build_schedule, component_fidelities, emit_photon,
     find_corrections, ideal_library, ideal_target, linear_graph_state,
-    lu_equivalence, packaged_gate_library, run, schedule_labels,
+    packaged_gate_library, run, schedule_labels, target_tableau,
     verify_appendix_a, wall_clock_model,
 )
 from spincluster.states import (
-    CZ, H, X, Y, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
+    CZ, H, I2, X, Y, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
     partial_trace, photon, state_fidelity,
 )
 from spincluster.synthesis import DDSequence
@@ -127,14 +129,12 @@ class TestNoiselessRuns:
         # the lean schedule emits the second column's rails in the opposite
         # order; after swapping photons 2 and 3 the targets are locally
         # equivalent
-        ped = ideal_target(2, 2, style="pedagogical")
-        lean = ideal_target(2, 2, style="lean")
-        rep0 = lu_equivalence(ped, lean)
-        assert not rep0.equivalent
-        amp = lean.data.reshape((2,) * 4)
-        perm = QuantumState(np.moveaxis(amp, 2, 3).ravel().copy(), lean.wires)
-        rep = lu_equivalence(ped, perm)
-        assert rep.equivalent and rep.overlap > 1 - 1e-6
+        ped, lean = target_tableau(2, 2), target_tableau(2, 2, "lean")
+        ped_vec, lean_vec = ideal_target(2, 2).data, ideal_target(2, 2, "lean").data
+        _check_lc(ped, ped_vec, lean, lean_vec, equivalent=False)
+        lean.swap(2, 3)
+        swapped = np.moveaxis(lean_vec.reshape((2,) * 4), 2, 3).ravel()
+        _check_lc(ped, ped_vec, lean, swapped, equivalent=True)
 
     def test_postselect_probability(self):
         res = run(_spec(2, 1, completion="postselect"))
@@ -245,13 +245,29 @@ class TestCorrections:
 
     def test_no_dense_run_no_randomness(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("find_corrections must not call this")
+            raise AssertionError("must not be called")
 
-        for name in ("_execute", "_max_local_overlap"):
-            monkeypatch.setattr(protocol, name, refuse)
         monkeypatch.setattr(protocol.np.random, "default_rng", refuse)
-        corr = find_corrections(_spec(2, 3, style="lean"))
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_execute", refuse)
+            corr = find_corrections(_spec(2, 3, style="lean"))
         assert len(corr) == 4
+        lean = target_tableau(2, 2, "lean")
+        lean.swap(2, 3)
+        assert lc_equivalence(target_tableau(2, 2), lean) is not None
+        rep = verify_appendix_a()
+        assert rep.equivalent and abs(rep.overlap - 1) <= 1e-12
+
+    @pytest.mark.parametrize("m,n,style,init_one", _CORRECTION_GRID)
+    def test_branch_tableau_stabilises_the_target(self, m, n, style, init_one):
+        # the photon generators read off the completion echelon, signs
+        # included, fix the dense all-|1> branch
+        tab = target_tableau(m, n, style, init_one)
+        target = ideal_target(m, n, style, init_one).data
+        assert tab.x.shape == (m * n, m * n)
+        for x, z, r in zip(tab.x, tab.z, tab.r):
+            assert np.max(np.abs(_signed_pauli(x, z, r) @ target - target)) <= 1e-12
+        assert len(tab.echelon(range(2 * m * n))) == m * n  # independent
 
     def test_long_lattice_needs_no_dense_state(self):
         # the dense ideal 2x10 register alone is 2^22 * 16 B = 64 MiB
@@ -277,7 +293,7 @@ class TestCorrections:
             with pytest.raises(ValueError, match="zero probability"):
                 completion_corrections(tab, 2)
             return
-        corr = completion_corrections(tab, 2)
+        corr = completion_corrections(tab, 2)[0]
         probs = np.sum(np.abs(_dense_branches(spec, items)) ** 2, axis=1)
         for (bits, q), p in zip(corr.items(), probs):
             assert (q is None) == (p < 1e-12), bits
@@ -523,45 +539,233 @@ class TestWallClock:
         assert wall_clock_model(spec) <= 2 * 3e-6
 
 
-class TestLUEquivalence:
-    def test_identical(self):
-        g = linear_graph_state(3)
-        rep = lu_equivalence(g, g)
-        assert rep.equivalent and abs(rep.overlap - 1) < 1e-9
+def _random_unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    )
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    def test_local_paulis(self, rng):
+
+def _max_local_overlap(psi1, psi2, rng, n_starts=8, iters=300, tol=1e-13):
+    """Dense reference for local equivalence: maximize |<psi2| (x)_i U_i |psi1>|
+    over single-qubit unitaries by alternating per-qubit SVD updates, from the
+    identity and random starts; returns (best overlap, locals)."""
+    n = int(np.log2(len(psi1)))
+    t2c = psi2.conj().reshape((2,) * n)
+    best = (0.0, [I2] * n)
+    for s in range(n_starts):
+        if s == 0:
+            locals_ = [np.eye(2, dtype=complex) for _ in range(n)]
+        else:
+            locals_ = [_random_unitary(rng) for _ in range(n)]
+        prev = 0.0
+        for _ in range(iters):
+            for i in range(n):
+                phi = psi1.reshape((2,) * n)
+                for j, u in enumerate(locals_):
+                    if j != i:
+                        phi = np.moveaxis(
+                            np.tensordot(u, phi, axes=([1], [j])), 0, j
+                        )
+                axes = [j for j in range(n) if j != i]
+                env = np.tensordot(t2c, phi, axes=(axes, axes))
+                w, _, vh = np.linalg.svd(env.T)
+                locals_[i] = (w @ vh).conj().T.copy()
+            # overlap after this sweep
+            phi = psi1.reshape((2,) * n)
+            for j, u in enumerate(locals_):
+                phi = np.moveaxis(np.tensordot(u, phi, axes=([1], [j])), 0, j)
+            ov = abs(np.vdot(psi2, phi.ravel()))
+            if ov - prev < tol:
+                break
+            prev = ov
+        if ov > best[0]:
+            best = (ov, [u.copy() for u in locals_])
+        if best[0] > 1 - 1e-12:
+            break
+    return best
+
+
+def _path(n):
+    return np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+
+
+def _ghz_tableau(n):
+    """X...X and Z_{i-1} Z_i for i = 1..n-1."""
+    tab = Tableau(n)
+    tab.x[:], tab.z[:] = False, False
+    tab.x[0] = True
+    for i in range(1, n):
+        tab.z[i, [i - 1, i]] = True
+    return tab
+
+
+# the six invertible 2x2 matrices over GF(2): the local symplectic maps
+_INVERTIBLE = np.array(
+    [q for q in itertools.product((0, 1), repeat=4) if q[0] & q[3] ^ q[1] & q[2]],
+    dtype=bool,
+).reshape(6, 2, 2)
+
+
+def _mapped(tab, qs):
+    """(x, z) of every generator of `tab` under per-qubit maps qs (..., n, 2, 2)."""
+    a, b, c, d = (qs[..., i, j][..., None, :] for i in (0, 1) for j in (0, 1))
+    return (a & tab.x) ^ (b & tab.z), (c & tab.x) ^ (d & tab.z)
+
+
+def _maps_onto(a, b, qs):
+    """Whether each set of maps in qs (..., n, 2, 2) takes the stabiliser space
+    of `a` into (so onto) that of `b`: b's generators all commute with every
+    mapped generator of `a`."""
+    x, z = _mapped(a, qs)
+    sym = np.einsum("ji,...ki->...jk", b.z.astype(int), x.astype(int))
+    sym += np.einsum("ji,...ki->...jk", b.x.astype(int), z.astype(int))
+    return (sym % 2 == 0).all(axis=(-1, -2))
+
+
+def _exhaustive_lc(a, b):
+    """Reference: try all 6^n local symplectic maps."""
+    n = len(a.r)
+    qs = _INVERTIBLE[np.array(list(np.ndindex(*(6,) * n)))]
+    return bool(_maps_onto(a, b, qs).any())
+
+
+def _random_local_image(tab, rng):
+    """`tab` under random local symplectic maps, with its generators mixed by
+    a random invertible GF(2) matrix (the same state, other generators)."""
+    n = len(tab.r)
+    out = Tableau(n)
+    x, z = _mapped(tab, _INVERTIBLE[rng.integers(0, 6, n)])
+    for i, j in rng.integers(0, n, (n * n, 2)):
+        if i != j:  # row additions keep the generators independent
+            x[i] ^= x[j]
+            z[i] ^= z[j]
+    out.x, out.z = x, z
+    return out
+
+
+def _random_graph_tableau(n, rng):
+    """A random graph state, sparse enough to be disconnected at times."""
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.8), 1)
+    return Tableau.graph(upper | upper.T)
+
+
+def _check_lc(a, psi_a, b, psi_b, equivalent):
+    """lc_equivalence(a, b) and the dense search both give `equivalent`; the
+    tableaux are those of the dense states, and any maps returned turn psi_a,
+    under the one-qubit Cliffords they name, into an eigenstate of every
+    generator of b."""
+    for tab, psi in ((a, psi_a), (b, psi_b)):
+        for x, z, r in zip(tab.x, tab.z, tab.r):
+            assert np.max(np.abs(_signed_pauli(x, z, r) @ psi - psi)) <= 1e-12
+    maps = lc_equivalence(a, b)
+    assert (maps is not None) == equivalent
+    overlap, _ = _max_local_overlap(psi_a, psi_b, np.random.default_rng(0))
+    assert (overlap > 1 - 1e-6) == equivalent
+    if maps is None:
+        return
+    n = len(maps)
+    phi = psi_a[None]
+    for i, q in enumerate(maps):
+        phi = protocol._apply_matrix_vec(
+            phi, protocol._LOCAL_CLIFFORDS[tuple(q.ravel())], [i], n)
+    for x, z, r in zip(b.x, b.z, b.r):
+        assert abs(abs(np.vdot(phi[0], _signed_pauli(x, z, r) @ phi[0])) - 1) <= 1e-12
+
+
+class TestLUEquivalence:
+    """The exact local-Clifford test, against the dense local-unitary search
+    on small states and an exhaustive search over local symplectic maps."""
+
+    def test_identical(self):
+        g = Tableau.graph(_path(3))
+        _check_lc(g, linear_graph_state(3).data, g, linear_graph_state(3).data, True)
+
+    def test_local_paulis(self):
         g = linear_graph_state(3)
         other = apply_gate(apply_gate(g, X, [0]), Z, [2])
-        rep = lu_equivalence(g, other)
-        assert rep.equivalent
+        # X_0 flips the generator with Z_0, Z_2 the one with X_2
+        flipped = Tableau.graph(_path(3))
+        flipped.r[[1, 2]] = True
+        _check_lc(Tableau.graph(_path(3)), g.data, flipped, other.data, True)
 
     def test_ghz_vs_linear_cluster_three_qubits(self):
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        state = QuantumState(ghz, tuple(photon(i) for i in range(3)))
-        rep = lu_equivalence(state, linear_graph_state(3))
-        assert rep.equivalent
+        _check_lc(_ghz_tableau(3), ghz, Tableau.graph(_path(3)),
+                  linear_graph_state(3).data, True)
 
-    def test_spectra_prefilter_rejects(self):
+    def test_product_vs_linear_cluster(self):
         prod = np.zeros(8, dtype=complex)
         prod[0] = 1.0
-        state = QuantumState(prod, tuple(photon(i) for i in range(3)))
-        rep = lu_equivalence(state, linear_graph_state(3))
-        assert not rep.equivalent and rep.overlap == 0.0
+        _check_lc(Tableau(3), prod, Tableau.graph(_path(3)),
+                  linear_graph_state(3).data, False)
 
-    def test_size_limit(self):
-        big = QuantumState(
-            np.eye(2 ** 7)[:, 0].astype(complex), tuple(photon(i) for i in range(7))
-        )
-        with pytest.raises(ValueError):
-            lu_equivalence(big, big)
+    def test_local_clifford_table(self):
+        # U X U^dagger and U Z U^dagger are, up to sign, the Paulis whose
+        # (x, z) are the columns of Q
+        assert sorted(protocol._LOCAL_CLIFFORDS) == sorted(
+            tuple(q.ravel().astype(int)) for q in _INVERTIBLE)
+        for key, u in protocol._LOCAL_CLIFFORDS.items():
+            q = np.array(key).reshape(2, 2)
+            for col, p in enumerate((X, Z)):
+                image = _signed_pauli(q[0, col:col + 1], q[1, col:col + 1], 0)
+                assert abs(abs(np.trace(image @ u @ p @ u.conj().T)) - 2) <= 1e-12
+
+    def test_qubit_counts_must_match(self):
+        with pytest.raises(ValueError, match="qubit counts"):
+            lc_equivalence(Tableau(3), Tableau(4))
+
+    def test_rail_order_two_by_ten(self):
+        # 20 photons: far past the dense search. The lean schedule emits
+        # every second column's rails in the opposite order
+        ped, lean = target_tableau(2, 10), target_tableau(2, 10, "lean")
+        assert lc_equivalence(ped, lean) is None
+        for col in range(1, 10, 2):
+            lean.swap(2 * col, 2 * col + 1)
+        maps = lc_equivalence(ped, lean)
+        assert maps is not None and _maps_onto(ped, lean, maps)
+
+    def test_agrees_with_exhaustive_search(self):
+        # seeded random pairs on 2-4 qubits, disconnected graphs included;
+        # half the pairs are local images of each other by construction
+        rng = np.random.default_rng(2004)
+        verdicts, disconnected = [], 0
+        for trial in range(450):
+            n = 2 + trial % 3
+            graph = _random_graph_tableau(n, rng)
+            disconnected += connected_components(graph.z)[0] > 1
+            a = _random_local_image(graph, rng)
+            b = _random_local_image(
+                a if trial % 2 else _random_graph_tableau(n, rng), rng
+            )
+            maps = lc_equivalence(a, b)
+            verdicts.append(maps is not None)
+            assert verdicts[-1] == _exhaustive_lc(a, b), trial
+            assert maps is None or _maps_onto(a, b, maps)
+        assert 0 < sum(verdicts) < len(verdicts) and disconnected > 0
+
+    def test_recognises_random_local_images(self):
+        rng = np.random.default_rng(1991)
+        for n in range(6, 40, 3):
+            a = _random_graph_tableau(n, rng)
+            b = _random_local_image(a, rng)
+            maps = lc_equivalence(a, b)
+            assert maps is not None and _maps_onto(a, b, maps), n
+
+    def test_forty_qubit_product_and_ghz(self):
+        for tab in (Tableau(40), _ghz_tableau(40)):
+            maps = lc_equivalence(tab, tab)
+            assert maps is not None and _maps_onto(tab, tab, maps)
+        assert lc_equivalence(Tableau(40), _ghz_tableau(40)) is None
 
 
 class TestAppendix:
     def test_state_tracking(self):
         rep = verify_appendix_a()
         assert rep.equivalent
-        assert rep.overlap > 1 - 1e-6
+        # the overlap under the constructed local Cliffords and Pauli
+        assert abs(rep.overlap - 1) <= 1e-12
         # completion outcomes are uniform: eight branches of 1/8 each
         assert abs(rep.all_ones_probability - 0.125) < 1e-9
         labels = [label for label, _ in rep.steps]

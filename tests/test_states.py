@@ -107,8 +107,13 @@ class TestMeasure:
 
     def test_deterministic_outcome(self):
         s = _pure([0, 1], (electron(),))
-        m, _, p = project_measure(s, 0, "z")
+        m, _, p = project_measure(s, 0, "z", rng=np.random.default_rng(0))
         assert m == 1 and abs(p - 1) < 1e-12
+
+    def test_sampling_needs_an_rng(self):
+        s = _pure(np.array([1, 1]) / np.sqrt(2), (electron(),))
+        with pytest.raises(ValueError, match="rng"):
+            project_measure(s, 0, "z")
 
     def test_entangled_collapse(self):
         s = QuantumState(
