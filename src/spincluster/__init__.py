@@ -4,12 +4,10 @@ single electron-spin-photon interface coupled to a nuclear spin register."""
 __version__ = "1.0.0"
 
 from .states import (
-    QuantumState, QubitRole, RoleKind, Unitary, apply_gate, add_photon_qubit,
-    project_measure, partial_trace, state_fidelity, max_pure_fidelity,
+    QuantumState, QubitRole, RoleKind, apply_gate, state_fidelity, max_pure_fidelity,
 )
 from .hamiltonian import (
-    SpinSystemParams, RotatingFrameParams, PrecessionAxes,
-    rotating_hamiltonian, free_hamiltonian, precession_axes,
+    SpinSystemParams, PrecessionAxes, free_hamiltonian, precession_axes,
     resonance_spacing, propagator, evolve,
 )
 from .noise import OUNoise, ou_from_coherence, sample_trajectory

@@ -4,10 +4,8 @@ reproducibility header (version, config hash, seed)."""
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 import warnings
 
@@ -18,7 +16,7 @@ from .budget import EfficiencyBudget, FidelityBudget, extrapolated_fidelity, gen
 from .clifford import lc_equivalence
 from .emission import EmissionParams, emission_fidelity
 from .hamiltonian import SecularApproximationWarning, resonance_spacing
-from .noise import OUNoise, ou_from_coherence, fid_echo_signals, fit_t2star
+from .noise import ou_from_coherence, fid_echo_signals, fit_t2star
 from .presets import load_preset, preset_names, spin_params
 from .protocol import (
     ProtocolSpec, ideal_library, packaged_gate_library, run,
@@ -34,7 +32,7 @@ EXIT_USAGE = 2
 def _config_hash(args: argparse.Namespace) -> str:
     payload = json.dumps(
         {k: v for k, v in sorted(vars(args).items())
-         if k not in ("func", "output", "workers")},
+         if k not in ("func", "output")},
         default=str, sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -64,7 +62,8 @@ def cmd_synthesize(args) -> int:
         warnings.simplefilter("ignore", SecularApproximationWarning)
         try:
             report = synthesize(
-                args.target, p, threshold=args.threshold, max_k=args.max_k,
+                args.target, p, threshold=args.threshold,
+                ks=range(2, args.max_k + 1, 2),
                 seed=args.seed, restarts=args.restarts,
                 duration_limit=args.duration_limit,
             )
@@ -100,11 +99,15 @@ def cmd_run(args) -> int:
             ratio = d.get("t2_star_ratio", 0.01)
             t2_star = args.t2_star if args.t2_star is not None else ratio * t2
             noise = ou_from_coherence(t2_star, t2, seed=args.seed)
-        spec = ProtocolSpec(
-            m=args.m, n=args.n, gate_library=lib, params=params, noise=noise,
-            style=args.style, completion=args.completion, trials=args.trials,
-            seed=args.seed,
-        )
+        try:
+            spec = ProtocolSpec(
+                m=args.m, n=args.n, gate_library=lib, params=params, noise=noise,
+                style=args.style, completion=args.completion, trials=args.trials,
+                seed=args.seed,
+            )
+        except ValueError as e:
+            print(f"run: {e}", file=sys.stderr)
+            return EXIT_USAGE
         result = run(spec, components=args.components)
     out, close = _open_output(args)
     _header(args, out)
@@ -133,51 +136,30 @@ def cmd_rate(args) -> int:
     return EXIT_OK
 
 
-def _grid_map(fn, items, workers):
-    """Ordered map, optionally across processes; output order (and therefore
-    the CSV bytes) does not depend on the worker count."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _fig3c_point(item):
-    tau, w = item
-    return emission_fidelity(EmissionParams(tau=tau, delta_omega=w))
-
-
 def _figure_fig3c(args, out):
     out.write("tau_s,delta_omega_rad_s,fidelity\n")
     taus = np.geomspace(args.tau_min, args.tau_max, args.grid)
     omegas = np.geomspace(args.omega_min, args.omega_max, args.grid)
-    points = [(tau, w) for tau in taus for w in omegas]
-    fids = _grid_map(_fig3c_point, points, args.workers)
-    for (tau, w), f in zip(points, fids):
-        out.write(f"{tau:.6e},{w:.6e},{f:.8f}\n")
+    for tau in taus:
+        for w in omegas:
+            f = emission_fidelity(EmissionParams(tau=tau, delta_omega=w))
+            out.write(f"{tau:.6e},{w:.6e},{f:.8f}\n")
 
 
-def _noisy_2x2(item):
-    t2, trials, seed, components = item
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SecularApproximationWarning)
-        lib, params, _ = packaged_gate_library()
-        spec = ProtocolSpec(
-            m=2, n=2, gate_library=lib, params=params,
-            noise=ou_from_coherence(0.01 * t2, t2, seed=seed),
-            style="lean", trials=trials, seed=seed,
-        )
-        return run(spec, components=components)
+def _noisy_2x2(t2, args, components):
+    lib, params, _ = packaged_gate_library()
+    spec = ProtocolSpec(
+        m=2, n=2, gate_library=lib, params=params,
+        noise=ou_from_coherence(0.01 * t2, t2, seed=args.seed),
+        style="lean", trials=args.trials, seed=args.seed,
+    )
+    return run(spec, components=components)
 
 
 def _figure_fig3b(args, out):
     out.write("t2_s,n_columns,photons,fidelity,fidelity_spin_photon_94\n")
-    t2_grid = (2e-6, 8e-6, 300e-6)
-    results = _grid_map(
-        _noisy_2x2, [(t2, args.trials, args.seed, True) for t2 in t2_grid],
-        args.workers,
-    )
-    for t2, result in zip(t2_grid, results):
+    for t2 in (2e-6, 8e-6, 300e-6):
+        result = _noisy_2x2(t2, args, components=True)
         for n in range(1, args.max_columns + 1):
             fb = FidelityBudget(
                 result.prep_fidelity, result.block_fidelity, 1.0, 2, n
@@ -194,12 +176,8 @@ def _figure_fig3b(args, out):
 def _figure_fig3a(args, out):
     out.write("a_par_hz,t2_s,fidelity,fidelity_se\n")
     _, params, _ = packaged_gate_library()
-    results = _grid_map(
-        _noisy_2x2,
-        [(t2, args.trials, args.seed, False) for t2 in args.t2_list],
-        args.workers,
-    )
-    for t2, result in zip(args.t2_list, results):
+    for t2 in args.t2_list:
+        result = _noisy_2x2(t2, args, components=False)
         out.write(
             f"{params.a_par:.3e},{t2:.3e},{result.fidelity:.6f},"
             f"{result.fidelity_se:.2e}\n"
@@ -300,14 +278,10 @@ def cmd_verify(args) -> int:
         def monotone_in_noise():
             lib, params, _ = packaged_gate_library()
             fids = []
-            inject = getattr(args, "inject_b", None)
             for t2 in (300e-6, 2e-6):
-                if inject:
-                    noise = OUNoise(b=inject, tau_c=1e-3, seed=args.seed)
-                else:
-                    noise = ou_from_coherence(0.01 * t2, t2, seed=args.seed)
                 spec = ProtocolSpec(
-                    m=2, n=1, gate_library=lib, params=params, noise=noise,
+                    m=2, n=1, gate_library=lib, params=params,
+                    noise=ou_from_coherence(0.01 * t2, t2, seed=args.seed),
                     style="lean", trials=150, seed=args.seed,
                 )
                 fids.append(run(spec).fidelity)
@@ -388,16 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[2e-6, 8e-6, 300e-6])
     f.add_argument("--max-columns", type=int, default=50)
     f.add_argument("--trials", type=int, default=500)
-    f.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--output", default="-")
     f.set_defaults(func=cmd_figure)
 
     v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--inject-b", type=float, default=None,
-                   help="override the bath strength (rad/s) to exercise the "
-                        "failure path")
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("rate", help="generation-rate model")

@@ -15,47 +15,23 @@ from scipy.integrate import quad
 
 from .states import QuantumState, QubitRole, RoleKind, max_pure_fidelity
 
-MU_B = 9.2740100783e-24  # J/T
-HBAR = 1.054571817e-34  # J s
-
 
 @dataclass(frozen=True)
 class EmissionParams:
     tau: float  # excited-state lifetime, s
-    delta_omega: float | None = None  # ground/excited precession mismatch, rad/s
-    delta_g: float | None = None  # optional input route: g-factor difference
-    b_mag: float | None = None  # and field magnitude, T
-    angular: bool = True  # False: delta_omega given in Hz, multiply by 2 pi
+    delta_omega: float  # ground/excited precession mismatch, rad/s
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("lifetime must be positive")
-        if self.delta_omega is None and (self.delta_g is None or self.b_mag is None):
-            raise ValueError("need delta_omega or the (delta_g, b_mag) pair")
-        if self.delta_omega is not None and self.delta_omega < 0:
+        if self.delta_omega < 0:
             raise ValueError("delta_omega must be non-negative")
-        if (
-            self.delta_omega is not None
-            and self.delta_g is not None
-            and self.b_mag is not None
-        ):
-            if not np.isclose(self.delta_omega, self._from_g(), rtol=1e-9):
-                raise ValueError("delta_omega inconsistent with delta_g * mu_B * B / hbar")
-
-    def _from_g(self) -> float:
-        return self.delta_g * MU_B * self.b_mag / HBAR
-
-    @property
-    def omega(self) -> float:
-        """Precession mismatch as angular frequency (rad/s)."""
-        w = self.delta_omega if self.delta_omega is not None else self._from_g()
-        return w if self.angular else 2 * np.pi * w
 
 
 def dephased_state(p: EmissionParams) -> QuantumState:
     """Exponential-dwell average of |Psi(omega t)><Psi(omega t)|, by
     adaptive quadrature (relative error < 1e-8)."""
-    x = p.omega * p.tau
+    x = p.delta_omega * p.tau
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = 0.5
     if x == 0.0:
@@ -74,14 +50,14 @@ def dephased_state(p: EmissionParams) -> QuantumState:
 
 def coherence_magnitude(p: EmissionParams) -> float:
     """Closed form |rho_03| = 1 / (2 sqrt(1 + (omega tau)^2))."""
-    x = p.omega * p.tau
+    x = p.delta_omega * p.tau
     return 1.0 / (2.0 * np.sqrt(1.0 + x * x))
 
 
 def emission_fidelity(p: EmissionParams) -> float:
     """Best pure-state fidelity of the dephased spin-photon pair:
     sqrt((1 + 1/sqrt(1 + (omega tau)^2)) / 2)."""
-    x = p.omega * p.tau
+    x = p.delta_omega * p.tau
     return float(np.sqrt(0.5 * (1.0 + 1.0 / np.sqrt(1.0 + x * x))))
 
 

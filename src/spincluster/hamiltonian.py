@@ -1,4 +1,5 @@
-"""Electron-nuclear Hamiltonian of a group-IV defect in the rotating frame.
+"""Electron-nuclear free-precession Hamiltonian of a group-IV defect, in the
+frame rotating at the electron Zeeman frequency.
 
 All Hamiltonians are expressed in ordinary-frequency units (Hz); the 2*pi
 factor enters only inside the propagator, so hyperfine constants (70 MHz)
@@ -33,8 +34,6 @@ class SpinSystemParams:
     gamma_e: float = GAMMA_E_DEFAULT  # Hz/T
     gamma_n: float = GAMMA_N_SI29  # Hz/T
     b_field: tuple = (0.0, 0.0, 0.0)  # Tesla, (Bx, By, Bz)
-    omega_rabi: float = 0.0  # Hz, microwave Rabi frequency (real)
-    omega_mw: float = 0.0  # Hz, microwave drive frequency
     lambda_so: float = 50e9  # Hz, spin-orbit splitting
 
     def __post_init__(self):
@@ -45,19 +44,6 @@ class SpinSystemParams:
     def secular_valid(self) -> bool:
         bx, by, _ = self.b_field
         return self.gamma_e * np.hypot(bx, by) < 0.1 * self.lambda_so
-
-
-@dataclass(frozen=True)
-class RotatingFrameParams:
-    delta: float = 0.0  # Hz, detuning of the drive from the electron splitting
-
-    @staticmethod
-    def on_resonance() -> "RotatingFrameParams":
-        return RotatingFrameParams(0.0)
-
-    @staticmethod
-    def from_params(p: SpinSystemParams) -> "RotatingFrameParams":
-        return RotatingFrameParams(p.omega_mw - p.gamma_e * p.b_field[2])
 
 
 @dataclass(frozen=True)
@@ -72,14 +58,9 @@ class PrecessionAxes:
         return float(np.dot(up, um)) < 0.0
 
 
-def rotating_hamiltonian(
-    p: SpinSystemParams,
-    rf: RotatingFrameParams | None = None,
-    include_a_perp: bool = False,
-) -> np.ndarray:
-    """4x4 Hermitian matrix, Hz units, on (electron, nucleus)."""
-    if rf is None:
-        rf = RotatingFrameParams.on_resonance()
+def free_hamiltonian(p: SpinSystemParams, include_a_perp: bool = False) -> np.ndarray:
+    """4x4 Hermitian free-precession Hamiltonian, Hz units, on (electron,
+    nucleus): secular hyperfine plus nuclear Zeeman."""
     if not p.secular_valid:
         warnings.warn(
             "gamma_e * B_xy exceeds 0.1 * lambda_SO; secular approximation dubious",
@@ -87,24 +68,10 @@ def rotating_hamiltonian(
         )
     bx, by, bz = p.b_field
     b_dot_sigma = bx * X + by * Y + bz * Z
-    h = (
-        rf.delta * np.kron(Z / 2, I2)
-        + p.omega_rabi * np.kron(X / 2, I2)
-        + p.a_par * np.kron(Z / 2, Z / 2)
-        + p.gamma_n * np.kron(I2, b_dot_sigma / 2)
-    )
+    h = p.a_par * np.kron(Z / 2, Z / 2) + p.gamma_n * np.kron(I2, b_dot_sigma / 2)
     if include_a_perp:
         h = h + p.a_perp * (np.kron(X / 2, X / 2) + np.kron(Y / 2, Y / 2))
     return h
-
-
-def free_hamiltonian(p: SpinSystemParams, include_a_perp: bool = False) -> np.ndarray:
-    """Free-precession Hamiltonian (drive off, on-resonance frame)."""
-    q = SpinSystemParams(
-        a_par=p.a_par, a_perp=p.a_perp, gamma_e=p.gamma_e, gamma_n=p.gamma_n,
-        b_field=p.b_field, omega_rabi=0.0, omega_mw=p.omega_mw, lambda_so=p.lambda_so,
-    )
-    return rotating_hamiltonian(q, RotatingFrameParams.on_resonance(), include_a_perp)
 
 
 def precession_axes(p: SpinSystemParams) -> PrecessionAxes:

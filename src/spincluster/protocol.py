@@ -77,6 +77,8 @@ class ProtocolSpec:
             raise ValueError("lean schedule is defined for M=2 only")
         if self.completion not in ("corrected", "postselect"):
             raise ValueError(f"unknown completion mode {self.completion!r}")
+        if self.noise is not None and self.trials < 2:
+            raise ValueError("a noisy run needs at least 2 trials for its standard error")
         for g in ("swap", "cz"):
             if self.n > 0 and g not in self.gate_library:
                 raise KeyError(f"gate library is missing {g!r}")

@@ -1,8 +1,10 @@
-"""Dense state-vector / density-matrix engine with role-labeled wires.
+"""Dense states over role-labeled wires, gates on state vectors, and the
+fidelities of mixed states.
 
 Registers are small (<= ~14 qubits), so everything is plain dense numpy.
 Wire 0 is the leftmost tensor factor. States are immutable: every operation
-returns a new QuantumState.
+returns a new QuantumState. Gates act on pure states; a density matrix is
+an output (a noisy run's rho, a dephased emission pair) that is only read.
 """
 from __future__ import annotations
 
@@ -11,10 +13,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-
-NORM_TOL = 1e-12
-UNITARY_TOL = 1e-10
-PSD_TOL = -1e-10
 
 
 class RoleKind(Enum):
@@ -94,10 +92,6 @@ class QuantumState:
     def n_qubits(self) -> int:
         return len(self.wires)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
     def _check_normalisation(self):
         if self.pure:
             if abs(np.linalg.norm(self.data) - 1.0) > 1e-9:
@@ -107,36 +101,10 @@ class QuantumState:
                 raise ValueError("density matrix trace != 1")
             _check_hermitian(self.data)
 
-    def wire_index(self, role: QubitRole) -> int:
-        return self.wires.index(role)
-
     def density_matrix(self) -> np.ndarray:
         if self.pure:
             return np.outer(self.data, self.data.conj())
         return self.data
-
-    def to_mixed(self) -> "QuantumState":
-        return QuantumState(self.density_matrix(), self.wires, validate=False)
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.data.copy(), self.wires, validate=False)
-
-
-@dataclass(frozen=True)
-class Unitary:
-    matrix: np.ndarray
-    arity: int
-
-    @staticmethod
-    def of(matrix: np.ndarray) -> "Unitary":
-        matrix = np.asarray(matrix, dtype=complex)
-        d = matrix.shape[0]
-        arity = int(round(np.log2(d)))
-        if matrix.shape != (d, d) or 2 ** arity != d:
-            raise ValueError("unitary must be square with power-of-two dimension")
-        if np.linalg.norm(matrix.conj().T @ matrix - np.eye(d)) > UNITARY_TOL:
-            raise ValueError("matrix is not unitary within tolerance")
-        return Unitary(matrix, arity)
 
 
 # Common gates
@@ -182,12 +150,11 @@ def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n
     return psi.reshape(len(psi), -1)
 
 
-def apply_gate(state: QuantumState, u: Unitary | np.ndarray, targets: Sequence[int]) -> QuantumState:
-    if isinstance(u, Unitary):
-        mat, arity = u.matrix, u.arity
-    else:
-        mat = np.asarray(u, dtype=complex)
-        arity = int(round(np.log2(mat.shape[0])))
+def apply_gate(state: QuantumState, u: np.ndarray, targets: Sequence[int]) -> QuantumState:
+    if not state.pure:
+        raise ValueError("gates apply to pure states only")
+    mat = np.asarray(u, dtype=complex)
+    arity = int(round(np.log2(mat.shape[0])))
     targets = list(targets)
     if len(targets) != arity:
         raise ValueError(f"gate arity {arity} != {len(targets)} targets")
@@ -196,118 +163,8 @@ def apply_gate(state: QuantumState, u: Unitary | np.ndarray, targets: Sequence[i
     n = state.n_qubits
     if any(t < 0 or t >= n for t in targets):
         raise ValueError("target wire out of range")
-    if state.pure:
-        out = _apply_matrix_vec(state.data[None], mat, targets, n)[0]
-    else:
-        # U rho U^dagger in two passes: rho's rows give rho U^dagger, its columns U(.)
-        half = _apply_matrix_vec(state.data, mat.conj(), targets, n)
-        out = _apply_matrix_vec(half.T, mat, targets, n).T
+    out = _apply_matrix_vec(state.data[None], mat, targets, n)[0]
     return QuantumState(out, state.wires, validate=False)
-
-
-def add_photon_qubit(state: QuantumState, initial: int = 0) -> QuantumState:
-    if not state.pure:
-        raise ValueError("photon wires can only be appended to pure states")
-    if initial not in (0, 1):
-        raise ValueError("initial basis label must be 0 or 1")
-    n_photons = sum(1 for w in state.wires if w.kind is RoleKind.PHOTON)
-    ket = np.zeros(2, dtype=complex)
-    ket[initial] = 1.0
-    data = np.kron(state.data, ket)
-    return QuantumState(data, state.wires + (photon(n_photons),), validate=False)
-
-
-_BASIS_ROT = {
-    "z": I2,
-    "x": H,
-    "y": H @ np.diag([1, -1j]).astype(complex),  # maps |+i>,|-i> -> |0>,|1>
-}
-
-
-def project_measure(
-    state: QuantumState,
-    wire: int,
-    basis: str = "z",
-    outcome: int | None = None,
-    rng: np.random.Generator | None = None,
-):
-    """Projective measurement of one wire. Returns (outcome, collapsed, probability).
-
-    With `outcome=None` the result is sampled from the Born rule using `rng`,
-    which must then be given (ValueError otherwise): one seed sets every
-    random draw of a run.
-    """
-    n = state.n_qubits
-    if wire < 0 or wire >= n:
-        raise ValueError("wire out of range")
-    rot = _BASIS_ROT[basis]
-    rotated = apply_gate(state, rot, [wire]) if basis != "z" else state
-
-    diag = np.abs(rotated.data) ** 2 if rotated.pure else np.real(np.diag(rotated.data))
-    probs = [float(np.sum(np.take(diag.reshape([2] * n), m, axis=wire))) for m in (0, 1)]
-
-    if outcome is None:
-        if rng is None:
-            raise ValueError("sampling an outcome needs an rng")
-        m = int(rng.random() >= probs[0])
-    else:
-        m = int(outcome)
-        if probs[m] < 1e-12:
-            raise ValueError(f"forced outcome {m} has probability ~0")
-    p = probs[m]
-
-    proj = np.outer(I2[m], I2[m])
-    collapsed = apply_gate(rotated, proj, [wire]).data / (np.sqrt(p) if rotated.pure else p)
-    out = QuantumState(collapsed, state.wires, validate=False)
-    if basis != "z":
-        out = apply_gate(out, rot.conj().T, [wire])
-    return m, out, p
-
-
-def discard_wire(state: QuantumState, wire: int) -> QuantumState:
-    """Drop a wire that is in a product |0> or |1> state after measurement."""
-    n = state.n_qubits
-    if state.pure:
-        psi = state.data.reshape([2] * n)
-        sub0 = np.take(psi, 0, axis=wire).reshape(-1)
-        sub1 = np.take(psi, 1, axis=wire).reshape(-1)
-        sub = sub0 if np.linalg.norm(sub0) >= np.linalg.norm(sub1) else sub1
-        data = sub / np.linalg.norm(sub)
-    else:
-        keep = [i for i in range(n) if i != wire]
-        return partial_trace(state, keep)
-    wires = _renumber([w for i, w in enumerate(state.wires) if i != wire])
-    return QuantumState(data, wires, validate=False)
-
-
-def _renumber(wires):
-    counters = {RoleKind.NUCLEAR: 0, RoleKind.PHOTON: 0}
-    out = []
-    for w in wires:
-        if w.kind is RoleKind.ELECTRON:
-            out.append(w)
-        else:
-            out.append(QubitRole(w.kind, counters[w.kind]))
-            counters[w.kind] += 1
-    return out
-
-
-def partial_trace(state: QuantumState, keep: Sequence[int]) -> QuantumState:
-    keep = list(keep)
-    if not keep:
-        raise ValueError("must keep at least one wire")
-    n = state.n_qubits
-    rho = state.density_matrix()
-    traced = [i for i in range(n) if i not in keep]
-    t = rho.reshape([2] * (2 * n))
-    row_perm = keep + traced
-    perm = row_perm + [n + i for i in row_perm]
-    t = np.transpose(t, perm)
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = t.reshape(dk, dt, dk, dt)
-    reduced = np.trace(t, axis1=1, axis2=3)
-    wires = _renumber([state.wires[i] for i in keep])
-    return QuantumState(reduced, wires, validate=False)
 
 
 def state_fidelity(rho: QuantumState, psi: QuantumState) -> float:

@@ -263,35 +263,29 @@ def synthesize(
     target: np.ndarray | str,
     p: SpinSystemParams,
     threshold: float = 0.999,
-    max_k: int = 20,
     seed: int = 0,
     restarts: int = 80,
     hops: int = 8,
     lb: float = 1e-9,
     ub: float | None = None,
     duration_limit: float | None = None,
-    ks=None,
+    ks=range(2, 21, 2),
 ) -> SynthesisReport:
     """Search for a DD sequence realizing `target` up to global phase.
 
-    Tries unit counts k in increasing order; per k, random restarts of
-    gradient polish + discrete gate sweeps + iterated perturbation. Returns
-    the first sequence meeting `threshold` (further polished), otherwise the
-    best found with met_threshold=False.
+    Tries the unit counts k in `ks` in order (by default the even k from 2
+    to 20); per k, random restarts of gradient polish + discrete gate sweeps
+    + iterated perturbation. Returns the first sequence meeting `threshold`
+    (further polished), otherwise the best found with met_threshold=False.
     """
     target_name = target if isinstance(target, str) else "custom"
     if isinstance(target, str):
         target = TARGETS[target]
     if not (0 < threshold <= 1):
         raise ValueError("threshold must be in (0, 1]")
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
-    ks = list(range(2, max_k + 1, 2)) if ks is None else list(ks)
+    ks = list(ks)
     if not ks or min(ks) < 1:
-        raise ValueError(
-            f"unit counts to search must be non-empty and all >= 1, got {ks} "
-            "(without ks, the even counts 2..max_k are searched, so max_k must be >= 2)"
-        )
+        raise ValueError(f"unit counts to search must be non-empty and all >= 1, got {ks}")
 
     identity_fid = gate_fidelity(np.eye(4, dtype=complex), target)
     if identity_fid >= threshold:

@@ -2,38 +2,22 @@ import numpy as np
 import pytest
 
 from spincluster.emission import (
-    HBAR, MU_B, EmissionParams, coherence_magnitude, colour_encoding_floor,
+    EmissionParams, coherence_magnitude, colour_encoding_floor,
     dephased_state, emission_fidelity, emission_fidelity_numeric,
 )
 
 
 class TestParams:
     def test_direct_route(self):
-        p = EmissionParams(tau=1.7e-9, delta_omega=3e9)
-        assert abs(p.omega - 3e9) < 1e-3
-
-    def test_g_factor_route(self):
-        p = EmissionParams(tau=1.7e-9, delta_g=0.1, b_mag=0.5)
-        expect = 0.1 * MU_B * 0.5 / HBAR
-        assert abs(p.omega - expect) / expect < 1e-12
-
-    def test_inconsistent_routes_rejected(self):
-        with pytest.raises(ValueError):
-            EmissionParams(tau=1.7e-9, delta_omega=1e9, delta_g=0.1, b_mag=0.5)
-
-    def test_consistent_routes_accepted(self):
-        w = 0.1 * MU_B * 0.5 / HBAR
-        p = EmissionParams(tau=1.7e-9, delta_omega=w, delta_g=0.1, b_mag=0.5)
-        assert abs(p.omega - w) < 1e-6
-
-    def test_hz_convention(self):
-        p = EmissionParams(tau=1.7e-9, delta_omega=3e9 / (2 * np.pi), angular=False)
-        assert abs(p.omega - 3e9) / 3e9 < 1e-12
+        # delta_omega is angular (rad/s) and enters as delta_omega * tau, with
+        # no 2 pi: at delta_omega = 1 / tau the coherence drops by 1/sqrt(2)
+        p = EmissionParams(tau=1.7e-9, delta_omega=1 / 1.7e-9)
+        assert abs(coherence_magnitude(p) - 0.5 / np.sqrt(2)) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EmissionParams(tau=0.0, delta_omega=1e9)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             EmissionParams(tau=1e-9)
         with pytest.raises(ValueError):
             EmissionParams(tau=1e-9, delta_omega=-1e9)

@@ -7,10 +7,7 @@ references here do neither: they build every noisy unit from its free
 propagators, pi pulses and per-segment electron z rotations, and step one
 trajectory at a time through `apply_gate` and `emit_photon`. The corrected
 completion applies each Pauli correction as one index flip and one phase
-vector; the reference applies it as one 2x2 matrix per photon wire. Gates and
-projections on density matrices, applied by the package as two passes over
-rho's rows and columns, are checked against the full 2^n-square operator
-built from Kronecker products.
+vector; the reference applies it as one 2x2 matrix per photon wire.
 
 The bath enters a free segment as one electron z rotation by the
 integrated phase after the noiseless propagator. The reference for that
@@ -24,7 +21,6 @@ contraction. The references build each unit from free propagators, keep
 explicit lists of partial products for the objective, and evaluate each
 candidate as a full sequence.
 """
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -37,8 +33,7 @@ from spincluster.protocol import (
     emit_photon, find_corrections,
 )
 from spincluster.states import (
-    I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, photon,
-    project_measure, rz,
+    I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, rz,
 )
 from spincluster.synthesis import (
     _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
@@ -221,69 +216,6 @@ def test_trajectory_too_short(siv):
     s = QuantumState(np.array([1, 0, 0, 0], complex), (electron(), nuclear(0)))
     with pytest.raises(ValueError):
         apply_noise_segment(s, np.zeros(5), h, t=1e-8, dt=1e-9)
-
-
-def kron_embed(u, targets, n):
-    """The k-qubit matrix u on `targets` (targets[0] the most significant bit
-    of u's index) as a 2^n-square matrix: a sum over u's entries of
-    Kronecker products of one-wire factors."""
-    k = len(targets)
-    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for a, b in np.ndindex(2 ** k, 2 ** k):
-        factors = []
-        for wire in range(n):
-            if wire in targets:
-                shift = k - 1 - targets.index(wire)
-                f = np.zeros((2, 2))
-                f[(a >> shift) & 1, (b >> shift) & 1] = 1.0
-                factors.append(f)
-            else:
-                factors.append(I2)
-        full += u[a, b] * reduce(np.kron, factors)
-    return full
-
-
-def random_mixed_state(rng, n):
-    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-    rho = a @ a.conj().T
-    return QuantumState(rho / np.trace(rho).real, tuple(photon(i) for i in range(n)))
-
-
-@pytest.mark.parametrize("n,targets", [
-    (1, [0]), (2, [1]), (2, [0, 1]), (2, [1, 0]), (3, [2, 0]), (3, [1]),
-    (4, [0, 3]), (4, [3, 1]), (4, [2]),
-])
-def test_mixed_apply_gate_matches_kron_embedding(n, targets):
-    rng = np.random.default_rng(10 * n + sum(targets))
-    state = random_mixed_state(rng, n)
-    k = len(targets)
-    u, _ = np.linalg.qr(rng.normal(size=(2 ** k, 2 ** k))
-                        + 1j * rng.normal(size=(2 ** k, 2 ** k)))
-    big = kron_embed(u, targets, n)
-    out = apply_gate(state, u, targets)
-    assert not out.pure
-    assert np.max(np.abs(out.data - big @ state.data @ big.conj().T)) <= 1e-12
-
-
-# outcome m of a measurement in each basis projects onto column m
-BASIS_KETS = {
-    "z": np.eye(2, dtype=complex),
-    "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-}
-
-
-@pytest.mark.parametrize("basis", sorted(BASIS_KETS))
-@pytest.mark.parametrize("n,wire", [(1, 0), (2, 1), (3, 0), (4, 2)])
-def test_mixed_project_measure_matches_kron_embedding(n, wire, basis):
-    state = random_mixed_state(np.random.default_rng(n + wire), n)
-    for m in (0, 1):
-        ket = BASIS_KETS[basis][:, m]
-        big = kron_embed(np.outer(ket, ket.conj()), [wire], n)
-        p = np.trace(big @ state.data).real
-        got, out, prob = project_measure(state, wire, basis, outcome=m)
-        assert got == m and abs(prob - p) <= 1e-12
-        assert np.max(np.abs(out.data - big @ state.data @ big / p)) <= 1e-12
 
 
 def unit_and_derivative(tau, compiler):

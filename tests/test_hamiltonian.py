@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from spincluster.hamiltonian import (
-    GAMMA_N_SI29, PrecessionAxes, RotatingFrameParams, SecularApproximationWarning,
-    SpinSystemParams, evolve, free_hamiltonian, precession_axes, propagator,
-    propagator_expm, resonance_spacing, rotating_hamiltonian,
+    GAMMA_N_SI29, PrecessionAxes, SecularApproximationWarning, SpinSystemParams,
+    evolve, free_hamiltonian, precession_axes, propagator, propagator_expm,
+    resonance_spacing,
 )
 from spincluster.states import I2, QuantumState, X, Y, Z, electron, nuclear
 
 
-def _kron_oracle(p, delta=0.0, include_a_perp=False):
+def _kron_oracle(p, include_a_perp=False):
     # independent construction, term by term, for cross-checking
     bx, by, bz = p.b_field
-    h = delta * np.kron(Z, I2) / 2
-    h = h + p.omega_rabi * np.kron(X, I2) / 2
-    h = h + p.a_par * np.kron(Z, Z) / 4
+    h = p.a_par * np.kron(Z, Z) / 4
     h = h + p.gamma_n * (bx * np.kron(I2, X) + by * np.kron(I2, Y) + bz * np.kron(I2, Z)) / 2
     if include_a_perp:
         h = h + p.a_perp * (np.kron(X, X) + np.kron(Y, Y)) / 4
@@ -25,32 +23,34 @@ def _kron_oracle(p, delta=0.0, include_a_perp=False):
 
 class TestHamiltonianMatrix:
     def test_matches_independent_construction(self, siv):
-        h = rotating_hamiltonian(siv, RotatingFrameParams(delta=2e6))
-        np.testing.assert_allclose(h, _kron_oracle(siv, delta=2e6), atol=1e-3)
+        for a_perp in (False, True):
+            h = free_hamiltonian(siv, include_a_perp=a_perp)
+            np.testing.assert_allclose(h, _kron_oracle(siv, a_perp), atol=1e-3)
 
     def test_hermitian(self, siv):
-        h = rotating_hamiltonian(siv, include_a_perp=True)
+        h = free_hamiltonian(siv, include_a_perp=True)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-6)
 
     def test_axial_field_is_diagonal(self):
         p = SpinSystemParams(a_par=70e6, b_field=(0.0, 0.0, 0.6))
-        h = rotating_hamiltonian(p)
+        h = free_hamiltonian(p)
         np.testing.assert_allclose(h, np.diag(np.diag(h)), atol=1e-9)
 
     def test_decoupled_limit(self):
-        # vanishing hyperfine and nuclear Zeeman: only the drive terms remain
-        p = SpinSystemParams(a_par=1e-6, gamma_n=0.0, omega_rabi=5e6)
-        h = rotating_hamiltonian(p, RotatingFrameParams(delta=3e6))
-        expect = 3e6 * np.kron(Z, I2) / 2 + 5e6 * np.kron(X, I2) / 2
+        # vanishing hyperfine: only the nuclear Zeeman term remains, and it
+        # leaves the electron alone
+        p = SpinSystemParams(a_par=1e-6, b_field=(0.3, 0.0, 0.6))
+        h = free_hamiltonian(p)
+        expect = GAMMA_N_SI29 * np.kron(I2, 0.3 * X + 0.6 * Z) / 2
         np.testing.assert_allclose(h, expect, atol=1e-3)
 
     def test_eigenvalues_axial(self):
-        # diagonal case: E(ms, mi) = delta*ms/2 + A*ms*mi/4 + gn*Bz*mi/2
-        a, gn, bz, delta = 70e6, -8.465e6, 0.6, 1e6
+        # diagonal case: E(ms, mi) = A*ms*mi/4 + gn*Bz*mi/2
+        a, gn, bz = 70e6, -8.465e6, 0.6
         p = SpinSystemParams(a_par=a, gamma_n=gn, b_field=(0.0, 0.0, bz))
-        h = rotating_hamiltonian(p, RotatingFrameParams(delta=delta))
+        h = free_hamiltonian(p)
         expect = sorted(
-            delta * ms / 2 + a * ms * mi / 4 + gn * bz * mi / 2
+            a * ms * mi / 4 + gn * bz * mi / 2
             for ms in (+1, -1) for mi in (+1, -1)
         )
         np.testing.assert_allclose(np.linalg.eigvalsh(h), expect, rtol=1e-12)
@@ -72,34 +72,21 @@ class TestHamiltonianMatrix:
         with pytest.warns(SecularApproximationWarning):
             with warnings.catch_warnings():
                 warnings.simplefilter("always")
-                rotating_hamiltonian(siv)
+                free_hamiltonian(siv)
 
     def test_no_warning_for_small_transverse_field(self):
         p = SpinSystemParams(a_par=70e6, b_field=(0.01, 0.0, 0.6))
         assert p.secular_valid
         with warnings.catch_warnings():
             warnings.simplefilter("error", SecularApproximationWarning)
-            rotating_hamiltonian(p)
+            free_hamiltonian(p)
 
     def test_invalid_a_par(self):
         with pytest.raises(ValueError):
             SpinSystemParams(a_par=0.0)
 
-    def test_frame_from_params(self):
-        p = SpinSystemParams(a_par=70e6, b_field=(0.0, 0.0, 0.5),
-                             omega_mw=7.1e9)
-        rf = RotatingFrameParams.from_params(p)
-        assert abs(rf.delta - (7.1e9 - 14e9 * 0.5)) < 1e-3
-        assert RotatingFrameParams.on_resonance().delta == 0.0
-
-    def test_free_hamiltonian_drops_drive(self, siv):
-        p = SpinSystemParams(a_par=siv.a_par, a_perp=siv.a_perp,
-                             b_field=siv.b_field, omega_rabi=10e6)
-        np.testing.assert_allclose(free_hamiltonian(p),
-                                   rotating_hamiltonian(siv), atol=1e-6)
-
     def test_drive_commutator(self):
-        # with the drive off the free Hamiltonian conserves electron z
+        # with no drive term the free Hamiltonian conserves electron z
         p = SpinSystemParams(a_par=70e6, a_perp=0.0, b_field=(0.6, 0.0, 0.6))
         h = free_hamiltonian(p)
         sz = np.kron(Z, I2)
@@ -186,20 +173,20 @@ class TestResonanceSpacing:
 
 class TestPropagator:
     def test_identity_at_zero(self, siv):
-        h = rotating_hamiltonian(siv)
+        h = free_hamiltonian(siv)
         np.testing.assert_allclose(propagator(h, 0.0), np.eye(4), atol=1e-12)
 
     def test_unitary(self, siv):
-        u = propagator(rotating_hamiltonian(siv), 3.7e-8)
+        u = propagator(free_hamiltonian(siv), 3.7e-8)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
 
     def test_semigroup(self, siv):
-        h = rotating_hamiltonian(siv)
+        h = free_hamiltonian(siv)
         u = propagator(h, 2e-8) @ propagator(h, 5e-8)
         np.testing.assert_allclose(u, propagator(h, 7e-8), atol=1e-10)
 
     def test_matches_expm(self, siv):
-        h = rotating_hamiltonian(siv, include_a_perp=True)
+        h = free_hamiltonian(siv, include_a_perp=True)
         np.testing.assert_allclose(propagator(h, 1.3e-8),
                                    propagator_expm(h, 1.3e-8), atol=1e-9)
 
@@ -211,14 +198,14 @@ class TestPropagator:
 
     def test_negative_time_rejected(self, siv):
         with pytest.raises(ValueError):
-            propagator(rotating_hamiltonian(siv), -1e-9)
+            propagator(free_hamiltonian(siv), -1e-9)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             propagator(np.array([[0, 1], [0, 0]], complex), 1e-9)
 
     def test_evolve_targets(self, siv):
-        h = rotating_hamiltonian(siv)
+        h = free_hamiltonian(siv)
         s = QuantumState(np.array([1, 0, 0, 0], complex), (electron(), nuclear(0)))
         out = evolve(s, h, 5e-8)
         assert abs(np.linalg.norm(out.data) - 1) < 1e-10

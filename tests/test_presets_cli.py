@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from spincluster import cli
 from spincluster.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from spincluster.noise import OUNoise
 from spincluster.presets import (
     PRESET_DIR_ENV, load_preset, load_presets, preset_names, spin_params,
 )
@@ -98,6 +100,13 @@ class TestCLI:
         row = lines[4].split(",")
         assert abs(float(row[3]) - 1.0) < 1e-9
 
+    def test_noisy_run_needs_two_trials(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        rc = main(["run", "--trials", "1", "--output", str(out)])
+        assert rc == EXIT_USAGE
+        assert "at least 2 trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["rate", "--photons", "10", "--duration", "3e-6"]
@@ -122,11 +131,12 @@ class TestCLI:
             row = fids[6 * i:6 * i + 6]
             assert np.all(np.diff(row) <= 1e-12)
 
-    def test_figure_worker_invariance(self, tmp_path):
-        a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        base = ["figure", "fig3c", "--grid", "5"]
-        assert main(base + ["--workers", "1", "--output", str(a)]) == EXIT_OK
-        assert main(base + ["--workers", "2", "--output", str(b)]) == EXIT_OK
+    def test_figure_deterministic_bytes(self, tmp_path):
+        # fig3a runs seeded noisy trajectories: one seed, the same CSV bytes
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["figure", "fig3a", "--trials", "50"]
+        assert main(argv + ["--output", str(a)]) == EXIT_OK
+        assert main(argv + ["--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
     def test_figure_rates(self, tmp_path):
@@ -139,9 +149,13 @@ class TestCLI:
         assert abs(ten - 65.6e3) < 1e3
         assert 1e-3 < hundred < 1e-2
 
-    def test_verify_failure_injection(self, capsys):
-        # a huge injected bath strength must break the monotonicity check
-        rc = main(["verify", "--seed", "0", "--inject-b", "1e9"])
+    def test_verify_failure_injection(self, capsys, monkeypatch):
+        # a huge bath strength must break the monotonicity check
+        def strong_bath(t2_star, t2, seed=0):
+            return OUNoise(b=1e9, tau_c=1e-3, seed=seed)
+
+        monkeypatch.setattr(cli, "ou_from_coherence", strong_bath)
+        rc = main(["verify", "--seed", "0"])
         assert rc == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "FAIL protocol_noise_monotonicity" in out

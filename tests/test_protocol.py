@@ -17,7 +17,7 @@ from spincluster.protocol import (
 )
 from spincluster.states import (
     CZ, H, I2, X, Y, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
-    partial_trace, photon, state_fidelity,
+    photon, state_fidelity,
 )
 from spincluster.synthesis import DDSequence
 
@@ -72,6 +72,11 @@ class TestSchedule:
             _spec(2, 1, completion="discard")
         with pytest.raises(KeyError):
             ProtocolSpec(m=2, n=1, gate_library={"cz": CZ})
+        # a noisy run's standard error needs two trajectories
+        noise = ou_from_coherence(3e-6, 300e-6)
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 trials"):
+                _spec(2, 1, noise=noise, trials=trials)
 
     def test_wall_clock_model(self, packaged):
         lib, params, _ = packaged
@@ -122,7 +127,8 @@ class TestNoiselessRuns:
     def test_target_is_entangled(self):
         # M=2, N=1 target has entanglement across the two photons
         t = ideal_target(2, 1)
-        lam = np.linalg.eigvalsh(partial_trace(t, [0]).data)
+        # squared Schmidt values of photon 0 against the rest
+        lam = np.linalg.svd(t.data.reshape(2, -1), compute_uv=False) ** 2
         assert lam.max() < 1 - 1e-6
 
     def test_lean_and_pedagogical_targets_match_up_to_rail_order(self):

@@ -128,11 +128,9 @@ class TestSynthesize:
     def test_validation(self, siv):
         with pytest.raises(ValueError):
             synthesize("cz", siv, threshold=1.5)
-        with pytest.raises(ValueError):
-            synthesize("cz", siv, max_k=0)
-        # no unit count left to search: the default counts are the even
-        # k in 2..max_k
-        for kw in (dict(max_k=1), dict(ks=[]), dict(ks=[0]), dict(ks=[4, -2])):
+        # no unit count left to search, or one below 1
+        for kw in (dict(ks=range(2, 1, 2)), dict(ks=[]), dict(ks=[0]),
+                   dict(ks=[4, -2])):
             with pytest.raises(ValueError, match="unit counts"):
                 synthesize("cz", siv, **kw)
         with pytest.raises(KeyError):
