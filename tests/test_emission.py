@@ -14,6 +14,14 @@ class TestParams:
         p = EmissionParams(tau=1.7e-9, delta_omega=1 / 1.7e-9)
         assert abs(coherence_magnitude(p) - 0.5 / np.sqrt(2)) < 1e-12
 
+    def test_hz_convention(self):
+        # a splitting quoted in Hz enters as 2 pi f; it is stored as given
+        f, tau = 3e9 / (2 * np.pi), 1.7e-9
+        p = EmissionParams(tau=tau, delta_omega=2 * np.pi * f)
+        assert p.delta_omega == 2 * np.pi * f
+        x = 2 * np.pi * f * tau
+        assert abs(emission_fidelity(p) - np.sqrt(0.5 * (1 + 1 / np.sqrt(1 + x * x)))) < 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EmissionParams(tau=0.0, delta_omega=1e9)

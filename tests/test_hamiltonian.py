@@ -85,6 +85,14 @@ class TestHamiltonianMatrix:
         with pytest.raises(ValueError):
             SpinSystemParams(a_par=0.0)
 
+    def test_free_hamiltonian_drops_drive(self, siv):
+        # no term flips the electron but the optional a_perp flip-flop
+        h = free_hamiltonian(siv)
+        assert np.all(h[:2, 2:] == 0) and np.all(h[2:, :2] == 0)
+        h = free_hamiltonian(siv, include_a_perp=True)
+        flip_flop = siv.a_perp * (np.kron(X, X) + np.kron(Y, Y)) / 4
+        np.testing.assert_allclose(h[:2, 2:], flip_flop[:2, 2:], atol=1e-6)
+
     def test_drive_commutator(self):
         # with no drive term the free Hamiltonian conserves electron z
         p = SpinSystemParams(a_par=70e6, a_perp=0.0, b_field=(0.6, 0.0, 0.6))

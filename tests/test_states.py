@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from spincluster.protocol import emit_photon
 from spincluster.states import (
-    CZ, H, I2, SWAP, X, QuantumState, apply_gate, electron, max_pure_fidelity,
-    nuclear, photon, ry, state_fidelity,
+    CZ, H, I2, SWAP, X, QuantumState, RoleKind, apply_gate, electron,
+    max_pure_fidelity, nuclear, photon, ry, state_fidelity,
 )
 
 
@@ -79,6 +80,28 @@ class TestRoles:
     def test_noncontiguous_photons_rejected(self):
         with pytest.raises(ValueError):
             QuantumState(np.array([1, 0, 0, 0], complex), (photon(0), photon(2)))
+
+
+class TestAddPhoton:
+    # a photon joins the register through emit_photon, which appends it in
+    # |0> and copies the electron's z value onto it
+    def test_product_extension(self):
+        s = _pure([1, 0], (electron(),))
+        out = emit_photon(s)
+        assert out.wires == (electron(), photon(0))
+        np.testing.assert_allclose(out.data, [1, 0, 0, 0])
+
+    def test_norm_unchanged(self):
+        s = _pure([1, 1] / np.sqrt(2), (electron(),))
+        out = emit_photon(s)
+        assert abs(np.linalg.norm(out.data) - 1) < 1e-12
+
+    def test_photon_counting(self):
+        s = _pure([1, 0, 0, 0], (electron(), nuclear(0)))
+        for _ in range(4):
+            s = emit_photon(s)
+        assert s.n_qubits == 6
+        assert [w.index for w in s.wires if w.kind is RoleKind.PHOTON] == [0, 1, 2, 3]
 
 
 class TestFidelity:
