@@ -8,7 +8,7 @@ from .states import (
 )
 from .hamiltonian import (
     SpinSystemParams, PrecessionAxes, free_hamiltonian, precession_axes,
-    resonance_spacing, propagator, evolve,
+    resonance_spacing, propagator,
 )
 from .noise import OUNoise, ou_from_coherence, sample_trajectory
 from .synthesis import (
@@ -21,7 +21,7 @@ from .protocol import (
     packaged_gate_library,
 )
 from .clifford import lc_equivalence
-from .emission import EmissionParams, dephased_state, emission_fidelity, colour_encoding_floor
+from .emission import EmissionParams, emission_fidelity, colour_encoding_floor
 from .budget import (
     EfficiencyBudget, FidelityBudget, extrapolated_fidelity, generation_rate,
     minimize_sequence_field,

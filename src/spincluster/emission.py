@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-
-from .states import QuantumState, QubitRole, RoleKind, max_pure_fidelity
 
 
 @dataclass(frozen=True)
@@ -28,26 +25,6 @@ class EmissionParams:
             raise ValueError("delta_omega must be non-negative")
 
 
-def dephased_state(p: EmissionParams) -> QuantumState:
-    """Exponential-dwell average of |Psi(omega t)><Psi(omega t)|, by
-    adaptive quadrature (relative error < 1e-8)."""
-    x = p.delta_omega * p.tau
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = 0.5
-    if x == 0.0:
-        re, im = 0.5, 0.0
-    else:
-        # Fourier-weighted quadrature stays accurate for fast oscillation
-        re, _ = quad(lambda s: np.exp(-s) / 2, 0, np.inf,
-                     weight="cos", wvar=x, epsrel=1e-12)
-        im, _ = quad(lambda s: np.exp(-s) / 2, 0, np.inf,
-                     weight="sin", wvar=x, epsrel=1e-12)
-    rho[3, 0] = re + 1j * im
-    rho[0, 3] = np.conj(rho[3, 0])
-    wires = (QubitRole(RoleKind.ELECTRON), QubitRole(RoleKind.PHOTON, 0))
-    return QuantumState(rho, wires)
-
-
 def coherence_magnitude(p: EmissionParams) -> float:
     """Closed form |rho_03| = 1 / (2 sqrt(1 + (omega tau)^2))."""
     x = p.delta_omega * p.tau
@@ -59,11 +36,6 @@ def emission_fidelity(p: EmissionParams) -> float:
     sqrt((1 + 1/sqrt(1 + (omega tau)^2)) / 2)."""
     x = p.delta_omega * p.tau
     return float(np.sqrt(0.5 * (1.0 + 1.0 / np.sqrt(1.0 + x * x))))
-
-
-def emission_fidelity_numeric(p: EmissionParams) -> float:
-    """Quadrature + eigendecomposition path; cross-checks the closed form."""
-    return max_pure_fidelity(dephased_state(p))
 
 
 def colour_encoding_floor(p: EmissionParams) -> float:

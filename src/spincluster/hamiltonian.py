@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .states import I2, QuantumState, X, Y, Z, apply_gate
+from .states import I2, X, Y, Z
 
 # default gyromagnetic ratios (Hz/T); 29Si from standard nuclear data
 GAMMA_E_DEFAULT = 14e9
@@ -114,16 +113,3 @@ def propagator(h: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("Hamiltonian is not Hermitian")
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-2j * np.pi * vals * t)) @ vecs.conj().T
-
-
-def evolve(state: QuantumState, h: np.ndarray, t: float, targets=None) -> QuantumState:
-    """Evolve `targets` (default: all wires) under H for time t."""
-    u = propagator(h, t)
-    if targets is None:
-        targets = list(range(state.n_qubits))
-    return apply_gate(state, u, targets)
-
-
-# expm kept as an independent cross-check path for tests
-def propagator_expm(h: np.ndarray, t: float) -> np.ndarray:
-    return expm(-2j * np.pi * h * t)

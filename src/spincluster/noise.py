@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,8 @@ def fid_echo_signals(noise: OUNoise, times: np.ndarray, n_traj: int, seed: int |
 
 def fit_t2star(times: np.ndarray, signal: np.ndarray) -> float:
     """Fit exp(-(t/T2*)^2 / 2) to a free-induction decay."""
+    from scipy.optimize import curve_fit
+
     def model(t, t2s):
         return np.exp(-(t / t2s) ** 2 / 2)
     popt, _ = curve_fit(model, times, signal, p0=[times[len(times) // 2]])
@@ -158,6 +159,8 @@ def fit_t2star(times: np.ndarray, signal: np.ndarray) -> float:
 
 def fit_t2_hahn(times: np.ndarray, signal: np.ndarray) -> float:
     """Fit exp(-(t/T2)^3 / 2) to a Hahn-echo decay."""
+    from scipy.optimize import curve_fit
+
     def model(t, t2):
         return np.exp(-(t / t2) ** 3 / 2)
     popt, _ = curve_fit(model, times, signal, p0=[times[len(times) // 2]])

@@ -11,7 +11,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import CZ, I2, SWAP, rx, ry, rz
 from .hamiltonian import SpinSystemParams, free_hamiltonian, resonance_spacing
@@ -54,8 +53,8 @@ class DDSequence:
     def __post_init__(self):
         if len(self.electron_gates) != len(self.tau_f) + 1:
             raise ValueError("need exactly k+1 electron gate labels")
-        if any(t <= 0 for t in self.tau_f):
-            raise ValueError("all spacings must be positive")
+        if not all(np.isfinite(t) and t > 0 for t in self.tau_f):
+            raise ValueError(f"all spacings must be finite and positive, got {self.tau_f}")
         for g in self.electron_gates:
             if g not in ELECTRON_GATES:
                 raise ValueError(f"unknown electron gate {g!r}")
@@ -206,6 +205,14 @@ def _fidelity_and_gradient(taus, gates, target, compiler):
 _FTOL = 1e-12
 
 
+def minimize(fun, x0, **kw):
+    """scipy.optimize.minimize, imported on first use so that the package
+    loads no scipy for runs that only simulate."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kw)
+
+
 def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
     gates = _gate_stack(gate_names)
 
@@ -286,15 +293,21 @@ def synthesize(
     ks = list(ks)
     if not ks or min(ks) < 1:
         raise ValueError(f"unit counts to search must be non-empty and all >= 1, got {ks}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
 
     identity_fid = gate_fidelity(np.eye(4, dtype=complex), target)
     if identity_fid >= threshold:
         seq = DDSequence((), ("I",))
         return SynthesisReport(seq, identity_fid, 0, target_name, True)
 
-    compiler = UnitCompiler(p)
     if ub is None:
         ub = 0.7 * resonance_spacing(p, 1, "unconditional")
+    if lb >= ub:
+        raise ValueError(f"spacing bounds reversed: lb = {lb} >= ub = {ub}")
+    compiler = UnitCompiler(p)
     rng = np.random.default_rng(seed)
     best_f, best_x, best_names = 0.0, None, None
     evals = 0

@@ -11,12 +11,11 @@ import sys
 import numpy as np
 import pytest
 
+from references import emission_fidelity_numeric
 from spincluster.budget import (
     EfficiencyBudget, FidelityBudget, extrapolated_fidelity, generation_rate,
 )
-from spincluster.emission import (
-    EmissionParams, emission_fidelity, emission_fidelity_numeric,
-)
+from spincluster.emission import EmissionParams, emission_fidelity
 from spincluster.noise import (
     OUNoise, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
 )

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from references import dephased_state, emission_fidelity_numeric
 from spincluster.emission import (
-    EmissionParams, coherence_magnitude, colour_encoding_floor,
-    dephased_state, emission_fidelity, emission_fidelity_numeric,
+    EmissionParams, coherence_magnitude, colour_encoding_floor, emission_fidelity,
 )
 
 

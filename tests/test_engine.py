@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spincluster.hamiltonian import evolve, free_hamiltonian, propagator
+from references import evolve
+from spincluster.hamiltonian import free_hamiltonian, propagator
 from spincluster.noise import ou_from_coherence
 from spincluster.protocol import (
     RY_PROTO, ProtocolSpec, _complete, _execute, _sample_phases, build_schedule,

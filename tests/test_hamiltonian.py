@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from references import evolve, propagator_expm
 from spincluster.hamiltonian import (
     GAMMA_N_SI29, PrecessionAxes, SecularApproximationWarning, SpinSystemParams,
-    evolve, free_hamiltonian, precession_axes, propagator, propagator_expm,
-    resonance_spacing,
+    free_hamiltonian, precession_axes, propagator, resonance_spacing,
 )
 from spincluster.states import I2, QuantumState, X, Y, Z, electron, nuclear
 

@@ -10,8 +10,15 @@ re-exports. A top-level `def _name` or `class _Name` must be read, as a name
 or an attribute, in some module of the package. A name assigned in a function
 must be read in that function or in a function nested in it, unless it
 starts with `_`.
+
+scipy serves only gate synthesis, the coherence fits and the local-Clifford
+check, so a fresh interpreter that imports the package and runs trajectories,
+`run` and `figure fig3b` must not load it.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,3 +164,32 @@ def test_check_flags_an_unseeded_generator():
         "d = default_rng(seed=None)\n"
     )
     assert unseeded_generators(src) == ["line 3", "line 5"]
+
+
+# a noisy lean 2x1 run on the packaged gates with component fidelities, then
+# `run` and `figure fig3b`, in a fresh interpreter
+COLD_PATH = """
+import os, sys
+import spincluster
+from spincluster import cli, noise, protocol
+
+lib, params, _ = protocol.packaged_gate_library()
+spec = protocol.ProtocolSpec(
+    m=2, n=1, gate_library=lib, params=params, style="lean", trials=20, seed=1,
+    noise=noise.ou_from_coherence(3e-6, 300e-6, seed=1),
+)
+protocol.run(spec, components=True)
+assert cli.main(["run", "--trials", "20", "--output", os.devnull]) == 0
+assert cli.main(["figure", "fig3b", "--trials", "20", "--output", os.devnull]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_simulation_path_loads_no_scipy():
+    src = str(Path(spincluster.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", COLD_PATH],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

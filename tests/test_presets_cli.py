@@ -75,6 +75,15 @@ class TestCLI:
         assert "unit counts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_synthesize_without_restarts_exit_code(self, tmp_path, capsys, restarts):
+        out = tmp_path / "cz.ddseq"
+        rc = main(["synthesize", "--target", "cz", "--restarts", restarts,
+                   "--output", str(out)])
+        assert rc == EXIT_USAGE
+        assert "restarts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synthesize_below_threshold(self, tmp_path):
         # an unattainably tight threshold with a tiny search must report
         # failure through the exit code but still write the best sequence

@@ -67,6 +67,9 @@ class TestDDUnit:
             DDSequence((-1e-8,), ("I", "I"))
         with pytest.raises(ValueError):
             DDSequence((1e-8,), ("I", "Hadamard"))
+        for tau in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DDSequence((1e-8, tau), ("I", "I", "I"))
 
 
 class TestGateFidelity:
@@ -135,6 +138,31 @@ class TestSynthesize:
                 synthesize("cz", siv, **kw)
         with pytest.raises(KeyError):
             synthesize("toffoli", siv)
+        # no search at all, or a negative number of perturbation hops
+        for kw, match in ((dict(restarts=0), "restarts"), (dict(restarts=-3), "restarts"),
+                          (dict(hops=-1), "hops")):
+            with pytest.raises(ValueError, match=match):
+                synthesize("rz90_nuclear", siv, ks=[4], **kw)
+        # reversed or empty spacing bounds, the default ub included (0.7 of
+        # the first unconditional resonance spacing); the message names both
+        ub = 0.7 * resonance_spacing(siv, 1, "unconditional")
+        for lb, ub_kw, shown in ((5e-8, 2e-8, "lb = 5e-08 >= ub = 2e-08"),
+                                 (3e-8, 3e-8, "lb = 3e-08 >= ub = 3e-08"),
+                                 (ub, None, f"lb = {ub} >= ub = {ub}")):
+            with pytest.raises(ValueError, match=shown):
+                synthesize("rz90_nuclear", siv, ks=[4], lb=lb, ub=ub_kw)
+
+    def test_minimize_forwards_to_scipy(self, siv, monkeypatch):
+        # the package's minimize imports scipy's on first call and hands on
+        # every argument; the search is the same as with scipy's directly
+        from scipy.optimize import minimize as scipy_minimize
+
+        kw = dict(threshold=0.99, ks=[4], restarts=2, hops=2, seed=5)
+        assert callable(synthesis.minimize)
+        forwarded = synthesize("rz90_nuclear", siv, **kw)
+        monkeypatch.setattr(synthesis, "minimize", scipy_minimize)
+        direct = synthesize("rz90_nuclear", siv, **kw)
+        assert forwarded == direct
 
     def test_duration_limit_respected(self, siv):
         rep = synthesize("rz90_nuclear", siv, threshold=0.9, ks=[4],
@@ -199,6 +227,15 @@ class TestSerialization:
         text = serialize_sequence(SynthesisReport(seq, 1.0, 0, "custom", True), siv)
         bad = text.replace("format_version 1", "format_version 99")
         with pytest.raises(ValueError):
+            deserialize_sequence(bad)
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_spacing_rejected(self, siv, tau):
+        seq = DDSequence((1e-8,), ("I", "I"))
+        text = serialize_sequence(SynthesisReport(seq, 1.0, 0, "custom", True), siv)
+        unit = next(ln for ln in text.splitlines() if ln.startswith("unit "))
+        bad = text.replace(unit, f"unit {tau} I")
+        with pytest.raises(ValueError, match="finite"):
             deserialize_sequence(bad)
 
 
