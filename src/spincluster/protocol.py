@@ -405,7 +405,8 @@ def _complete(amps, spec, corrections, rng):
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     index = np.arange(vecs.shape[1])
     outcome_bits = list(np.ndindex(*(2,) * m))
-    for o in np.unique(outcome):
+    # bincount, not np.unique: that loads numpy.ma (1.2 MB) on first use
+    for o in np.flatnonzero(np.bincount(outcome)):
         locals_ = corrections.get(outcome_bits[o])
         if locals_ is None:
             raise RuntimeError(

@@ -135,16 +135,40 @@ def rz(theta: float) -> np.ndarray:
     )
 
 
+# One GEMM for a shared matrix pays two transposing copies to save one small
+# GEMM call per row. With single-threaded OpenBLAS on a 2-core x86-64 VM it
+# was faster from about 10 rows while each row holds at most 32 amplitudes
+# per matrix index; at 128 the copies cost more than the calls they save.
+# Below 4 amplitudes the per-row product runs another BLAS kernel, whose
+# last bits differ from the GEMM's.
+_GEMM_MIN_ROWS = 16
+_GEMM_SPANS = range(4, 33)
+
+
 def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Apply a 2^k x 2^k matrix, or a (T, 2^k, 2^k) stack of them, to the
-    given wires of every row of a (T, 2^n) batch of vectors."""
-    k = len(targets)
-    src = [1 + t for t in targets]
-    dst = list(range(1, k + 1))
-    psi = np.moveaxis(vecs.reshape([-1] + [2] * n), src, dst)
-    psi = u @ psi.reshape(len(vecs), 2 ** k, -1)
-    psi = np.moveaxis(psi.reshape([-1] + [2] * n), dst, src)
-    return psi.reshape(len(psi), -1)
+    given wires of every row of a (T, 2^n) batch of vectors.
+
+    Targets that are already the leading wires need no axis moves. A shared
+    2-D matrix on short rows is one GEMM over all T rows rather than T
+    small ones, on the spans where that is faster and bit for bit the
+    stacked product."""
+    k, rows = len(targets), len(vecs)
+    leading = list(targets) == list(range(k))
+    if leading:
+        psi = vecs.reshape(rows, 2 ** k, -1)
+    else:
+        src = [1 + t for t in targets]
+        dst = list(range(1, k + 1))
+        psi = np.moveaxis(vecs.reshape([-1] + [2] * n), src, dst).reshape(rows, 2 ** k, -1)
+    if np.ndim(u) == 2 and rows >= _GEMM_MIN_ROWS and psi.shape[2] in _GEMM_SPANS:
+        psi = u @ psi.transpose(1, 0, 2).reshape(2 ** k, -1)
+        psi = psi.reshape(2 ** k, rows, -1).transpose(1, 0, 2)
+    else:
+        psi = u @ psi
+    if not leading:
+        psi = np.moveaxis(psi.reshape([-1] + [2] * n), dst, src)
+    return psi.reshape(rows, -1)
 
 
 def apply_gate(state: QuantumState, u: np.ndarray, targets: Sequence[int]) -> QuantumState:

@@ -144,23 +144,34 @@ def noisy_sequence_unitary(seq: DDSequence, compiler: UnitCompiler, phases: np.n
 
     The bath term commutes with the electron-diagonal free Hamiltonian and
     Pi D(b) = D(-b) Pi, so the three rotations of unit i fold exactly into
-    one, D(phi_1 - phi_2 + phi_3), applied after the noiseless unit."""
+    one, D(phi_1 - phi_2 + phi_3), applied after the noiseless unit.
+
+    The running products of all T trajectories are held as one (4, T, 4)
+    array, row a of every product side by side, so each unit is one
+    (4, 4) @ (4, 4T) GEMM and its bath rotation a scaling of row a by
+    dephase[a, t]. That is the same arithmetic, element for element, as T
+    separate 4x4 products, without T calls."""
     phases = np.asarray(phases, float)
-    half = np.exp(-0.5j * (phases[..., 0::3] - phases[..., 1::3] + phases[..., 2::3]))
-    dephase = np.stack([half, half, half.conj(), half.conj()], axis=-1)[..., None]
+    lead = phases.shape[:-1]
+    t = int(np.prod(lead))
+    rows = phases.reshape(t, phases.shape[-1])  # reshape(-1, 0) cannot size (T, 0)
+    half = np.exp(-0.5j * (rows[:, 0::3] - rows[:, 1::3] + rows[:, 2::3])).T
+    dephase = np.stack([half, half, half.conj(), half.conj()], axis=1)[..., None]
     factors = compiler.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
-    u = np.broadcast_to(np.eye(4, dtype=complex), phases.shape[:-1] + (4, 4))
-    for i, f in enumerate(factors):
-        u = dephase[..., i, :, :] * (f @ u)
-    return _GATE_4X4[seq.electron_gates[-1]] @ u
+    u = np.broadcast_to(np.eye(4, dtype=complex)[:, None, :], (4, t, 4))
+    for f, d in zip(factors, dephase):
+        u = d * (f @ u.reshape(4, 4 * t)).reshape(4, t, 4)
+    u = (_GATE_4X4[seq.electron_gates[-1]] @ u.reshape(4, 4 * t)).reshape(4, t, 4)
+    return np.ascontiguousarray(u.transpose(1, 0, 2)).reshape(lead + (4, 4))
 
 
 def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
-    """|Tr(target^dag u)| / d -- global-phase-invariant overlap."""
+    """|Tr(target^dag u)| / d -- global-phase-invariant overlap, clipped to
+    1, which rounding can exceed by a few ulps for a near-perfect gate."""
     if u.shape != target.shape:
         raise ValueError("dimension mismatch")
     d = u.shape[0]
-    return float(abs(np.trace(target.conj().T @ u)) / d)
+    return min(float(abs(np.trace(target.conj().T @ u)) / d), 1.0)
 
 
 # ------------------------------------------------------------ optimization
@@ -307,6 +318,11 @@ def synthesize(
         ub = 0.7 * resonance_spacing(p, 1, "unconditional")
     if lb >= ub:
         raise ValueError(f"spacing bounds reversed: lb = {lb} >= ub = {ub}")
+    start_lo, start_hi = max(lb, 2e-11), 0.75 * ub
+    if start_lo > start_hi:
+        raise ValueError(
+            f"no random starts between lb = {lb} and ub = {ub}: the start interval "
+            f"[max(lb, 2e-11), 0.75 ub] = [{start_lo}, {start_hi}] is empty")
     compiler = UnitCompiler(p)
     rng = np.random.default_rng(seed)
     best_f, best_x, best_names = 0.0, None, None
@@ -318,7 +334,7 @@ def synthesize(
     for k in ks:
         for _ in range(restarts):
             names = ["I"] + [_GATE_NAMES[rng.integers(len(_GATE_NAMES))] for _ in range(k)]
-            x = rng.uniform(max(lb, 2e-11), 0.75 * ub, size=k)
+            x = rng.uniform(start_lo, start_hi, size=k)
             x, f, ne = _polish(x, names, target, compiler, lb, ub)
             evals += ne
             names, _, ne = _discrete_sweep(x, names, target, compiler, rng)

@@ -64,6 +64,7 @@ CRITERION_3_JOBS = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_3_gate_synthesis(siv, packaged):
     """Fresh deterministic synthesis reaches >= 0.999 unitary fidelity for cz
     and swap within a factor 2 of microsecond-scale durations, and the
@@ -172,6 +173,7 @@ def test_criterion_8_emission_fidelity():
                    f"F(working point)={fwp:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_cli_verify():
     """The command-line invariant suite passes end to end in a fresh
     process."""

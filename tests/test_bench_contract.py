@@ -48,6 +48,7 @@ def test_traced_noisy_run_reaches_the_protocol_layers(packaged):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_builds(workload):
     # a fresh interpreter, as run.py times set-up; nothing is imported here

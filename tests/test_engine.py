@@ -14,6 +14,11 @@ integrated phase after the noiseless propagator. The reference for that
 insertion steps the Hamiltonian plus the sampled field B(t) sigma_z / 2 in
 piecewise-constant slices.
 
+The noisy gates of all trajectories are assembled with one GEMM per DD
+unit, and a shared matrix on short rows is applied with one GEMM over all
+rows. The per-trajectory forms in `references.py` do the same arithmetic
+one 4x4 product at a time, so the two must agree bit for bit.
+
 Synthesis builds all DD units and their spacing derivatives in one
 eigenbasis pass, takes the objective's gradient from prefix and suffix
 environments, and prices every candidate gate of the discrete sweep with one
@@ -26,7 +31,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from references import evolve
+from references import apply_matrix_vec_moveaxis, evolve, noisy_sequence_unitary_stacked
+from spincluster import protocol
 from spincluster.hamiltonian import free_hamiltonian, propagator
 from spincluster.noise import ou_from_coherence
 from spincluster.protocol import (
@@ -77,10 +83,61 @@ def test_noisy_unitary_matches_three_phase_product(packaged, name):
 
 def test_noisy_unitary_without_units(packaged):
     _, params, _ = packaged
-    seq = DDSequence((), ("Rx90",))
-    u = noisy_sequence_unitary(seq, UnitCompiler(params), np.zeros((3, 0)))
+    seq, compiler = DDSequence((), ("Rx90",)), UnitCompiler(params)
+    u = noisy_sequence_unitary(seq, compiler, np.zeros((3, 0)))
     assert u.shape == (3, 4, 4)
     np.testing.assert_allclose(u[1], np.kron(ELECTRON_GATES["Rx90"], I2))
+    assert np.array_equal(u, noisy_sequence_unitary_stacked(seq, compiler, np.zeros((3, 0))))
+
+
+@pytest.mark.parametrize("name", ["swap", "cz"])
+@pytest.mark.parametrize("shape", [(1,), (7,), (200,), ()], ids=["T1", "T7", "T200", "1d"])
+def test_noisy_unitary_bit_identical_to_stacked_products(packaged, name, shape):
+    # one GEMM per unit over all trajectories does each trajectory's 4x4
+    # product with the same arithmetic, so not one bit may move
+    lib, params, _ = packaged
+    seq, compiler = lib[name], UnitCompiler(params)
+    phases = np.random.default_rng(5).normal(0.0, 1.0, size=shape + (3 * seq.k,))
+    got = noisy_sequence_unitary(seq, compiler, phases)
+    ref = noisy_sequence_unitary_stacked(seq, compiler, phases)
+    assert got.shape == ref.shape == shape + (4, 4)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_noisy_run_unchanged_by_gate_assembly(packaged, monkeypatch, seed):
+    # a noisy lean 2x2 run at the Fig. 3b working point, with the stacked
+    # reference assembling every DD gate instead
+    lib, params, _ = packaged
+    spec = ProtocolSpec(
+        m=2, n=2, gate_library=lib, params=params, style="lean", trials=200, seed=seed,
+        noise=ou_from_coherence(3e-6, 300e-6, seed=seed),
+    )
+    fields = ("fidelity", "fidelity_se", "prep_fidelity", "block_fidelity")
+    got = protocol.run(spec, components=True)
+    monkeypatch.setattr(protocol, "noisy_sequence_unitary", noisy_sequence_unitary_stacked)
+    ref = protocol.run(spec, components=True)
+    for field in fields:
+        assert getattr(got, field) == getattr(ref, field), field
+
+
+@pytest.mark.parametrize("rows", [1, 15, 16, 200])
+@pytest.mark.parametrize("n,targets", [
+    (2, [0]), (3, [0]), (6, [0]), (7, [0]), (8, [0]), (6, [0, 1]), (7, [0, 1]),
+    (4, [2]), (6, [3, 1]), (5, [2, 0, 4]),
+])
+def test_apply_matrix_vec_bit_identical_to_moveaxis(rows, n, targets):
+    # leading targets skip the axis moves, and a shared matrix on short rows
+    # is one GEMM; neither may move a bit, whether the matrix is shared or
+    # one per row
+    rng = np.random.default_rng(6)
+    k = len(targets)
+    vecs = rng.normal(size=(rows, 2 ** n)) + 1j * rng.normal(size=(rows, 2 ** n))
+    for u in (rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k)),
+              rng.normal(size=(rows, 2 ** k, 2 ** k)) + 0.5j):
+        got = _apply_matrix_vec(vecs, u, targets, n)
+        assert np.array_equal(got, apply_matrix_vec_moveaxis(vecs, u, targets, n))
 
 
 def test_executor_matches_per_trajectory_loop(packaged):

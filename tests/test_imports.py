@@ -13,7 +13,7 @@ starts with `_`.
 
 scipy serves only gate synthesis, the coherence fits and the local-Clifford
 check, so a fresh interpreter that imports the package and runs trajectories,
-`run` and `figure fig3b` must not load it.
+`noisy_gate_fidelity`, `run` and `figure fig3b` must not load it.
 """
 import ast
 import os
@@ -166,25 +166,29 @@ def test_check_flags_an_unseeded_generator():
     assert unseeded_generators(src) == ["line 3", "line 5"]
 
 
-# a noisy lean 2x1 run on the packaged gates with component fidelities, then
-# `run` and `figure fig3b`, in a fresh interpreter
+# a noisy lean 2x1 run on the packaged gates with component fidelities, the
+# packaged CZ's noisy gate fidelity, then `run` and `figure fig3b`, in a
+# fresh interpreter
 COLD_PATH = """
 import os, sys
 import spincluster
-from spincluster import cli, noise, protocol
+from spincluster import cli, noise, protocol, synthesis
 
 lib, params, _ = protocol.packaged_gate_library()
+bath = noise.ou_from_coherence(3e-6, 300e-6, seed=1)
 spec = protocol.ProtocolSpec(
     m=2, n=1, gate_library=lib, params=params, style="lean", trials=20, seed=1,
-    noise=noise.ou_from_coherence(3e-6, 300e-6, seed=1),
+    noise=bath,
 )
 protocol.run(spec, components=True)
+synthesis.noisy_gate_fidelity(lib["cz"], params, bath)
 assert cli.main(["run", "--trials", "20", "--output", os.devnull]) == 0
 assert cli.main(["figure", "fig3b", "--trials", "20", "--output", os.devnull]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+@pytest.mark.slow
 def test_simulation_path_loads_no_scipy():
     src = str(Path(spincluster.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

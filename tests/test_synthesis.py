@@ -6,7 +6,7 @@ import pytest
 from spincluster import synthesis
 from spincluster.hamiltonian import resonance_spacing
 from spincluster.noise import OUNoise
-from spincluster.states import CZ, I2, SWAP, Z, rz
+from spincluster.states import CZ, I2, SWAP, Z, rx, rz
 from spincluster.synthesis import (
     DDSequence, SynthesisReport, TARGETS, UnitCompiler, dd_unit, deserialize_sequence,
     gate_fidelity, noisy_gate_fidelity, sequence_unitary, serialize_sequence,
@@ -87,6 +87,11 @@ class TestGateFidelity:
         with pytest.raises(ValueError):
             gate_fidelity(np.eye(2, dtype=complex), CZ)
 
+    def test_clipped_to_one(self):
+        # |Tr(U^dag U)| / 4 of this U rounds to 1 + 2e-16
+        u = np.kron(rx(0.1), rz(0.2))
+        assert gate_fidelity(u, u) <= 1.0
+
 
 class TestPackagedSequences:
     @pytest.mark.parametrize("name", ["cz", "swap", "rx90_nuclear", "rz90_nuclear"])
@@ -98,6 +103,13 @@ class TestPackagedSequences:
         assert abs(f - report.unitary_fidelity) < 1e-12
         assert report.met_threshold
         assert f >= 0.999
+
+    @pytest.mark.parametrize("name", ["cz", "swap"])
+    def test_replay_fidelity_at_most_one(self, name):
+        # the CZ file stores 1 + 4e-16 from the search's own rounding
+        report, p = deserialize_sequence(_packaged_text(name))
+        u = sequence_unitary(report.sequence, UnitCompiler(p))
+        assert gate_fidelity(u, TARGETS[name]) <= 1.0
 
     def test_durations_within_bounds(self):
         cz_rep, _ = deserialize_sequence(_packaged_text("cz"))
@@ -151,6 +163,11 @@ class TestSynthesize:
                                  (ub, None, f"lb = {ub} >= ub = {ub}")):
             with pytest.raises(ValueError, match=shown):
                 synthesize("rz90_nuclear", siv, ks=[4], lb=lb, ub=ub_kw)
+        # lb < ub, but the random starts, drawn from [max(lb, 2e-11), 0.75 ub],
+        # have no room; the message names the bounds and the interval
+        with pytest.raises(ValueError, match=r"lb = 5e-08 and ub = 6e-08.*"
+                                             r"\[5e-08, 4\.49+\d*e-08\] is empty"):
+            synthesize("rz90_nuclear", siv, ks=[4], restarts=1, lb=5e-8, ub=6e-8)
 
     def test_minimize_forwards_to_scipy(self, siv, monkeypatch):
         # the package's minimize imports scipy's on first call and hands on
