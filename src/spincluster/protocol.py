@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -84,10 +84,23 @@ class ProtocolSpec:
                 raise KeyError(f"gate library is missing {g!r}")
 
 
+def _refuse_past_memory(need: int, what: str):
+    """Raise ValueError if `what` needs more bytes than the physical memory."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"{what} needs {need} B, more than the {have} B of physical memory")
+
+
 @dataclass
 class ProtocolResult:
-    """Outcome of `run`: the completed vectors (T, 2^(MN)) and weights (T,)."""
-    vectors: np.ndarray
+    """Outcome of `run`: fidelity, its SE and the trajectory weights (T,).
+
+    `run` never holds a photonic state. The completed photonic vectors
+    `vectors` (T, 2^(MN)) are rebuilt by the dense executor from the stored
+    bath phases and sampled completion outcomes when first read, so they are
+    the trajectories F was computed from. Reading them, or `photonic_state`,
+    raises ValueError before allocating if the array needs more bytes than
+    the machine's physical memory."""
     weights: np.ndarray
     mixed: bool
     fidelity: float
@@ -97,19 +110,30 @@ class ProtocolResult:
     wall_clock_model: float
     postselect_probability: float
     trials: int
+    # (spec, compiler, phases, outcomes, corrections): what rebuilds `vectors`
+    replay: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        spec, compiler, phases, outcomes, corrections = self.replay
+        # the executor holds two batches at once while it emits
+        _refuse_past_memory(
+            2 * 16 * len(outcomes) * 2 ** (spec.m * (spec.n + 1)), "the trajectory batch"
+        )
+        amps = _execute(spec, build_schedule(spec), compiler, phases)
+        return _branch_vectors(amps, spec, outcomes, corrections)
 
     @cached_property
     def photonic_state(self) -> QuantumState:
         """The normalised vector of a noiseless run; the mixture V^T V*/sum w
-        of a noisy one, built when first read and refused (ValueError) before
-        allocation if it needs more bytes than the machine's physical memory."""
-        vecs, wires = self.vectors, _photon_wires(self.vectors.shape[1].bit_length() - 1)
+        of a noisy one, built when first read."""
+        spec = self.replay[0]
+        wires = _photon_wires(spec.m * spec.n)
         if not self.mixed:
-            return QuantumState(vecs[0] / np.sqrt(max(self.weights[0], 1e-300)), wires)
-        need = vecs.itemsize * vecs.shape[1] ** 2
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > have:
-            raise ValueError(f"rho needs {need} B, more than the {have} B of physical memory")
+            vec = self.vectors[0]
+            return QuantumState(vec / np.sqrt(max(self.weights[0], 1e-300)), wires)
+        _refuse_past_memory(16 * 4 ** len(wires), "rho")
+        vecs = self.vectors
         rho = vecs.T @ vecs.conj()
         rho /= max(self.weights.sum(), 1e-300)
         return QuantumState(rho, wires)
@@ -339,28 +363,25 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     state is their mixture, built when read. Fidelity is against the ideal-gate
     target: F = sqrt(sum o_t / sum w_t) over the per-trajectory overlaps
     o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1> probability
-    under postselection); its standard error is the ratio estimator's."""
+    under postselection); its standard error is the ratio estimator's.
+    The overlaps come from `_contract`, which holds no photonic state."""
     sched = build_schedule(spec)
     compiler = _compiler_for(spec)
     if spec.noise is not None and compiler is None:
         raise ValueError("noisy runs require DD-sequence gates and spin parameters")
-    target = ideal_target(spec.m, spec.n, spec.style, spec.init_one)
     corrections = (
         find_corrections(spec) if spec.completion == "corrected" and spec.n > 0
         else None
     )
     rng = np.random.default_rng(spec.seed)
     phases = _sample_phases(spec, sched, rng)
-    vecs, weights = _complete(
-        _execute(spec, sched, compiler, phases), spec, corrections, rng
-    )
-    overlaps = np.abs(vecs @ target.data.conj()) ** 2
+    overlaps, weights, outcomes = _contract(spec, sched, compiler, phases, corrections, rng)
     fid2 = overlaps.sum() / max(weights.sum(), 1e-300)
     fid = float(np.sqrt(max(fid2, 0.0)))
+    t = len(weights)
     if spec.noise is None:
         se = 0.0
     else:
-        t = len(vecs)
         resid = overlaps - fid2 * weights
         se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
         se = se / (2 * fid) if fid > 0 else se
@@ -369,31 +390,176 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     if components:
         prep_f, block_f = component_fidelities(spec)
     return ProtocolResult(
-        vecs, weights, spec.noise is not None, fid, se, prep_f, block_f,
-        wall_clock_model(spec), ps_prob, len(vecs),
+        weights, spec.noise is not None, fid, se, prep_f, block_f,
+        wall_clock_model(spec), ps_prob, t,
+        (spec, compiler, phases, outcomes, corrections),
     )
 
 
-def _complete(amps, spec, corrections, rng):
-    """Completion measurement of the spin wires on each row of a (T, 2^n)
-    batch; returns (photonic vectors (T, 2^(n-m)), weights (T,)).
+def _emission_masks(corrections, photons: int, m: int) -> np.ndarray:
+    """Per-photon masks (photons, 2^M, candidates + 1, 2^M) of `_contract`'s
+    boundary: slot c < candidates holds B_c, the last slot the spin density.
+    Entry [a, c, b] of B_c's slot is ph_{c,p}(b_0) where a_0 = b_0 xor
+    f_{c,p}, else 0, for the noisy and ideal electron bits a_0 and b_0 at
+    emission p and the correction (f_{c,p}, ph_{c,p}) that candidate c
+    applies to photon p, read from its Pauli u as (P v)[b] = u[b, b ^ f]
+    v[b ^ f]; rho's slot keeps a_0 = b_0. Without corrections there is one
+    candidate, the identity; a branch of probability zero has none, a zero
+    u, and a zero mask."""
+    cands = [[I2] * photons] if corrections is None else [
+        [np.zeros((2, 2))] * photons if locals_ is None else locals_
+        for locals_ in corrections.values()
+    ]
+    u = np.array(cands, dtype=complex).reshape(len(cands), photons, 2, 2)
+    c, p, b = np.ogrid[:len(cands), :photons, :2]
+    a = b ^ (u[:, :, :1, 0] == 0)  # f = 1 for an off-diagonal X or Y
+    bits = np.zeros((photons, 2, len(cands) + 1, 2), dtype=complex)
+    bits[p, a, c, b] = u[c, p, b, a]
+    bits[:, [0, 1], -1, [0, 1]] = 1.0
+    h = 2 ** (m - 1)
+    shape = (photons, 2, h, len(cands) + 1, 2, h)
+    return np.broadcast_to(bits[:, :, None, :, :, None], shape).reshape(
+        photons, 2 * h, len(cands) + 1, 2 * h
+    )
 
-    corrected mode: sample each trajectory's spin outcomes by the Born rule,
-    wire by wire from one uniform each, and apply the cached Pauli photon
-    correction to the normalised branch as one index flip and one phase
-    vector; weight 1.
-    postselect mode (corrections None): the unnormalised all-|1> branch and
-    its probability; without photons to correct, corrected mode takes that
-    branch normalised, with weight 1."""
-    t, m = len(amps), spec.m
-    branches = amps.reshape(t, 2 ** m, -1)
+
+# keeps the entries of a spin density whose electron bits agree
+_SAME_BIT = np.eye(2)[:, None, :, None]
+
+
+def _full_matrix(u, wires, m: int) -> np.ndarray:
+    """The 2^m x 2^m matrix of `u` on `wires`, from the identity's rows."""
+    return _apply_matrix_vec(np.eye(2 ** m, dtype=complex), u, wires, m).T
+
+
+def _ideal_frames(spec, sched):
+    """The ideal-gate circuit as seen from a boundary tensor's ideal wires:
+    for each emission and for the end, the product W of the ideal gates
+    since the previous emission, as the matrix W^dagger that B is multiplied
+    by from the right; and the all-|1> probability of the ideal register,
+    from its spin density carried with the same masks.
+    Returns ((emissions + 1, 2^M, 2^M) array, float)."""
+    ideal = replace(spec, gate_library=ideal_library(), noise=None)
+    d, frames, full = 2 ** spec.m, [], {}
+    frame = np.eye(d, dtype=complex)
+    rho = np.zeros((d, d), dtype=complex)
+    rho[(-1, -1) if spec.init_one else (0, 0)] = 1.0
+    for item in sched:
+        if item.kind == "gate":
+            key = (item.gate, item.wires)
+            if key not in full:
+                full[key] = _full_matrix(_gate_unitary(ideal, item, None, None, 0)[0], item.wires, spec.m)
+            v = full[key]
+            frame = frame @ v.conj().T
+            rho = v @ rho @ v.conj().T
+        elif item.kind == "emit":
+            frames.append(frame)
+            frame = np.eye(d, dtype=complex)
+            rho = (rho.reshape(2, d // 2, 2, d // 2) * _SAME_BIT).reshape(d, d)
+    frames.append(frame)
+    return np.array(frames), rho[-1, -1].real
+
+
+def _frame(x, frame):
+    """The candidates' slots of `_contract`'s boundary x times the ideal
+    gates' `frame` from the right, as one GEMM."""
+    rows, d, slots, _ = x.shape
+    return (x[:, :, :-1].reshape(-1, d) @ frame).reshape(rows, d, slots - 1, d)
+
+
+def _contract(spec, sched, compiler, phases, corrections, rng):
+    """Overlap of every trajectory's completed photonic vector with the
+    target, with no photonic state: returns (overlaps o_t, weights w_t,
+    sampled spin outcomes), each shaped (T,).
+
+    Sequentially emitted photons form a matrix-product state of bond
+    dimension 2^M (Schoen et al., PRL 95, 110503 (2005)), so each trajectory
+    carries the boundary tensor
+        B_c = sum_x psi(., x xor f_c) psi_ideal(., x)^dagger prod_p ph_{c,p}(x_p),
+    shaped (T, 2^M noisy spin, candidates, 2^M ideal spin): the photon
+    contraction of the noisy and ideal-gate registers under the correction
+    (f_c, ph_c) of each completion outcome c. A noisy gate U acts as U B,
+    the ideal gates V as B V^dagger (`_ideal_frames`, one matrix per
+    emission); an emission masks B (`_emission_masks`). The noisy spin
+    density rho (T, 2^M, 2^M) is carried the same way and gives the branch
+    probabilities. That is O(T 8^M) memory for any number of columns.
+    Outcomes are drawn from diag rho exactly as a dense completion draws
+    them; o_t = |B_o[o, 1...1]|^2 / (p_t(o) p_ideal(1...1)).
+
+    The shared noisy gates (ry, or every gate of a noiseless run) since the
+    last per-trajectory gate or emission are held as one matrix, folded
+    into the next per-trajectory gate on the whole register or applied on
+    their own."""
+    m, d = spec.m, 2 ** spec.m
+    frames, p_one = _ideal_frames(spec, sched)
+    if p_one < 1e-12:
+        raise ValueError("all-|1> completion branch has zero probability")
+    masks = _emission_masks(corrections, len(frames) - 1, m)
+    rows, cands = 1 if phases is None else len(phases), masks.shape[2] - 1
+    # x[t, a, c] is row a of B_c for c < cands, and row a of rho for c = cands
+    start = d - 1 if spec.init_one else 0
+    x = np.zeros((rows, d, cands + 1, d), dtype=complex)
+    x[:, start, :, start] = 1.0
+    held, full, whole = None, {}, tuple(range(m))
+
+    def apply(u, wires):
+        nonlocal x
+        # rho stays Hermitian, so U (U rho)^dagger is U rho U^dagger: U acts
+        # on rho alone, then on B and rho together
+        half = _apply_matrix_vec(x[:, :, -1].reshape(rows, -1), u, wires, m)
+        x[:, :, -1] = half.reshape(rows, d, d).conj().transpose(0, 2, 1)
+        x = _apply_matrix_vec(x.reshape(rows, -1), u, wires, m).reshape(x.shape)
+
+    def release():
+        nonlocal held
+        if held is not None:
+            apply(held, whole)
+            held = None
+
+    cursor, photon = 0, 0
+    for item in sched:
+        if item.kind == "gate":
+            u, cursor = _gate_unitary(spec, item, compiler, phases, cursor)
+            if np.ndim(u) == 2:
+                key = (item.gate, item.wires)
+                if key not in full:
+                    full[key] = _full_matrix(u, item.wires, m)
+                held = full[key] if held is None else full[key] @ held
+            elif held is not None and item.wires == whole:
+                apply((u.reshape(-1, d) @ held).reshape(rows, d, d), whole)
+                held = None
+            else:
+                release()
+                apply(u, item.wires)
+        elif item.kind == "emit":
+            release()
+            x[:, :, :-1] = _frame(x, frames[photon])
+            x = x * masks[photon]
+            photon += 1
+    release()
+    b = _frame(x, frames[-1])
+    probs = np.diagonal(x[:, :, -1], axis1=1, axis2=2).real
     if corrections is None:
-        vecs = branches[:, -1].copy()  # a view would keep the whole batch alive
-        w = np.sum(np.abs(vecs) ** 2, axis=1)
+        outcomes = np.full(rows, d - 1)
+        overlaps = np.abs(b[:, -1, 0, -1]) ** 2 / p_one
         if spec.completion == "postselect":
-            return vecs, w
-        return vecs / np.sqrt(np.maximum(w, 1e-300))[:, None], np.ones(t)
-    probs = np.sum(np.abs(branches) ** 2, axis=2)
+            return overlaps, probs[:, -1], outcomes
+        return overlaps / np.maximum(probs[:, -1], 1e-300), np.ones(rows), outcomes
+    outcomes = _sample_outcomes(probs, rng)
+    outcome_bits = list(np.ndindex(*(2,) * m))
+    for o in np.flatnonzero(np.bincount(outcomes)):
+        if corrections[outcome_bits[o]] is None:
+            raise RuntimeError(f"sampled a branch with no cached correction: {outcome_bits[o]}")
+    t = np.arange(rows)
+    overlaps = np.abs(b[t, outcomes, outcomes, -1]) ** 2 / (probs[t, outcomes] * p_one)
+    return overlaps, np.ones(rows), outcomes
+
+
+def _sample_outcomes(probs, rng):
+    """Spin outcome of every trajectory from its branch probabilities
+    (T, 2^M), drawn wire by wire by the Born rule from one uniform each;
+    the outcome's wire 0 is its most significant bit."""
+    t, m = len(probs), probs.shape[1].bit_length() - 1
     uniforms = rng.random((t, m))
     rows = np.arange(t)
     outcome = np.zeros(t, dtype=int)
@@ -401,21 +567,29 @@ def _complete(amps, spec, corrections, rng):
         sub = probs.reshape(t, 2 ** wire, 2, -1)[rows, outcome]
         p0, norm = sub[:, 0].sum(axis=1), sub.sum(axis=(1, 2))
         outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
-    vecs = branches[rows, outcome]
+    return outcome
+
+
+def _branch_vectors(amps, spec, outcomes, corrections):
+    """Completed photonic vectors (T, 2^(n-m)) of a (T, 2^n) batch, given
+    each trajectory's spin outcome: in postselect mode the unnormalised
+    branch; in corrected mode the normalised branch with its cached Pauli
+    photon correction applied as one index flip and one phase vector."""
+    t = len(amps)
+    vecs = amps.reshape(t, 2 ** spec.m, -1)[np.arange(t), outcomes]
+    if spec.completion == "postselect":
+        return vecs
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    if corrections is None:
+        return vecs
     index = np.arange(vecs.shape[1])
-    outcome_bits = list(np.ndindex(*(2,) * m))
+    outcome_bits = list(np.ndindex(*(2,) * spec.m))
     # bincount, not np.unique: that loads numpy.ma (1.2 MB) on first use
-    for o in np.flatnonzero(np.bincount(outcome)):
-        locals_ = corrections.get(outcome_bits[o])
-        if locals_ is None:
-            raise RuntimeError(
-                f"sampled a branch with no cached correction: {outcome_bits[o]}"
-            )
-        sel = outcome == o
-        flip, phase = _pauli_action(locals_)
+    for o in np.flatnonzero(np.bincount(outcomes)):
+        sel = outcomes == o
+        flip, phase = _pauli_action(corrections[outcome_bits[o]])
         vecs[sel] = phase * vecs[np.ix_(sel, index ^ flip)]
-    return vecs, np.ones(t)
+    return vecs
 
 
 def _pauli_action(locals_):

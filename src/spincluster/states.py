@@ -147,7 +147,8 @@ _GEMM_SPANS = range(4, 33)
 
 def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Apply a 2^k x 2^k matrix, or a (T, 2^k, 2^k) stack of them, to the
-    given wires of every row of a (T, 2^n) batch of vectors.
+    given wires of every row of a (T, 2^n) batch of vectors. A row may hold
+    2^n e entries, e per index of the n wires, which then lead its index.
 
     Targets that are already the leading wires need no axis moves. A shared
     2-D matrix on short rows is one GEMM over all T rows rather than T
@@ -160,14 +161,15 @@ def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n
     else:
         src = [1 + t for t in targets]
         dst = list(range(1, k + 1))
-        psi = np.moveaxis(vecs.reshape([-1] + [2] * n), src, dst).reshape(rows, 2 ** k, -1)
+        shape = [rows] + [2] * n + [-1]
+        psi = np.moveaxis(vecs.reshape(shape), src, dst).reshape(rows, 2 ** k, -1)
     if np.ndim(u) == 2 and rows >= _GEMM_MIN_ROWS and psi.shape[2] in _GEMM_SPANS:
         psi = u @ psi.transpose(1, 0, 2).reshape(2 ** k, -1)
         psi = psi.reshape(2 ** k, rows, -1).transpose(1, 0, 2)
     else:
         psi = u @ psi
     if not leading:
-        psi = np.moveaxis(psi.reshape([-1] + [2] * n), dst, src)
+        psi = np.moveaxis(psi.reshape(shape), dst, src)
     return psi.reshape(rows, -1)
 
 

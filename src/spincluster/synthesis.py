@@ -295,6 +295,8 @@ def synthesize(
     to 20); per k, random restarts of gradient polish + discrete gate sweeps
     + iterated perturbation. Returns the first sequence meeting `threshold`
     (further polished), otherwise the best found with met_threshold=False.
+    The reported `unitary_fidelity` is clipped to 1, which rounding in the
+    objective can pass by a few ulp.
     """
     target_name = target if isinstance(target, str) else "custom"
     if isinstance(target, str):
@@ -369,7 +371,7 @@ def synthesize(
 
     seq = DDSequence(tuple(float(t) for t in best_x), tuple(best_names))
     met = best_f >= threshold and admissible(best_x)
-    return SynthesisReport(seq, float(best_f), evals, target_name, met)
+    return SynthesisReport(seq, min(float(best_f), 1.0), evals, target_name, met)
 
 
 # -------------------------------------------------------------- noisy runs
@@ -429,7 +431,8 @@ def serialize_sequence(report: SynthesisReport, p: SpinSystemParams) -> str:
 
 
 def deserialize_sequence(text: str):
-    """Returns (SynthesisReport, SpinSystemParams)."""
+    """Returns (SynthesisReport, SpinSystemParams); the stored fidelity is
+    clipped to 1, as `synthesize` reports it."""
     fields = {}
     units = []
     for line in text.strip().splitlines():
@@ -452,7 +455,7 @@ def deserialize_sequence(text: str):
     seq = DDSequence(taus, gates)
     report = SynthesisReport(
         sequence=seq,
-        unitary_fidelity=float(fields["fidelity"][0]),
+        unitary_fidelity=min(float(fields["fidelity"][0]), 1.0),
         iterations=0,
         target_name=fields["target"][0],
         met_threshold=bool(int(fields["met_threshold"][0])),

@@ -2,9 +2,10 @@
 exponential for the eigendecomposition propagator, a one-state evolution for
 the batched engine, a quadrature for the closed-form emission fidelity, and
 the per-trajectory forms of the noisy gate assembly and the batched gate
-application, which the package's one-GEMM forms must match bit for bit.
-The first three need scipy, which the package does not load on its
-simulation path.
+application, which the package's one-GEMM forms must match bit for bit,
+and the dense trajectory path that `protocol.run` replaced by its
+boundary-tensor contraction. The first three need scipy, which the package
+does not load on its simulation path.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from spincluster.emission import EmissionParams
+from spincluster import protocol
 from spincluster.hamiltonian import propagator
 from spincluster.states import QuantumState, QubitRole, RoleKind, apply_gate, max_pure_fidelity
 from spincluster.synthesis import _GATE_4X4, DDSequence, UnitCompiler, _gate_stack
@@ -80,3 +82,69 @@ def apply_matrix_vec_moveaxis(vecs: np.ndarray, u: np.ndarray, targets, n: int) 
     psi = u @ psi.reshape(len(vecs), 2 ** k, -1)
     psi = np.moveaxis(psi.reshape([-1] + [2] * n), dst, src)
     return psi.reshape(len(psi), -1)
+
+
+def complete_dense(amps, spec, corrections, rng):
+    """Completion measurement of the spin wires on each row of a (T, 2^n)
+    batch; returns (photonic vectors (T, 2^(n-m)), weights (T,)).
+
+    corrected mode: sample each trajectory's spin outcomes by the Born rule,
+    wire by wire from one uniform each, and apply the cached Pauli photon
+    correction to the normalised branch as one index flip and one phase
+    vector; weight 1.
+    postselect mode (corrections None): the unnormalised all-|1> branch and
+    its probability; without photons to correct, corrected mode takes that
+    branch normalised, with weight 1."""
+    t, m = len(amps), spec.m
+    branches = amps.reshape(t, 2 ** m, -1)
+    if corrections is None:
+        vecs = branches[:, -1].copy()
+        w = np.sum(np.abs(vecs) ** 2, axis=1)
+        if spec.completion == "postselect":
+            return vecs, w
+        return vecs / np.sqrt(np.maximum(w, 1e-300))[:, None], np.ones(t)
+    probs = np.sum(np.abs(branches) ** 2, axis=2)
+    uniforms = rng.random((t, m))
+    rows = np.arange(t)
+    outcome = np.zeros(t, dtype=int)
+    for wire in range(m):
+        sub = probs.reshape(t, 2 ** wire, 2, -1)[rows, outcome]
+        p0, norm = sub[:, 0].sum(axis=1), sub.sum(axis=(1, 2))
+        outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
+    vecs = branches[rows, outcome]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    index = np.arange(vecs.shape[1])
+    outcome_bits = list(np.ndindex(*(2,) * m))
+    for o in np.unique(outcome):
+        sel = outcome == o
+        flip, phase = protocol._pauli_action(corrections[outcome_bits[o]])
+        vecs[sel] = phase * vecs[np.ix_(sel, index ^ flip)]
+    return vecs, np.ones(t)
+
+
+def dense_run(spec):
+    """`protocol.run` on the dense path: the whole (T, 2^(M+MN)) batch from
+    the executor, the sampled completion of `complete_dense` and the
+    overlaps with `ideal_target`, from the same random stream. Returns
+    (fidelity, fidelity_se, postselect_probability, vectors, weights)."""
+    sched = protocol.build_schedule(spec)
+    target = protocol.ideal_target(spec.m, spec.n, spec.style, spec.init_one)
+    corrections = (
+        protocol.find_corrections(spec)
+        if spec.completion == "corrected" and spec.n > 0 else None
+    )
+    rng = np.random.default_rng(spec.seed)
+    phases = protocol._sample_phases(spec, sched, rng)
+    amps = protocol._execute(spec, sched, protocol._compiler_for(spec), phases)
+    vecs, weights = complete_dense(amps, spec, corrections, rng)
+    overlaps = np.abs(vecs @ target.data.conj()) ** 2
+    fid2 = overlaps.sum() / weights.sum()
+    fid = float(np.sqrt(fid2))
+    se = 0.0
+    if spec.noise is not None:
+        t = len(vecs)
+        resid = overlaps - fid2 * weights
+        se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
+        se = se / (2 * fid)
+    ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
+    return fid, se, ps_prob, vecs, weights

@@ -14,6 +14,11 @@ integrated phase after the noiseless propagator. The reference for that
 insertion steps the Hamiltonian plus the sampled field B(t) sigma_z / 2 in
 piecewise-constant slices.
 
+`run` never forms the dense batch: it contracts each trajectory with the
+target column by column. The reference is the dense path it replaced,
+`references.dense_run`: the whole batch, a sampled completion and an
+overlap with `ideal_target`, from the same random stream.
+
 The noisy gates of all trajectories are assembled with one GEMM per DD
 unit, and a shared matrix on short rows is applied with one GEMM over all
 rows. The per-trajectory forms in `references.py` do the same arithmetic
@@ -31,13 +36,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from references import apply_matrix_vec_moveaxis, evolve, noisy_sequence_unitary_stacked
+from references import (
+    apply_matrix_vec_moveaxis, dense_run, evolve, noisy_sequence_unitary_stacked,
+)
 from spincluster import protocol
 from spincluster.hamiltonian import free_hamiltonian, propagator
 from spincluster.noise import ou_from_coherence
 from spincluster.protocol import (
-    RY_PROTO, ProtocolSpec, _complete, _execute, _sample_phases, build_schedule,
-    emit_photon, find_corrections,
+    RY_PROTO, ProtocolSpec, _branch_vectors, _execute, _sample_outcomes, _sample_phases,
+    build_schedule, emit_photon, find_corrections,
 )
 from spincluster.states import (
     I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, rz,
@@ -212,10 +219,37 @@ def test_completion_matches_per_wire_passes(packaged, n, trials, seed, times_y):
         bits: None if locals_ is None else [Y @ u if times_y else u for u in locals_]
         for bits, locals_ in find_corrections(spec).items()
     }
-    vecs, weights = _complete(amps, spec, corrections, np.random.default_rng(seed))
+    probs = np.sum(np.abs(amps.reshape(trials, 4, -1)) ** 2, axis=2)
+    outcomes = _sample_outcomes(probs, np.random.default_rng(seed))
+    vecs = _branch_vectors(amps, spec, outcomes, corrections)
     ref = complete_by_wire_passes(amps, spec, corrections, np.random.default_rng(seed))
     assert np.array_equal(vecs, ref)
-    assert np.array_equal(weights, np.ones(trials))
+
+
+_CONTRACTION_GRID = [(2, n, "lean") for n in range(7)] + [
+    (3, 1, "pedagogical"), (3, 2, "pedagogical"),
+]
+
+
+@pytest.mark.parametrize("m,n,style", _CONTRACTION_GRID)
+@pytest.mark.parametrize("completion", ["corrected", "postselect"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("init_one", [False, True])
+def test_contraction_matches_dense_run(packaged, m, n, style, completion, noisy, init_one):
+    lib, params, _ = packaged
+    spec = ProtocolSpec(
+        m=m, n=n, gate_library=lib, params=params, style=style, completion=completion,
+        init_one=init_one, trials=20, seed=n + 7 * m,
+        noise=ou_from_coherence(0.08e-6, 8e-6, seed=n) if noisy else None,
+    )
+    res = protocol.run(spec)
+    fid, se, ps_prob, vecs, weights = dense_run(spec)
+    assert abs(res.fidelity - fid) <= 1e-12
+    assert abs(res.fidelity_se - se) <= 1e-12
+    assert abs(res.postselect_probability - ps_prob) <= 1e-12
+    assert np.max(np.abs(res.weights - weights)) <= 1e-12
+    # the same trajectories and outcomes, rebuilt on read by the same executor
+    assert np.max(np.abs(res.vectors - vecs)) <= 1e-12
 
 
 def apply_noise_segment(state, trajectory, h, t, dt, targets=None):

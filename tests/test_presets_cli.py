@@ -109,6 +109,14 @@ class TestCLI:
         row = lines[4].split(",")
         assert abs(float(row[3]) - 1.0) < 1e-9
 
+    def test_run_past_the_dense_reach(self, capsys):
+        # the dense 2x20 batch of 20 trajectories would take 20 * 2^42 * 16 B
+        rc = main(["run", "--m", "2", "--n", "20", "--trials", "20"])
+        assert rc == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[:3] == ["2", "20", "lean"] and row[-1] == "20"
+        assert 0.9 < float(row[3]) <= 1
+
     def test_noisy_run_needs_two_trials(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         rc = main(["run", "--trials", "1", "--output", str(out)])

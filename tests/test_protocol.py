@@ -454,9 +454,9 @@ class TestNoisyRuns:
 
 
 class TestTrajectoryFactor:
-    """A run keeps its completed vectors V (T, 2^(MN)) and weights w (T,);
-    a noisy run builds rho = V^T V* / sum w only when `photonic_state` is
-    read."""
+    """A run keeps its weights w (T,) and rebuilds the completed vectors
+    V (T, 2^(MN)) when they are read; a noisy run builds rho = V^T V* / sum w
+    only when `photonic_state` is read."""
 
     @staticmethod
     def _lean_2x2(packaged, completion, seed):
@@ -491,6 +491,17 @@ class TestTrajectoryFactor:
             res.photonic_state
         assert 0.5 < res.fidelity < 1 and res.fidelity_se > 0
 
+    def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
+        res = run(self._lean_2x2(packaged, "corrected", 1))
+        # the executor peaks at two 100 * 2^6 * 16 B batches; report 150 000 B
+        monkeypatch.setattr(
+            protocol.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 1500, "SC_PAGE_SIZE": 100}[name]
+        )
+        with pytest.raises(ValueError, match="batch needs 204800 B, more than the 150000 B"):
+            res.vectors
+        monkeypatch.undo()
+        assert res.vectors.shape == (100, 16)
+
     def test_reading_rho_holds_no_rho_sized_temporary(self, packaged):
         lib, params, _ = packaged
         noise = ou_from_coherence(t2_star=3e-6, t2_hahn=300e-6, seed=1)
@@ -521,6 +532,40 @@ class TestTrajectoryFactor:
         # a quarter of the 12-photon rho, 16 * 4^12 B
         assert peak < 16 * 4 ** 12 / 4
         assert res.vectors.shape == (20, 4 ** 6)
+
+    @staticmethod
+    def _long_lean(packaged, n):
+        lib, params, _ = packaged
+        noise = ou_from_coherence(t2_star=3e-6, t2_hahn=300e-6, seed=1)
+        return ProtocolSpec(m=2, n=n, gate_library=lib, params=params,
+                            style="lean", noise=noise, trials=20, seed=1)
+
+    def test_run_holds_no_dense_batch(self, packaged):
+        # the dense 2x8 batch of 20 trajectories is 20 * 2^18 * 16 B
+        spec = self._long_lean(packaged, 8)
+        tracemalloc.start()
+        try:
+            res = run(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 18 * 16 / 10
+        assert 0.99 < res.fidelity <= 1 and res.fidelity_se > 0
+
+    def test_past_the_dense_reach(self, packaged):
+        # a 2x20 batch of 20 trajectories would take 20 * 2^42 * 16 B
+        res = run(self._long_lean(packaged, 20))
+        assert 0.9 < res.fidelity <= 1 and np.isfinite(res.fidelity_se) and res.fidelity_se > 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="trajectory batch needs"):
+                res.vectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        with pytest.raises(ValueError, match="rho needs"):
+            res.photonic_state
 
 
 class TestWallClock:

@@ -111,6 +111,13 @@ class TestPackagedSequences:
         u = sequence_unitary(report.sequence, UnitCompiler(p))
         assert gate_fidelity(u, TARGETS[name]) <= 1.0
 
+    def test_report_fidelity_at_most_one(self):
+        # the CZ file stores 1 + 4e-16; the report clips it, the file keeps it
+        text = _packaged_text("cz")
+        assert "fidelity 1.0000000000000004\n" in text
+        report, _ = deserialize_sequence(text)
+        assert report.unitary_fidelity <= 1.0
+
     def test_durations_within_bounds(self):
         cz_rep, _ = deserialize_sequence(_packaged_text("cz"))
         swap_rep, _ = deserialize_sequence(_packaged_text("swap"))
@@ -123,6 +130,18 @@ class TestSynthesize:
         rep = synthesize("identity", siv)
         assert rep.sequence.k == 0
         assert rep.met_threshold and abs(rep.unitary_fidelity - 1) < 1e-12
+
+    def test_report_clips_the_search_fidelity(self, siv, monkeypatch):
+        # the search may round past 1; it compares that value, the report reads 1
+        over = 1.0 + 4.0 * np.finfo(float).eps
+
+        def polish(x, names, target, compiler, lb, ub, maxiter=None):
+            return x, over, 1
+
+        monkeypatch.setattr(synthesis, "_polish", polish)
+        monkeypatch.setattr(synthesis, "_discrete_sweep", lambda x, names, *a: (names, over, 1))
+        rep = synthesize("cz", siv, ks=[2], restarts=1, hops=0)
+        assert rep.met_threshold and rep.unitary_fidelity == 1.0
 
     def test_cheap_nuclear_rotation(self, siv):
         rep = synthesize("rz90_nuclear", siv, threshold=0.99, ks=[4],
