@@ -63,6 +63,10 @@ def ou_from_coherence(t2_star: float, t2_hahn: float, seed: int = 0) -> OUNoise:
     return OUNoise(b=b, tau_c=tau_c, seed=seed)
 
 
+# elements of the temporary that `_ou_segments` forms its mean term in
+_BLOCK = 1 << 16
+
+
 def _ou_segments(noise: OUNoise, durations: np.ndarray, n_traj: int, rng: np.random.Generator):
     """Exact joint draw of B at the segment ends and of int B dt over each
     segment, for n_traj stationary OU paths continuous across the segments.
@@ -95,9 +99,13 @@ def _ou_segments(noise: OUNoise, durations: np.ndarray, n_traj: int, rng: np.ran
         d *= 2
     phases = rng.standard_normal((n_traj, len(x)))
     phases *= s * tau * np.sqrt(2 * excess)
-    mean = b[:, :-1] + b[:, 1:]
-    mean *= tau * half
-    phases += mean
+    # the mean term a block of rows at a time, so that b and the phases are
+    # the only (n_traj, S) arrays held
+    scale, rows = tau * half, max(1, _BLOCK // max(1, len(x)))
+    for r in range(0, n_traj, rows):
+        mean = b[r:r + rows, :-1] + b[r:r + rows, 1:]
+        mean *= scale
+        phases[r:r + rows] += mean
     return b, phases
 
 

@@ -84,11 +84,21 @@ class ProtocolSpec:
                 raise KeyError(f"gate library is missing {g!r}")
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _refuse_past_memory(need: int, what: str):
     """Raise ValueError if `what` needs more bytes than the physical memory."""
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    have = _physical_memory()
     if need > have:
         raise ValueError(f"{what} needs {need} B, more than the {have} B of physical memory")
+
+
+def _batch_bytes(spec: ProtocolSpec, trials: int) -> int:
+    """Peak bytes of the executor rebuilding `vectors`: it holds two
+    (T, 2^(M+MN)) batches at once while it emits."""
+    return 2 * 16 * trials * 2 ** (spec.m * (spec.n + 1))
 
 
 @dataclass
@@ -100,7 +110,8 @@ class ProtocolResult:
     bath phases and sampled completion outcomes when first read, so they are
     the trajectories F was computed from. Reading them, or `photonic_state`,
     raises ValueError before allocating if the array needs more bytes than
-    the machine's physical memory."""
+    the machine's physical memory; a run whose batch could never be rebuilt
+    keeps no bath phases."""
     weights: np.ndarray
     mixed: bool
     fidelity: float
@@ -110,16 +121,15 @@ class ProtocolResult:
     wall_clock_model: float
     postselect_probability: float
     trials: int
-    # (spec, compiler, phases, outcomes, corrections): what rebuilds `vectors`
+    # (spec, compiler, phases or None, outcomes, corrections): what rebuilds `vectors`
     replay: tuple = field(repr=False, compare=False)
 
     @cached_property
     def vectors(self) -> np.ndarray:
         spec, compiler, phases, outcomes, corrections = self.replay
-        # the executor holds two batches at once while it emits
-        _refuse_past_memory(
-            2 * 16 * len(outcomes) * 2 ** (spec.m * (spec.n + 1)), "the trajectory batch"
-        )
+        _refuse_past_memory(_batch_bytes(spec, len(outcomes)), "the trajectory batch")
+        if self.mixed and phases is None:
+            raise ValueError("the bath phases were not kept: the trajectory batch did not fit")
         amps = _execute(spec, build_schedule(spec), compiler, phases)
         return _branch_vectors(amps, spec, outcomes, corrections)
 
@@ -230,19 +240,61 @@ def emit_photon(state: QuantumState) -> QuantumState:
     return QuantumState(data, state.wires + (photon(photons),), validate=False)
 
 
-def _gate_unitary(spec, item, compiler, phases, cursor):
-    """Unitary for a schedule item, a (T, 4, 4) stack for a DD sequence under
-    (T, segments) phases; advances the phase cursor past a noisy sequence."""
+# trajectory-columns (instances x trials) per `noisy_sequence_unitary` call.
+# Measured on a 2-core Xeon, its time per column and DD unit falls from
+# ~850 ns at 20 columns to ~150 ns at 500 and stays there to 2000; past that
+# it rises a few percent, and the (4, 4, cols) working set outgrows L2
+_COLUMNS = 2048
+
+
+def _gate_unitary(spec, item, compiler):
+    """Shared unitary of a gate item: the library's matrix, the noiseless
+    unitary of its DD sequence, or the published y rotation."""
     if item.gate == "ry":
-        return spec.gate_library.get("ry", RY_PROTO), cursor
+        return spec.gate_library.get("ry", RY_PROTO)
     g = spec.gate_library[item.gate]
-    if not isinstance(g, DDSequence):
-        return g, cursor
-    if phases is None:
-        return sequence_unitary(g, compiler), cursor
-    n_seg = 3 * g.k
-    u = noisy_sequence_unitary(g, compiler, phases[:, cursor:cursor + n_seg])
-    return u, cursor + n_seg
+    return sequence_unitary(g, compiler) if isinstance(g, DDSequence) else g
+
+
+def _instances(seq, compiler, phases, starts, size):
+    """Noisy unitaries (T, 4, 4) of the instances of `seq` whose phases start
+    at the columns `starts` of `phases`, assembled `size` at a time on their
+    (instances, T, 3k) phases; a group is let go before the next is built."""
+    n_seg = 3 * seq.k
+    for i in range(0, len(starts), size):
+        group = np.stack([phases[:, s:s + n_seg] for s in starts[i:i + size]])
+        yield from noisy_sequence_unitary(seq, compiler, group)
+
+
+def _gate_unitaries(spec, items, compiler, phases):
+    """The unitary of every gate among `items`, in order: a shared matrix, or
+    under (T, segments) phases a (T, 4, 4) stack per DD sequence instance.
+
+    A shared gate is built once. The instances of each DD sequence are
+    assembled max(1, _COLUMNS // T) consecutive ones per call, when the
+    schedule reaches the first of them; the phase columns are those that
+    `_sample_phases` laid out for the same items."""
+    gates = [item for item in items if item.kind == "gate"]
+    noisy, shared = {}, {}
+    if phases is not None:
+        starts, cursor = {}, 0
+        for item in gates:
+            g = spec.gate_library.get(item.gate)
+            if isinstance(g, DDSequence):
+                starts.setdefault(item.gate, []).append(cursor)
+                cursor += 3 * g.k
+        size = max(1, _COLUMNS // len(phases))
+        noisy = {
+            name: _instances(spec.gate_library[name], compiler, phases, s, size)
+            for name, s in starts.items()
+        }
+    for item in gates:
+        if item.gate in noisy:
+            yield next(noisy[item.gate])
+        else:
+            if item.gate not in shared:
+                shared[item.gate] = _gate_unitary(spec, item, compiler)
+            yield shared[item.gate]
 
 
 def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) -> np.ndarray:
@@ -255,11 +307,11 @@ def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) 
         start = np.zeros((1, 2 ** spec.m), dtype=complex)
         start[0, -1 if spec.init_one else 0] = 1.0
     amps = np.broadcast_to(start, (rows, start.shape[1]))
-    n, cursor = start.shape[1].bit_length() - 1, 0
+    n = start.shape[1].bit_length() - 1
+    unitaries = _gate_unitaries(spec, items, compiler, phases)
     for item in items:
         if item.kind == "gate":
-            u, cursor = _gate_unitary(spec, item, compiler, phases, cursor)
-            amps = _apply_matrix_vec(amps, u, item.wires, n)
+            amps = _apply_matrix_vec(amps, next(unitaries), item.wires, n)
         elif item.kind == "emit":
             amps = _emit(amps, 0)
             n += 1
@@ -386,13 +438,15 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
         se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
         se = se / (2 * fid) if fid > 0 else se
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
+    # the phases serve only a `vectors` rebuild, which may never fit
+    kept = phases if _batch_bytes(spec, t) <= _physical_memory() else None
     prep_f = block_f = None
     if components:
-        prep_f, block_f = component_fidelities(spec)
+        prep_f, block_f = component_fidelities(spec, compiler)
     return ProtocolResult(
         weights, spec.noise is not None, fid, se, prep_f, block_f,
         wall_clock_model(spec), ps_prob, t,
-        (spec, compiler, phases, outcomes, corrections),
+        (spec, compiler, kept, outcomes, corrections),
     )
 
 
@@ -448,7 +502,7 @@ def _ideal_frames(spec, sched):
         if item.kind == "gate":
             key = (item.gate, item.wires)
             if key not in full:
-                full[key] = _full_matrix(_gate_unitary(ideal, item, None, None, 0)[0], item.wires, spec.m)
+                full[key] = _full_matrix(_gate_unitary(ideal, item, None), item.wires, spec.m)
             v = full[key]
             frame = frame @ v.conj().T
             rho = v @ rho @ v.conj().T
@@ -516,10 +570,10 @@ def _contract(spec, sched, compiler, phases, corrections, rng):
             apply(held, whole)
             held = None
 
-    cursor, photon = 0, 0
+    photon, unitaries = 0, _gate_unitaries(spec, sched, compiler, phases)
     for item in sched:
         if item.kind == "gate":
-            u, cursor = _gate_unitary(spec, item, compiler, phases, cursor)
+            u = next(unitaries)
             if np.ndim(u) == 2:
                 key = (item.gate, item.wires)
                 if key not in full:
@@ -605,15 +659,17 @@ def _pauli_action(locals_):
     return flip, phase
 
 
-def component_fidelities(spec: ProtocolSpec):
+def component_fidelities(spec: ProtocolSpec, compiler=None):
     """(preparation fidelity, single-building-block fidelity), each the
     square-root state fidelity of the noisy output against the ideal one.
 
     Preparation runs the initialisation block alone; the building block runs
     one column starting from the ideally prepared spin register, the output
-    of the initialisation block with ideal gates and no noise."""
-    prep = _segment_fidelity(spec, prep_only=True)
-    block = _segment_fidelity(spec, prep_only=False)
+    of the initialisation block with ideal gates and no noise. Both use
+    `compiler`, the one of `spec`'s run, or one built here for both."""
+    compiler = _compiler_for(spec) if compiler is None else compiler
+    prep = _segment_fidelity(spec, compiler, prep_only=True)
+    block = _segment_fidelity(spec, compiler, prep_only=False)
     return prep, block
 
 
@@ -627,7 +683,7 @@ def _schedule_split(spec):
     return sched[:n_prep], sched[n_prep:]
 
 
-def _segment_fidelity(spec, prep_only: bool) -> float:
+def _segment_fidelity(spec, compiler, prep_only: bool) -> float:
     one_col = replace(
         spec, n=min(spec.n, 1), seed=spec.seed + (1 if prep_only else 2)
     )
@@ -639,7 +695,7 @@ def _segment_fidelity(spec, prep_only: bool) -> float:
         items, start = block_sched, _execute(ideal, prep_sched)
     ref = _execute(ideal, items, start=start)[0]
     out = _execute(
-        one_col, items, _compiler_for(one_col),
+        one_col, items, compiler,
         _sample_phases(one_col, items, np.random.default_rng(one_col.seed)),
         start=start,
     )

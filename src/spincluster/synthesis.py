@@ -140,29 +140,36 @@ def sequence_unitary(seq: DDSequence, compiler: UnitCompiler) -> np.ndarray:
 def noisy_sequence_unitary(seq: DDSequence, compiler: UnitCompiler, phases: np.ndarray) -> np.ndarray:
     """Sequence unitary with an electron z rotation D(phi) = exp(-i phi Z_e / 2)
     by `phases[..., j]` (rad) after free segment j. Phases shaped (3k,) give
-    one 4x4 unitary, phases shaped (T, 3k) a (T, 4, 4) stack.
+    one 4x4 unitary, phases shaped (..., 3k) a (..., 4, 4) stack: (T, 3k)
+    for T trajectories, or (n, T, 3k) for n instances of the sequence in
+    one call, which is how `protocol` assembles a schedule's repeats of a
+    gate, a few thousand trajectory-columns per call.
 
     The bath term commutes with the electron-diagonal free Hamiltonian and
     Pi D(b) = D(-b) Pi, so the three rotations of unit i fold exactly into
     one, D(phi_1 - phi_2 + phi_3), applied after the noiseless unit.
 
-    The running products of all T trajectories are held as one (4, T, 4)
-    array, row a of every product side by side, so each unit is one
-    (4, 4) @ (4, 4T) GEMM and its bath rotation a scaling of row a by
-    dephase[a, t]. That is the same arithmetic, element for element, as T
-    separate 4x4 products, without T calls."""
+    The running products of all columns are held as one (4, 4, cols) array,
+    entry [a, b] of every product side by side, so each unit is one
+    (4, 4) @ (4, 4 cols) GEMM and its bath rotation an in-place scaling of
+    rows 0:2 by half = exp(-i phi / 2) and rows 2:4 by its conjugate. That
+    is the same arithmetic, element for element, as one 4x4 product per
+    column, without a call per column. The scaling is written
+    multiply(half, u), the operand order of those products: complex
+    multiply is not bit-symmetric in its operands."""
     phases = np.asarray(phases, float)
     lead = phases.shape[:-1]
     t = int(np.prod(lead))
     rows = phases.reshape(t, phases.shape[-1])  # reshape(-1, 0) cannot size (T, 0)
-    half = np.exp(-0.5j * (rows[:, 0::3] - rows[:, 1::3] + rows[:, 2::3])).T
-    dephase = np.stack([half, half, half.conj(), half.conj()], axis=1)[..., None]
+    half = np.exp(-0.5j * (rows[:, 0::3] - rows[:, 1::3] + rows[:, 2::3]).T)
     factors = compiler.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
-    u = np.broadcast_to(np.eye(4, dtype=complex)[:, None, :], (4, t, 4))
-    for f, d in zip(factors, dephase):
-        u = d * (f @ u.reshape(4, 4 * t)).reshape(4, t, 4)
-    u = (_GATE_4X4[seq.electron_gates[-1]] @ u.reshape(4, 4 * t)).reshape(4, t, 4)
-    return np.ascontiguousarray(u.transpose(1, 0, 2)).reshape(lead + (4, 4))
+    u = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None], (4, 4, t))
+    for f, h, h_conj in zip(factors, half, half.conj()):
+        u = (f @ u.reshape(4, 4 * t)).reshape(4, 4, t)
+        np.multiply(h, u[:2], out=u[:2])
+        np.multiply(h_conj, u[2:], out=u[2:])
+    u = (_GATE_4X4[seq.electron_gates[-1]] @ u.reshape(4, 4 * t)).reshape(4, 4, t)
+    return np.ascontiguousarray(u.transpose(2, 0, 1)).reshape(lead + (4, 4))
 
 
 def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:

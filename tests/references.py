@@ -3,9 +3,11 @@ exponential for the eigendecomposition propagator, a one-state evolution for
 the batched engine, a quadrature for the closed-form emission fidelity, and
 the per-trajectory forms of the noisy gate assembly and the batched gate
 application, which the package's one-GEMM forms must match bit for bit,
-and the dense trajectory path that `protocol.run` replaced by its
-boundary-tensor contraction. The first three need scipy, which the package
-does not load on its simulation path.
+the dense trajectory path that `protocol.run` replaced by its
+boundary-tensor contraction, and the OU sampler that formed its mean term
+as a third (T, segments) array, which the package's blocked form must match
+byte for byte. The first three need scipy, which the package does not load
+on its simulation path.
 """
 from __future__ import annotations
 
@@ -148,3 +150,29 @@ def dense_run(spec):
         se = se / (2 * fid)
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
     return fid, se, ps_prob, vecs, weights
+
+
+def ou_segments_whole(noise, durations: np.ndarray, n_traj: int, rng: np.random.Generator):
+    """`noise._ou_segments` with the mean term formed over all trajectories
+    at once, a third (n_traj, S) array next to b and the phases."""
+    x = np.asarray(durations, float) / noise.tau_c
+    s, tau = noise.sigma_st, noise.tau_c
+    half = np.tanh(x / 2)
+    excess = x - 2 * half
+    small = x < 1e-2
+    xs = x[small]
+    excess[small] = xs ** 3 / 12 - xs ** 5 / 120 + 17 * xs ** 7 / 20160
+    b = rng.standard_normal((n_traj, len(x) + 1))
+    b *= s * np.sqrt(np.concatenate(([1.0], -np.expm1(-2 * x))))
+    decay = np.concatenate(([0.0], np.exp(-x)))
+    d = 1
+    while d < len(decay):
+        b[:, d:] += decay[d:] * b[:, :-d]
+        decay[d:] = decay[d:] * decay[:-d]
+        d *= 2
+    phases = rng.standard_normal((n_traj, len(x)))
+    phases *= s * tau * np.sqrt(2 * excess)
+    mean = b[:, :-1] + b[:, 1:]
+    mean *= tau * half
+    phases += mean
+    return b, phases

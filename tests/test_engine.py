@@ -22,7 +22,9 @@ overlap with `ideal_target`, from the same random stream.
 The noisy gates of all trajectories are assembled with one GEMM per DD
 unit, and a shared matrix on short rows is applied with one GEMM over all
 rows. The per-trajectory forms in `references.py` do the same arithmetic
-one 4x4 product at a time, so the two must agree bit for bit.
+one 4x4 product at a time, so the two must agree bit for bit. A schedule's
+instances of one DD sequence share that call, so grouping them, or not,
+must not move a bit either.
 
 Synthesis builds all DD units and their spacing derivatives in one
 eigenbasis pass, takes the objective's gradient from prefix and suffix
@@ -129,6 +131,53 @@ def test_noisy_run_unchanged_by_gate_assembly(packaged, monkeypatch, seed):
         assert getattr(got, field) == getattr(ref, field), field
 
 
+@pytest.mark.parametrize("name", ["swap", "cz"])
+@pytest.mark.parametrize("trials", [1, 7, 20, 200, 1000])
+def test_instances_in_one_call_bit_identical_to_separate_calls(packaged, name, trials):
+    # a schedule's instances of one sequence are assembled in one call on
+    # (instances, T, 3k) phases; every column is still its own 4x4 product
+    lib, params, _ = packaged
+    seq, compiler = lib[name], UnitCompiler(params)
+    phases = np.random.default_rng(trials).normal(0.0, 1.0, size=(3, trials, 3 * seq.k))
+    got = noisy_sequence_unitary(seq, compiler, phases)
+    ref = np.array([noisy_sequence_unitary(seq, compiler, p) for p in phases])
+    assert got.shape == (3, trials, 4, 4)
+    assert np.array_equal(got, ref)
+
+
+def _lean_noisy(packaged, n):
+    lib, params, _ = packaged
+    return ProtocolSpec(
+        m=2, n=n, gate_library=lib, params=params, style="lean", trials=20, seed=1,
+        noise=ou_from_coherence(3e-6, 300e-6, seed=1),
+    )
+
+
+@pytest.mark.parametrize("n", [6, 20])
+def test_noisy_run_unchanged_by_assembly_groups(packaged, monkeypatch, n):
+    # one instance per call, as before the instances were grouped
+    spec = _lean_noisy(packaged, n)
+    got = protocol.run(spec)
+    monkeypatch.setattr(protocol, "_COLUMNS", 1)
+    ref = protocol.run(spec)
+    assert got.fidelity == ref.fidelity and got.fidelity_se == ref.fidelity_se
+    assert np.array_equal(got.replay[3], ref.replay[3])  # the sampled outcomes
+
+
+def test_noisy_run_assembles_each_sequence_once(packaged, monkeypatch):
+    # 20 trials of lean 2x6: 7 SWAPs and 6 CZs, two noisy_sequence_unitary
+    # calls in all, not one per gate
+    calls = []
+
+    def counted(seq, compiler, phases):
+        calls.append(np.shape(phases)[:-1])
+        return noisy_sequence_unitary(seq, compiler, phases)
+
+    monkeypatch.setattr(protocol, "noisy_sequence_unitary", counted)
+    protocol.run(_lean_noisy(packaged, 6))
+    assert sorted(calls) == [(6, 20), (7, 20)]
+
+
 @pytest.mark.parametrize("rows", [1, 15, 16, 200])
 @pytest.mark.parametrize("n,targets", [
     (2, [0]), (3, [0]), (6, [0]), (7, [0]), (8, [0]), (6, [0, 1]), (7, [0, 1]),
@@ -227,7 +276,7 @@ def test_completion_matches_per_wire_passes(packaged, n, trials, seed, times_y):
 
 
 _CONTRACTION_GRID = [(2, n, "lean") for n in range(7)] + [
-    (3, 1, "pedagogical"), (3, 2, "pedagogical"),
+    (3, n, "pedagogical") for n in range(1, 5)
 ]
 
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from references import ou_segments_whole
 from spincluster.noise import (
-    OUNoise, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
+    OUNoise, _ou_segments, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
     sample_trajectory, segment_phases,
 )
 
@@ -95,6 +98,45 @@ class TestTrajectories:
         phases = segment_phases(n, np.array([1e-6, 1e-6]), 20000, rng)
         r = np.corrcoef(phases[:, 0], phases[:, 1])[0, 1]
         assert r > 0.99
+
+
+class TestBlockedMean:
+    """`_ou_segments` forms the mean term of the phases a block of rows at a
+    time; `references.ou_segments_whole` forms it over all rows at once."""
+
+    @staticmethod
+    def _durations(n_seg):
+        return np.random.default_rng(n_seg).uniform(1e-9, 2e-7, n_seg)
+
+    @pytest.mark.parametrize("n_traj,n_seg", [(1, 50), (37, 1777), (1000, 600), (20, 6000)])
+    def test_byte_identical_to_whole_array_sampler(self, n_traj, n_seg):
+        noise = ou_from_coherence(3e-6, 300e-6, seed=1)
+        d = self._durations(n_seg)
+        got = _ou_segments(noise, d, n_traj, np.random.default_rng(3))
+        ref = ou_segments_whole(noise, d, n_traj, np.random.default_rng(3))
+        assert all(np.array_equal(a, r) for a, r in zip(got, ref))
+        phases = segment_phases(noise, d, n_traj, np.random.default_rng(3))
+        assert phases.tobytes() == ref[1].tobytes()
+
+    def test_sample_trajectory_byte_identical(self):
+        n = OUNoise(b=1e5, tau_c=1e-5, seed=42)
+        dt = min(n.tau_c / 50, 1e-4 / 20)  # sample_trajectory's grid
+        count = int(np.ceil(1e-4 / dt))
+        ref = ou_segments_whole(n, np.full(count, dt), 1, np.random.default_rng(42))[0][0]
+        assert sample_trajectory(n, duration=1e-4).tobytes() == ref.tobytes()
+
+    def test_peak_is_two_phase_arrays(self):
+        # b (T, S + 1) and the phases (T, S) and no third array: the bound
+        # 2.2 x the phases' bytes leaves 0.2 x for the mean's row blocks
+        noise = ou_from_coherence(3e-6, 300e-6, seed=1)
+        d = self._durations(6000)
+        tracemalloc.start()
+        try:
+            phases = segment_phases(noise, d, 1000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * phases.nbytes
 
 
 class TestExactIntegral:

@@ -452,6 +452,24 @@ class TestNoisyRuns:
         with pytest.raises(ValueError):
             run(_spec(2, 1, noise=noise))
 
+    def test_one_unit_compiler_per_run(self, packaged, monkeypatch):
+        # run, the preparation segment and the building block share one
+        builds = []
+        init = protocol.UnitCompiler.__init__
+
+        def counted(self, p):
+            builds.append(p)
+            init(self, p)
+
+        monkeypatch.setattr(protocol.UnitCompiler, "__init__", counted)
+        lib, params, _ = packaged
+        spec = ProtocolSpec(m=2, n=2, gate_library=lib, params=params, style="lean",
+                            noise=ou_from_coherence(3e-6, 300e-6, seed=1), trials=20, seed=1)
+        run(spec, components=True)
+        assert len(builds) == 1
+        component_fidelities(spec)
+        assert len(builds) == 2
+
 
 class TestTrajectoryFactor:
     """A run keeps its weights w (T,) and rebuilds the completed vectors
@@ -566,6 +584,26 @@ class TestTrajectoryFactor:
         assert peak < 2 ** 20
         with pytest.raises(ValueError, match="rho needs"):
             res.photonic_state
+
+    def test_unrebuildable_run_keeps_no_phases(self, packaged):
+        # the 2x20 phases (20 x 1734 floats) could only serve a refused rebuild
+        res = run(self._long_lean(packaged, 20))
+        assert res.replay[2] is None
+        with pytest.raises(ValueError, match="trajectory batch needs"):
+            res.vectors
+        assert run(self._long_lean(packaged, 2)).replay[2].shape == (20, 3 * (3 * 18 + 2 * 10))
+
+    def test_phases_dropped_at_run_are_not_replaced_by_silence(self, packaged, monkeypatch):
+        # memory reported too small at run time, enough when read: the
+        # rebuild must not run the schedule without its bath
+        monkeypatch.setattr(
+            protocol.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 64}[name]
+        )
+        res = run(self._long_lean(packaged, 2))
+        monkeypatch.undo()
+        assert res.replay[2] is None
+        with pytest.raises(ValueError, match="bath phases were not kept"):
+            res.vectors
 
 
 class TestWallClock:
