@@ -3,9 +3,7 @@ single electron-spin-photon interface coupled to a nuclear spin register."""
 
 __version__ = "1.0.0"
 
-from .states import (
-    QuantumState, QubitRole, RoleKind, apply_gate, state_fidelity, max_pure_fidelity,
-)
+from .states import QuantumState, QubitRole, RoleKind, apply_gate
 from .hamiltonian import (
     SpinSystemParams, PrecessionAxes, free_hamiltonian, precession_axes,
     resonance_spacing, propagator,

@@ -8,6 +8,7 @@ import hashlib
 import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -258,8 +259,14 @@ def cmd_verify(args) -> int:
                 noise=ou_from_coherence(3e-6, 300e-6, seed=args.seed), seed=args.seed,
             )
             a, b = run(spec), run(spec)
-            same = a.fidelity == b.fidelity and np.array_equal(a.vectors, b.vectors)
-            return bool(same), "two noisy 2x1 runs, one seed: identical F and vectors"
+            other = run(replace(spec, seed=args.seed + 1))
+            same = (a.fidelity == b.fidelity and a.fidelity_se == b.fidelity_se
+                    and np.array_equal(a.weights, b.weights))
+            ok = same and other.fidelity != a.fidelity
+            return bool(ok), (
+                "two noisy 2x1 runs, one seed: identical F, SE and weights; "
+                f"seed + 1 moves F by {other.fidelity - a.fidelity:+.2e}"
+            )
 
         check("seed_reproducibility", seed_reproducibility)
 

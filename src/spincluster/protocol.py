@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,36 +83,19 @@ class ProtocolSpec:
                 raise KeyError(f"gate library is missing {g!r}")
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
 def _refuse_past_memory(need: int, what: str):
     """Raise ValueError if `what` needs more bytes than the physical memory."""
-    have = _physical_memory()
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(f"{what} needs {need} B, more than the {have} B of physical memory")
-
-
-def _batch_bytes(spec: ProtocolSpec, trials: int) -> int:
-    """Peak bytes of the executor rebuilding `vectors`: it holds two
-    (T, 2^(M+MN)) batches at once while it emits."""
-    return 2 * 16 * trials * 2 ** (spec.m * (spec.n + 1))
 
 
 @dataclass
 class ProtocolResult:
     """Outcome of `run`: fidelity, its SE and the trajectory weights (T,).
-
-    `run` never holds a photonic state. The completed photonic vectors
-    `vectors` (T, 2^(MN)) are rebuilt by the dense executor from the stored
-    bath phases and sampled completion outcomes when first read, so they are
-    the trajectories F was computed from. Reading them, or `photonic_state`,
-    raises ValueError before allocating if the array needs more bytes than
-    the machine's physical memory; a run whose batch could never be rebuilt
-    keeps no bath phases."""
+    `run` never holds a photonic state, and a result keeps no trajectory
+    data beyond the weights."""
     weights: np.ndarray
-    mixed: bool
     fidelity: float
     fidelity_se: float
     prep_fidelity: float | None
@@ -121,32 +103,6 @@ class ProtocolResult:
     wall_clock_model: float
     postselect_probability: float
     trials: int
-    # (spec, compiler, phases or None, outcomes, corrections): what rebuilds `vectors`
-    replay: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        spec, compiler, phases, outcomes, corrections = self.replay
-        _refuse_past_memory(_batch_bytes(spec, len(outcomes)), "the trajectory batch")
-        if self.mixed and phases is None:
-            raise ValueError("the bath phases were not kept: the trajectory batch did not fit")
-        amps = _execute(spec, build_schedule(spec), compiler, phases)
-        return _branch_vectors(amps, spec, outcomes, corrections)
-
-    @cached_property
-    def photonic_state(self) -> QuantumState:
-        """The normalised vector of a noiseless run; the mixture V^T V*/sum w
-        of a noisy one, built when first read."""
-        spec = self.replay[0]
-        wires = _photon_wires(spec.m * spec.n)
-        if not self.mixed:
-            vec = self.vectors[0]
-            return QuantumState(vec / np.sqrt(max(self.weights[0], 1e-300)), wires)
-        _refuse_past_memory(16 * 4 ** len(wires), "rho")
-        vecs = self.vectors
-        rho = vecs.T @ vecs.conj()
-        rho /= max(self.weights.sum(), 1e-300)
-        return QuantumState(rho, wires)
 
 
 def build_schedule(spec: ProtocolSpec) -> list:
@@ -230,8 +186,6 @@ def _emit(amps: np.ndarray, source: int) -> np.ndarray:
 def emit_photon(state: QuantumState) -> QuantumState:
     """Append a photon in |0> and apply CNOT from the electron; the one-state
     case of the batched emission the executor runs."""
-    if not state.pure:
-        raise ValueError("photons can only be emitted from pure states")
     source = next(
         i for i, w in enumerate(state.wires) if w.kind == RoleKind.ELECTRON
     )
@@ -301,8 +255,12 @@ def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) 
     """Run the gate and emit items of a schedule on a batch of pure register
     states, one row per row of `phases` (a single row without them), from
     the initial spin state, or from the (1, 2^wires) amplitudes `start`.
-    Returns the amplitudes, shaped (T, 2^wires)."""
+    Returns the amplitudes, shaped (T, 2^wires). Raises ValueError before
+    allocating if that batch needs more bytes than the physical memory."""
     rows = 1 if phases is None else len(phases)
+    width = 2 ** spec.m if start is None else start.shape[1]
+    emits = sum(item.kind == "emit" for item in items)
+    _refuse_past_memory(16 * rows * width * 2 ** emits, "the trajectory batch")
     if start is None:
         start = np.zeros((1, 2 ** spec.m), dtype=complex)
         start[0, -1 if spec.init_one else 0] = 1.0
@@ -411,11 +369,11 @@ def ideal_target(
 
 def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     """Execute the protocol on one trajectory without noise, on `trials`
-    noisy trajectories otherwise, and complete each; with noise the photonic
-    state is their mixture, built when read. Fidelity is against the ideal-gate
-    target: F = sqrt(sum o_t / sum w_t) over the per-trajectory overlaps
-    o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1> probability
-    under postselection); its standard error is the ratio estimator's.
+    noisy trajectories otherwise, and complete each. Fidelity is against the
+    ideal-gate target: F = sqrt(sum o_t / sum w_t) over the per-trajectory
+    overlaps o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1>
+    probability under postselection); its standard error is the ratio
+    estimator's.
     The overlaps come from `_contract`, which holds no photonic state."""
     sched = build_schedule(spec)
     compiler = _compiler_for(spec)
@@ -427,7 +385,7 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     )
     rng = np.random.default_rng(spec.seed)
     phases = _sample_phases(spec, sched, rng)
-    overlaps, weights, outcomes = _contract(spec, sched, compiler, phases, corrections, rng)
+    overlaps, weights, _ = _contract(spec, sched, compiler, phases, corrections, rng)
     fid2 = overlaps.sum() / max(weights.sum(), 1e-300)
     fid = float(np.sqrt(max(fid2, 0.0)))
     t = len(weights)
@@ -438,15 +396,11 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
         se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
         se = se / (2 * fid) if fid > 0 else se
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
-    # the phases serve only a `vectors` rebuild, which may never fit
-    kept = phases if _batch_bytes(spec, t) <= _physical_memory() else None
     prep_f = block_f = None
     if components:
         prep_f, block_f = component_fidelities(spec, compiler)
     return ProtocolResult(
-        weights, spec.noise is not None, fid, se, prep_f, block_f,
-        wall_clock_model(spec), ps_prob, t,
-        (spec, compiler, kept, outcomes, corrections),
+        weights, fid, se, prep_f, block_f, wall_clock_model(spec), ps_prob, t,
     )
 
 
@@ -622,28 +576,6 @@ def _sample_outcomes(probs, rng):
         p0, norm = sub[:, 0].sum(axis=1), sub.sum(axis=(1, 2))
         outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
     return outcome
-
-
-def _branch_vectors(amps, spec, outcomes, corrections):
-    """Completed photonic vectors (T, 2^(n-m)) of a (T, 2^n) batch, given
-    each trajectory's spin outcome: in postselect mode the unnormalised
-    branch; in corrected mode the normalised branch with its cached Pauli
-    photon correction applied as one index flip and one phase vector."""
-    t = len(amps)
-    vecs = amps.reshape(t, 2 ** spec.m, -1)[np.arange(t), outcomes]
-    if spec.completion == "postselect":
-        return vecs
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    if corrections is None:
-        return vecs
-    index = np.arange(vecs.shape[1])
-    outcome_bits = list(np.ndindex(*(2,) * spec.m))
-    # bincount, not np.unique: that loads numpy.ma (1.2 MB) on first use
-    for o in np.flatnonzero(np.bincount(outcomes)):
-        sel = outcomes == o
-        flip, phase = _pauli_action(corrections[outcome_bits[o]])
-        vecs[sel] = phase * vecs[np.ix_(sel, index ^ flip)]
-    return vecs
 
 
 def _pauli_action(locals_):

@@ -1,10 +1,8 @@
-"""Dense states over role-labeled wires, gates on state vectors, and the
-fidelities of mixed states.
+"""Dense pure states over role-labeled wires, and the gates that act on them.
 
 Registers are small (<= ~14 qubits), so everything is plain dense numpy.
 Wire 0 is the leftmost tensor factor. States are immutable: every operation
-returns a new QuantumState. Gates act on pure states; a density matrix is
-an output (a noisy run's rho, a dephased emission pair) that is only read.
+returns a new QuantumState.
 """
 from __future__ import annotations
 
@@ -54,57 +52,24 @@ def _check_roles(wires: Sequence[QubitRole]):
             raise ValueError(f"{kind.value} indices must be contiguous from 0")
 
 
-def _check_hermitian(mat: np.ndarray):
-    """Raise unless ||mat - mat^dagger||_F <= 1e-9. The norm is summed over
-    16 row blocks, so no temporary is larger than a sixteenth of mat."""
-    step = -(-len(mat) // 16)
-    sq = 0.0
-    for i in range(0, len(mat), step):
-        sq += np.linalg.norm(mat[i:i + step] - mat[:, i:i + step].conj().T) ** 2
-    if np.sqrt(sq) > 1e-9:
-        raise ValueError("density matrix is not Hermitian")
-
-
 class QuantumState:
-    """Pure state (vector) or mixed state (density matrix) over labeled wires."""
+    """Normalised state vector over labeled wires."""
 
     def __init__(self, data: np.ndarray, wires: Sequence[QubitRole], validate: bool = True):
         data = np.asarray(data, dtype=complex)
         self.wires = tuple(wires)
         n = len(self.wires)
-        dim = 2 ** n
-        if data.ndim == 1:
-            if data.shape != (dim,):
-                raise ValueError(f"state vector length {data.shape} != 2^{n}")
-            self.pure = True
-        elif data.ndim == 2:
-            if data.shape != (dim, dim):
-                raise ValueError(f"density matrix shape {data.shape} != (2^{n}, 2^{n})")
-            self.pure = False
-        else:
-            raise ValueError("state data must be a vector or a square matrix")
+        if data.shape != (2 ** n,):
+            raise ValueError(f"state data of shape {data.shape} is not a vector of length 2^{n}")
         self.data = data
         if validate:
             _check_roles(self.wires)
-            self._check_normalisation()
+            if abs(np.linalg.norm(data) - 1.0) > 1e-9:
+                raise ValueError("pure state is not normalised")
 
     @property
     def n_qubits(self) -> int:
         return len(self.wires)
-
-    def _check_normalisation(self):
-        if self.pure:
-            if abs(np.linalg.norm(self.data) - 1.0) > 1e-9:
-                raise ValueError("pure state is not normalised")
-        else:
-            if abs(np.trace(self.data).real - 1.0) > 1e-9:
-                raise ValueError("density matrix trace != 1")
-            _check_hermitian(self.data)
-
-    def density_matrix(self) -> np.ndarray:
-        if self.pure:
-            return np.outer(self.data, self.data.conj())
-        return self.data
 
 
 # Common gates
@@ -147,7 +112,7 @@ _GEMM_SPANS = range(4, 33)
 
 def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Apply a 2^k x 2^k matrix, or a (T, 2^k, 2^k) stack of them, to the
-    given wires of every row of a (T, 2^n) batch of vectors. A row may hold
+    given wires of every row of a (T, 2^n) batch of amplitudes. A row may hold
     2^n e entries, e per index of the n wires, which then lead its index.
 
     Targets that are already the leading wires need no axis moves. A shared
@@ -174,8 +139,6 @@ def _apply_matrix_vec(vecs: np.ndarray, u: np.ndarray, targets: Sequence[int], n
 
 
 def apply_gate(state: QuantumState, u: np.ndarray, targets: Sequence[int]) -> QuantumState:
-    if not state.pure:
-        raise ValueError("gates apply to pure states only")
     mat = np.asarray(u, dtype=complex)
     arity = int(round(np.log2(mat.shape[0])))
     targets = list(targets)
@@ -188,22 +151,3 @@ def apply_gate(state: QuantumState, u: np.ndarray, targets: Sequence[int]) -> Qu
         raise ValueError("target wire out of range")
     out = _apply_matrix_vec(state.data[None], mat, targets, n)[0]
     return QuantumState(out, state.wires, validate=False)
-
-
-def state_fidelity(rho: QuantumState, psi: QuantumState) -> float:
-    """sqrt(<psi|rho|psi>) -- note the square-root convention, used throughout."""
-    if rho.n_qubits != psi.n_qubits:
-        raise ValueError("dimension mismatch")
-    if not psi.pure:
-        raise ValueError("reference state must be pure")
-    vec = psi.data
-    overlap = np.real(vec.conj() @ rho.density_matrix() @ vec)
-    return float(np.sqrt(max(overlap, 0.0)))
-
-
-def max_pure_fidelity(rho: QuantumState) -> float:
-    """max over pure |a> of sqrt(<a|rho|a>) = sqrt of the largest eigenvalue."""
-    mat = rho.density_matrix()
-    _check_hermitian(mat)
-    lam = np.linalg.eigvalsh(mat)[-1]
-    return float(np.sqrt(max(lam, 0.0)))

@@ -16,6 +16,11 @@ from .states import CZ, I2, SWAP, rx, ry, rz
 from .hamiltonian import SpinSystemParams, free_hamiltonian, resonance_spacing
 
 SERIAL_FORMAT_VERSION = 1
+# the key of every line of a gate file but its `unit` lines, in the order written
+_SERIAL_FIELDS = (
+    "format_version", "target", "a_par_hz", "a_perp_hz", "gamma_e_hz_per_t",
+    "gamma_n_hz_per_t", "b_field_t", "fidelity", "met_threshold", "k", "final_gate",
+)
 
 ELECTRON_GATES = {
     "I": I2,
@@ -439,7 +444,8 @@ def serialize_sequence(report: SynthesisReport, p: SpinSystemParams) -> str:
 
 def deserialize_sequence(text: str):
     """Returns (SynthesisReport, SpinSystemParams); the stored fidelity is
-    clipped to 1, as `synthesize` reports it."""
+    clipped to 1, as `synthesize` reports it. Raises ValueError if a field
+    is missing or `k` is not the number of `unit` lines."""
     fields = {}
     units = []
     for line in text.strip().splitlines():
@@ -448,8 +454,13 @@ def deserialize_sequence(text: str):
             units.append((float(parts[1]), parts[2]))
         else:
             fields[parts[0]] = parts[1:]
+    missing = [name for name in _SERIAL_FIELDS if name not in fields]
+    if missing:
+        raise ValueError(f"gate file is missing {', '.join(missing)}")
     if int(fields["format_version"][0]) != SERIAL_FORMAT_VERSION:
         raise ValueError("unsupported gate-file version")
+    if int(fields["k"][0]) != len(units):
+        raise ValueError(f"gate file says k {fields['k'][0]} but has {len(units)} unit lines")
     p = SpinSystemParams(
         a_par=float(fields["a_par_hz"][0]),
         a_perp=float(fields["a_perp_hz"][0]),

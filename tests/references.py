@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from spincluster.emission import EmissionParams
 from spincluster import protocol
 from spincluster.hamiltonian import propagator
-from spincluster.states import QuantumState, QubitRole, RoleKind, apply_gate, max_pure_fidelity
+from spincluster.states import QuantumState, apply_gate
 from spincluster.synthesis import _GATE_4X4, DDSequence, UnitCompiler, _gate_stack
 
 
@@ -35,9 +35,10 @@ def propagator_expm(h: np.ndarray, t: float) -> np.ndarray:
     return expm(-2j * np.pi * h * t)
 
 
-def dephased_state(p: EmissionParams) -> QuantumState:
-    """Exponential-dwell average of |Psi(omega t)><Psi(omega t)|, by
-    adaptive quadrature (relative error < 1e-8)."""
+def dephased_state(p: EmissionParams) -> np.ndarray:
+    """Density matrix (4, 4) over (electron, photon) of the exponential-dwell
+    average of |Psi(omega t)><Psi(omega t)|, by adaptive quadrature (relative
+    error < 1e-8)."""
     x = p.delta_omega * p.tau
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = 0.5
@@ -51,13 +52,14 @@ def dephased_state(p: EmissionParams) -> QuantumState:
                      weight="sin", wvar=x, epsrel=1e-12)
     rho[3, 0] = re + 1j * im
     rho[0, 3] = np.conj(rho[3, 0])
-    wires = (QubitRole(RoleKind.ELECTRON), QubitRole(RoleKind.PHOTON, 0))
-    return QuantumState(rho, wires)
+    return rho
 
 
 def emission_fidelity_numeric(p: EmissionParams) -> float:
-    """Quadrature + eigendecomposition path; cross-checks the closed form."""
-    return max_pure_fidelity(dephased_state(p))
+    """Quadrature + eigendecomposition path; cross-checks the closed form:
+    the largest sqrt(<a|rho|a>) over pure |a>, sqrt of rho's largest
+    eigenvalue."""
+    return float(np.sqrt(np.linalg.eigvalsh(dephased_state(p))[-1]))
 
 
 def noisy_sequence_unitary_stacked(seq: DDSequence, compiler: UnitCompiler,
@@ -88,7 +90,8 @@ def apply_matrix_vec_moveaxis(vecs: np.ndarray, u: np.ndarray, targets, n: int) 
 
 def complete_dense(amps, spec, corrections, rng):
     """Completion measurement of the spin wires on each row of a (T, 2^n)
-    batch; returns (photonic vectors (T, 2^(n-m)), weights (T,)).
+    batch; returns (photonic vectors (T, 2^(n-m)), weights (T,), spin
+    outcomes (T,)), an outcome's wire 0 its most significant bit.
 
     corrected mode: sample each trajectory's spin outcomes by the Born rule,
     wire by wire from one uniform each, and apply the cached Pauli photon
@@ -102,9 +105,10 @@ def complete_dense(amps, spec, corrections, rng):
     if corrections is None:
         vecs = branches[:, -1].copy()
         w = np.sum(np.abs(vecs) ** 2, axis=1)
+        all_ones = np.full(t, 2 ** m - 1)
         if spec.completion == "postselect":
-            return vecs, w
-        return vecs / np.sqrt(np.maximum(w, 1e-300))[:, None], np.ones(t)
+            return vecs, w, all_ones
+        return vecs / np.sqrt(np.maximum(w, 1e-300))[:, None], np.ones(t), all_ones
     probs = np.sum(np.abs(branches) ** 2, axis=2)
     uniforms = rng.random((t, m))
     rows = np.arange(t)
@@ -121,14 +125,15 @@ def complete_dense(amps, spec, corrections, rng):
         sel = outcome == o
         flip, phase = protocol._pauli_action(corrections[outcome_bits[o]])
         vecs[sel] = phase * vecs[np.ix_(sel, index ^ flip)]
-    return vecs, np.ones(t)
+    return vecs, np.ones(t), outcome
 
 
 def dense_run(spec):
     """`protocol.run` on the dense path: the whole (T, 2^(M+MN)) batch from
     the executor, the sampled completion of `complete_dense` and the
     overlaps with `ideal_target`, from the same random stream. Returns
-    (fidelity, fidelity_se, postselect_probability, vectors, weights)."""
+    (fidelity, fidelity_se, postselect_probability, vectors, weights,
+    outcomes)."""
     sched = protocol.build_schedule(spec)
     target = protocol.ideal_target(spec.m, spec.n, spec.style, spec.init_one)
     corrections = (
@@ -138,7 +143,7 @@ def dense_run(spec):
     rng = np.random.default_rng(spec.seed)
     phases = protocol._sample_phases(spec, sched, rng)
     amps = protocol._execute(spec, sched, protocol._compiler_for(spec), phases)
-    vecs, weights = complete_dense(amps, spec, corrections, rng)
+    vecs, weights, outcomes = complete_dense(amps, spec, corrections, rng)
     overlaps = np.abs(vecs @ target.data.conj()) ** 2
     fid2 = overlaps.sum() / weights.sum()
     fid = float(np.sqrt(fid2))
@@ -149,7 +154,7 @@ def dense_run(spec):
         se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
         se = se / (2 * fid)
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
-    return fid, se, ps_prob, vecs, weights
+    return fid, se, ps_prob, vecs, weights, outcomes
 
 
 def ou_segments_whole(noise, durations: np.ndarray, n_traj: int, rng: np.random.Generator):

@@ -70,7 +70,7 @@ class TestFidelity:
 
 class TestDephasedState:
     def test_structure(self):
-        rho = dephased_state(EmissionParams(tau=1.0, delta_omega=2.0)).data
+        rho = dephased_state(EmissionParams(tau=1.0, delta_omega=2.0))
         assert abs(np.trace(rho) - 1) < 1e-9
         assert abs(rho[0, 0] - 0.5) < 1e-9 and abs(rho[3, 3] - 0.5) < 1e-9
         assert abs(rho[1, 1]) < 1e-12 and abs(rho[2, 2]) < 1e-12
@@ -79,14 +79,14 @@ class TestDephasedState:
     def test_coherence_magnitude(self):
         for x in (0.0, 0.5, 3.0):
             p = EmissionParams(tau=1.0, delta_omega=x)
-            rho = dephased_state(p).data
+            rho = dephased_state(p)
             assert abs(abs(rho[0, 3]) - coherence_magnitude(p)) < 1e-9
             assert abs(coherence_magnitude(p) - 0.5 / np.sqrt(1 + x * x)) < 1e-12
 
     def test_coherence_phase(self):
         # the exponential average tilts the coherence into the imaginary axis
         p = EmissionParams(tau=1.0, delta_omega=1.0)
-        rho = dephased_state(p).data
+        rho = dephased_state(p)
         assert abs(rho[3, 0] - (0.25 + 0.25j)) < 1e-9
 
 

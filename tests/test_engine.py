@@ -39,14 +39,15 @@ import pytest
 from scipy.linalg import expm
 
 from references import (
-    apply_matrix_vec_moveaxis, dense_run, evolve, noisy_sequence_unitary_stacked,
+    apply_matrix_vec_moveaxis, complete_dense, dense_run, evolve,
+    noisy_sequence_unitary_stacked,
 )
 from spincluster import protocol
 from spincluster.hamiltonian import free_hamiltonian, propagator
 from spincluster.noise import ou_from_coherence
 from spincluster.protocol import (
-    RY_PROTO, ProtocolSpec, _branch_vectors, _execute, _sample_outcomes, _sample_phases,
-    build_schedule, emit_photon, find_corrections,
+    RY_PROTO, ProtocolSpec, _execute, _sample_phases, build_schedule, emit_photon,
+    find_corrections,
 )
 from spincluster.states import (
     I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, rz,
@@ -153,15 +154,30 @@ def _lean_noisy(packaged, n):
     )
 
 
+def run_and_outcomes(spec, monkeypatch):
+    """`protocol.run(spec)` and the spin outcomes (T,) its contraction sampled."""
+    sampled, contract = [], protocol._contract
+
+    def recorded(*args):
+        out = contract(*args)
+        sampled.append(out[2])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_contract", recorded)
+        res = protocol.run(spec)
+    return res, sampled[0]
+
+
 @pytest.mark.parametrize("n", [6, 20])
 def test_noisy_run_unchanged_by_assembly_groups(packaged, monkeypatch, n):
     # one instance per call, as before the instances were grouped
     spec = _lean_noisy(packaged, n)
-    got = protocol.run(spec)
+    got, got_outcomes = run_and_outcomes(spec, monkeypatch)
     monkeypatch.setattr(protocol, "_COLUMNS", 1)
-    ref = protocol.run(spec)
+    ref, ref_outcomes = run_and_outcomes(spec, monkeypatch)
     assert got.fidelity == ref.fidelity and got.fidelity_se == ref.fidelity_se
-    assert np.array_equal(got.replay[3], ref.replay[3])  # the sampled outcomes
+    assert np.array_equal(got_outcomes, ref_outcomes)
 
 
 def test_noisy_run_assembles_each_sequence_once(packaged, monkeypatch):
@@ -268,9 +284,7 @@ def test_completion_matches_per_wire_passes(packaged, n, trials, seed, times_y):
         bits: None if locals_ is None else [Y @ u if times_y else u for u in locals_]
         for bits, locals_ in find_corrections(spec).items()
     }
-    probs = np.sum(np.abs(amps.reshape(trials, 4, -1)) ** 2, axis=2)
-    outcomes = _sample_outcomes(probs, np.random.default_rng(seed))
-    vecs = _branch_vectors(amps, spec, outcomes, corrections)
+    vecs = complete_dense(amps, spec, corrections, np.random.default_rng(seed))[0]
     ref = complete_by_wire_passes(amps, spec, corrections, np.random.default_rng(seed))
     assert np.array_equal(vecs, ref)
 
@@ -284,21 +298,22 @@ _CONTRACTION_GRID = [(2, n, "lean") for n in range(7)] + [
 @pytest.mark.parametrize("completion", ["corrected", "postselect"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
 @pytest.mark.parametrize("init_one", [False, True])
-def test_contraction_matches_dense_run(packaged, m, n, style, completion, noisy, init_one):
+def test_contraction_matches_dense_run(packaged, monkeypatch, m, n, style, completion, noisy,
+                                      init_one):
     lib, params, _ = packaged
     spec = ProtocolSpec(
         m=m, n=n, gate_library=lib, params=params, style=style, completion=completion,
         init_one=init_one, trials=20, seed=n + 7 * m,
         noise=ou_from_coherence(0.08e-6, 8e-6, seed=n) if noisy else None,
     )
-    res = protocol.run(spec)
-    fid, se, ps_prob, vecs, weights = dense_run(spec)
+    res, outcomes = run_and_outcomes(spec, monkeypatch)
+    fid, se, ps_prob, _, weights, dense_outcomes = dense_run(spec)
     assert abs(res.fidelity - fid) <= 1e-12
     assert abs(res.fidelity_se - se) <= 1e-12
     assert abs(res.postselect_probability - ps_prob) <= 1e-12
     assert np.max(np.abs(res.weights - weights)) <= 1e-12
-    # the same trajectories and outcomes, rebuilt on read by the same executor
-    assert np.max(np.abs(res.vectors - vecs)) <= 1e-12
+    # the same spin outcome for every trajectory, drawn from the same stream
+    assert np.array_equal(outcomes, dense_outcomes)
 
 
 def apply_noise_segment(state, trajectory, h, t, dt, targets=None):

@@ -7,7 +7,8 @@ No linter is a dependency of the project, so this parses each module with
 `ast`: a name bound by a top-level import must be read somewhere else in the
 module. `__init__.py` is skipped, since its imports are the package's
 re-exports. A top-level `def _name` or `class _Name` must be read, as a name
-or an attribute, in some module of the package. A name assigned in a function
+or an attribute, in some module of the package outside its own definition,
+so a helper that only the tests (or only itself) call does not stay. A name assigned in a function
 must be read in that function or in a function nested in it, unless it
 starts with `_`.
 
@@ -59,19 +60,23 @@ def test_check_flags_an_unused_import():
 
 def unreferenced_private(sources: dict) -> list:
     """Module-level `_private` functions and classes of {file name: source}
-    that no module reads."""
+    that no module reads outside their own definition."""
     defined, read = {}, set()
     for name, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
+            own = getattr(node, "name", None)
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = f"{name} line {node.lineno}"
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                read.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                read.add(n.attr)
+                    and own.startswith("_") and not own.startswith("__")):
+                defined[own] = f"{name} line {node.lineno}"
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    ref = n.id
+                elif isinstance(n, ast.Attribute):
+                    ref = n.attr
+                else:
+                    continue
+                if ref != own:
+                    read.add(ref)
     return sorted(f"{name} ({where})" for name, where in defined.items()
                   if name not in read)
 
@@ -86,8 +91,14 @@ def test_check_flags_an_unreferenced_private_definition():
                 "class _Gone:\n    pass\n\ndef public():\n    return _used()\n",
         "b.py": "import c\n\nclass _Kept:\n    pass\n\nc._helper(_Kept)\n",
         "c.py": "def _helper():\n    pass\n",
+        # read only inside their own definitions
+        "d.py": "def _recurse(n):\n    return _recurse(n - 1) if n else 0\n\n"
+                "class _Self:\n    def copy(self):\n        return _Self()\n",
     }
-    assert unreferenced_private(sources) == ["_Gone (a.py line 7)", "_dead (a.py line 4)"]
+    assert unreferenced_private(sources) == [
+        "_Gone (a.py line 7)", "_Self (d.py line 4)", "_dead (a.py line 4)",
+        "_recurse (d.py line 1)",
+    ]
 
 
 def unused_locals(source: str) -> list:

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from spincluster.noise import OUNoise
 from spincluster.presets import (
     PRESET_DIR_ENV, load_preset, load_presets, preset_names, spin_params,
 )
+from spincluster.protocol import run
 
 
 class TestPresets:
@@ -176,3 +178,15 @@ class TestCLI:
         assert rc == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "FAIL protocol_noise_monotonicity" in out
+
+    def test_verify_fails_a_seed_without_effect(self, capsys, monkeypatch):
+        # runs that ignore their seed reproduce themselves trivially; the
+        # check must see that the next seed gives the same F
+        def seed_zero(spec, components=False):
+            return run(replace(spec, seed=0), components)
+
+        monkeypatch.setattr(cli, "run", seed_zero)
+        assert main(["verify", "--seed", "0"]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "FAIL seed_reproducibility" in out
+        assert "PASS protocol_noise_monotonicity" in out

@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from references import dense_run
 from spincluster import protocol
 from spincluster.noise import OUNoise, ou_from_coherence
 from spincluster.clifford import Tableau, completion_corrections, lc_equivalence
@@ -17,7 +19,7 @@ from spincluster.protocol import (
 )
 from spincluster.states import (
     CZ, H, I2, X, Y, Z, QuantumState, RoleKind, apply_gate, electron, nuclear,
-    photon, state_fidelity,
+    photon,
 )
 from spincluster.synthesis import DDSequence
 
@@ -117,7 +119,7 @@ class TestNoiselessRuns:
     def test_unit_fidelity_with_ideal_gates(self, m, n):
         res = run(_spec(m, n))
         assert abs(res.fidelity - 1) < 1e-9
-        assert res.photonic_state.n_qubits == m * n
+        assert res.weights.shape == (1,)
 
     def test_lean_unit_fidelity(self):
         for n in (1, 2):
@@ -194,6 +196,11 @@ def _paulis(x, z):
 def _signed_pauli(x, z, r):
     """Dense tableau row: (-1)^r times the Pauli string with (1, 1) = Y."""
     return (-1) ** r * 1j ** int(np.sum(x & z)) * reduce(np.kron, _paulis(x, z))
+
+
+def _mixture(vecs, weights):
+    """rho = V^T V* / sum w of completed vectors V (T, 2^(MN))."""
+    return vecs.T @ vecs.conj() / weights.sum()
 
 
 def _target_stabiliser(spec):
@@ -362,7 +369,8 @@ class TestCorrections:
         target = ideal_target(2, 2, style="lean").data
         assert abs(abs(np.vdot(target, s @ target)) - 1) <= 1e-12
         base = run(spec)
-        rho = base.photonic_state.data
+        base_v, base_w = dense_run(spec)[3:5]
+        rho = _mixture(base_v, base_w)
         shipped = protocol.find_corrections
         for branches in ([(0, 1)], list(np.ndindex(2, 2))):
             def chosen(spec_, branches=branches):
@@ -375,18 +383,19 @@ class TestCorrections:
             res = run(spec)
             assert abs(res.fidelity - base.fidelity) <= 1e-12
             assert abs(res.fidelity_se - base.fidelity_se) <= 1e-12
-            kept = np.max(np.abs(res.vectors - base.vectors), axis=1) <= 1e-12
-            moved = np.max(np.abs(res.vectors - base.vectors @ s.T), axis=1) <= 1e-12
+            v, w = dense_run(spec)[3:5]
+            kept = np.max(np.abs(v - base_v), axis=1) <= 1e-12
+            moved = np.max(np.abs(v - base_v @ s.T), axis=1) <= 1e-12
             assert np.all(kept ^ moved)
-            rho_s = res.photonic_state.data
+            rho_s = _mixture(v, w)
             if len(branches) == 4:
                 assert moved.all()
                 assert np.max(np.abs(rho_s - s @ rho @ s.conj().T)) <= 1e-12
             else:
                 assert moved.any() and kept.any()
-                part = base.vectors[moved]
+                part = base_v[moved]
                 expect = rho + (s @ part.T @ part.conj() @ s.conj().T
-                                - part.T @ part.conj()) / base.weights.sum()
+                                - part.T @ part.conj()) / base_w.sum()
                 assert np.max(np.abs(rho_s - expect)) <= 1e-12
 
 
@@ -472,9 +481,10 @@ class TestNoisyRuns:
 
 
 class TestTrajectoryFactor:
-    """A run keeps its weights w (T,) and rebuilds the completed vectors
-    V (T, 2^(MN)) when they are read; a noisy run builds rho = V^T V* / sum w
-    only when `photonic_state` is read."""
+    """A run returns its fidelity, SE and weights w (T,) and keeps no
+    trajectory data. The completed vectors V (T, 2^(MN)) of the same
+    trajectories come from the dense reference `dense_run`; their mixture
+    rho = V^T V* / sum w is the photonic state of a noisy run."""
 
     @staticmethod
     def _lean_2x2(packaged, completion, seed):
@@ -487,54 +497,60 @@ class TestTrajectoryFactor:
     @pytest.mark.parametrize("completion", ["corrected", "postselect"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rho_is_the_mixture_of_the_factor(self, packaged, completion, seed):
-        res = run(self._lean_2x2(packaged, completion, seed))
-        v, w = res.vectors, res.weights
-        assert v.shape == (100, 16) and w.shape == (100,)
-        assert v.base is None  # not a view that keeps the executor's batch alive
-        rho = sum(np.outer(vt, vt.conj()) for vt in v) / w.sum()
-        state = res.photonic_state
-        assert not state.pure and state.n_qubits == 4
-        assert np.max(np.abs(state.data - rho)) <= 1e-12
-        assert res.photonic_state is state
-        target = ideal_target(2, 2, style="lean")
-        assert abs(state_fidelity(state, target) - res.fidelity) <= 1e-12
-
-    def test_oversized_rho_refused_before_allocation(self, packaged, monkeypatch):
-        res = run(self._lean_2x2(packaged, "corrected", 1))
-        # the 4-photon rho needs 16 * 4^4 = 4096 B; report 63 pages of 64 B
-        monkeypatch.setattr(
-            protocol.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 63, "SC_PAGE_SIZE": 64}[name]
-        )
-        with pytest.raises(ValueError, match="4096 B, more than the 4032 B"):
-            res.photonic_state
-        assert 0.5 < res.fidelity < 1 and res.fidelity_se > 0
-
-    def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
-        res = run(self._lean_2x2(packaged, "corrected", 1))
-        # the executor peaks at two 100 * 2^6 * 16 B batches; report 150 000 B
-        monkeypatch.setattr(
-            protocol.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 1500, "SC_PAGE_SIZE": 100}[name]
-        )
-        with pytest.raises(ValueError, match="batch needs 204800 B, more than the 150000 B"):
-            res.vectors
-        monkeypatch.undo()
-        assert res.vectors.shape == (100, 16)
-
-    def test_reading_rho_holds_no_rho_sized_temporary(self, packaged):
-        lib, params, _ = packaged
-        noise = ou_from_coherence(t2_star=3e-6, t2_hahn=300e-6, seed=1)
-        spec = ProtocolSpec(m=2, n=4, gate_library=lib, params=params,
-                            style="lean", noise=noise, trials=20, seed=1)
+        # F is the square-root fidelity sqrt(<target|rho|target>) of the
+        # mixture of the run's trajectories
+        spec = self._lean_2x2(packaged, completion, seed)
         res = run(spec)
+        v, w = dense_run(spec)[3:5]
+        assert v.shape == (100, 16) and res.weights.shape == (100,)
+        assert np.max(np.abs(res.weights - w)) <= 1e-12
+        rho = _mixture(v, w)
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        target = ideal_target(2, 2, style="lean").data
+        assert abs(np.sqrt(np.vdot(target, rho @ target).real) - res.fidelity) <= 1e-12
+
+    def test_result_holds_no_trajectory_data(self, packaged):
+        # 1000 trials of lean 2x2 sample (1000, 222) bath phases, 1.8 MB;
+        # what stays alive after `run` returns is the result: its weights
+        # (8 kB) and scalars
+        spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=1000)
+        run(spec)  # first-use allocations of numpy and the package
         tracemalloc.start()
         try:
-            state = res.photonic_state
-            peak = tracemalloc.get_traced_memory()[1]
+            res = run(spec)
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # rho itself is 16 * 4^8 B; validating it may add half of that at most
-        assert peak < 1.5 * 16 * 4 ** 8
-        assert state.data.shape == (4 ** 4, 4 ** 4)
+        assert held < 64 * 1024
+        assert res.weights.shape == (1000,) and res.trials == 1000
+
+    def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
+        # the dense executor's batch of 5 lean 2x2 trajectories ends at
+        # 5 * 2^6 amplitudes of 16 B: 5120 B, refused at 5119 B
+        spec = self._lean_2x2(packaged, "corrected", 1)
+        sched = build_schedule(spec)
+        phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))[:5]
+        compiler = protocol.UnitCompiler(spec.params)
+
+        def memory(pages):
+            return lambda name: {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}[name]
+
+        def no_allocation(*args):
+            raise AssertionError("the executor ran")
+
+        monkeypatch.setattr(protocol.os, "sysconf", memory(5119))
+        monkeypatch.setattr(protocol, "_emit", no_allocation)
+        monkeypatch.setattr(protocol, "_gate_unitaries", no_allocation)
+        with pytest.raises(ValueError, match="batch needs 5120 B, more than the 5119 B"):
+            protocol._execute(spec, sched, compiler, phases)
+        # ideal_target runs one trajectory: 2^6 * 16 B
+        monkeypatch.setattr(protocol.os, "sysconf", memory(1023))
+        with pytest.raises(ValueError, match="batch needs 1024 B, more than the 1023 B"):
+            ideal_target(2, 2, style="lean")
+        monkeypatch.undo()
+        monkeypatch.setattr(protocol.os, "sysconf", memory(5120))
+        assert protocol._execute(spec, sched, compiler, phases).shape == (5, 2 ** 6)
 
     def test_long_lattice_run_holds_no_dense_rho(self, packaged):
         lib, params, _ = packaged
@@ -549,7 +565,7 @@ class TestTrajectoryFactor:
             tracemalloc.stop()
         # a quarter of the 12-photon rho, 16 * 4^12 B
         assert peak < 16 * 4 ** 12 / 4
-        assert res.vectors.shape == (20, 4 ** 6)
+        assert 0.99 < res.fidelity <= 1 and res.fidelity_se > 0
 
     @staticmethod
     def _long_lean(packaged, n):
@@ -574,36 +590,6 @@ class TestTrajectoryFactor:
         # a 2x20 batch of 20 trajectories would take 20 * 2^42 * 16 B
         res = run(self._long_lean(packaged, 20))
         assert 0.9 < res.fidelity <= 1 and np.isfinite(res.fidelity_se) and res.fidelity_se > 0
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="trajectory batch needs"):
-                res.vectors
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
-        with pytest.raises(ValueError, match="rho needs"):
-            res.photonic_state
-
-    def test_unrebuildable_run_keeps_no_phases(self, packaged):
-        # the 2x20 phases (20 x 1734 floats) could only serve a refused rebuild
-        res = run(self._long_lean(packaged, 20))
-        assert res.replay[2] is None
-        with pytest.raises(ValueError, match="trajectory batch needs"):
-            res.vectors
-        assert run(self._long_lean(packaged, 2)).replay[2].shape == (20, 3 * (3 * 18 + 2 * 10))
-
-    def test_phases_dropped_at_run_are_not_replaced_by_silence(self, packaged, monkeypatch):
-        # memory reported too small at run time, enough when read: the
-        # rebuild must not run the schedule without its bath
-        monkeypatch.setattr(
-            protocol.os, "sysconf", lambda name: {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 64}[name]
-        )
-        res = run(self._long_lean(packaged, 2))
-        monkeypatch.undo()
-        assert res.replay[2] is None
-        with pytest.raises(ValueError, match="bath phases were not kept"):
-            res.vectors
 
 
 class TestWallClock:

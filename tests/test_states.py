@@ -3,22 +3,13 @@ import pytest
 
 from spincluster.protocol import emit_photon
 from spincluster.states import (
-    CZ, H, I2, SWAP, X, QuantumState, RoleKind, apply_gate, electron,
-    max_pure_fidelity, nuclear, photon, ry, state_fidelity,
+    CZ, H, I2, SWAP, X, QuantumState, RoleKind, apply_gate, electron, nuclear,
+    photon, ry,
 )
 
 
 def _pure(vec, wires):
     return QuantumState(np.asarray(vec, complex), wires)
-
-
-def _bell():
-    return _pure([1, 0, 0, 1] / np.sqrt(2), (photon(0), photon(1)))
-
-
-def _bell_mixed():
-    b = _bell()
-    return QuantumState(b.density_matrix(), b.wires)
 
 
 class TestApplyGate:
@@ -66,10 +57,10 @@ class TestApplyGate:
             apply_gate(s, CZ, [0])
 
     def test_mixed_state_application(self):
-        # gates act on state vectors; a density matrix is only read
-        rho = QuantumState(np.eye(2) / 2, (electron(),))
-        with pytest.raises(ValueError, match="pure"):
-            apply_gate(rho, H, [0])
+        # gates act on state vectors, and a state is one: a density matrix
+        # is refused before a gate can meet it
+        with pytest.raises(ValueError, match="not a vector of length 2"):
+            QuantumState(np.eye(2) / 2, (electron(),))
 
 
 class TestRoles:
@@ -102,64 +93,6 @@ class TestAddPhoton:
             s = emit_photon(s)
         assert s.n_qubits == 6
         assert [w.index for w in s.wires if w.kind is RoleKind.PHOTON] == [0, 1, 2, 3]
-
-
-class TestFidelity:
-    def test_pure_self(self):
-        b = _bell()
-        assert abs(state_fidelity(_bell_mixed(), b) - 1) < 1e-12
-
-    def test_maximally_mixed(self):
-        rho = QuantumState(np.eye(2) / 2, (electron(),))
-        psi = _pure([1, 0], (electron(),))
-        assert abs(state_fidelity(rho, psi) - np.sqrt(0.5)) < 1e-12
-
-    def test_direct_mixture(self):
-        psi = _pure([1, 0], (electron(),))
-        rho = QuantumState(np.diag([0.9, 0.1]).astype(complex), (electron(),))
-        assert abs(state_fidelity(rho, psi) - np.sqrt(0.9)) < 1e-12
-
-    def test_orthogonal_sum_bound(self):
-        rho = QuantumState(np.diag([0.6, 0.4]).astype(complex), (electron(),))
-        p0 = _pure([1, 0], (electron(),))
-        p1 = _pure([0, 1], (electron(),))
-        total = state_fidelity(rho, p0) ** 2 + state_fidelity(rho, p1) ** 2
-        assert total <= 1 + 1e-10
-
-    def test_dimension_mismatch(self):
-        rho = QuantumState(np.eye(2) / 2, (electron(),))
-        with pytest.raises(ValueError):
-            state_fidelity(rho, _bell())
-
-
-class TestMaxPureFidelity:
-    def test_pure(self):
-        assert abs(max_pure_fidelity(_bell_mixed()) - 1) < 1e-12
-
-    def test_maximally_mixed(self):
-        rho = QuantumState(np.eye(2) / 2, (electron(),))
-        assert abs(max_pure_fidelity(rho) - np.sqrt(0.5)) < 1e-12
-
-    def test_eigendecomposition(self):
-        rho = QuantumState(np.diag([0.75, 0.25]).astype(complex), (electron(),))
-        assert abs(max_pure_fidelity(rho) - np.sqrt(0.75)) < 1e-12
-
-    def test_dominates_state_fidelity(self, rng):
-        rho = QuantumState(np.diag([0.5, 0.3, 0.15, 0.05]).astype(complex),
-                           (electron(), nuclear(0)))
-        for _ in range(10):
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            v /= np.linalg.norm(v)
-            psi = _pure(v, (electron(), nuclear(0)))
-            assert max_pure_fidelity(rho) >= state_fidelity(rho, psi) - 1e-12
-
-    def test_non_hermitian_rejected(self):
-        bad = np.array([[0.5, 0.4], [0.1, 0.5]], complex)
-        s = QuantumState(np.eye(2) / 2, (electron(),))
-        s.data = bad  # bypass constructor check to exercise the guard
-        s.pure = False
-        with pytest.raises(ValueError):
-            max_pure_fidelity(s)
 
 
 class TestPartialTrace:

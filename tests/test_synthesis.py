@@ -265,6 +265,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize_sequence(bad)
 
+    def test_missing_unit_line_rejected(self):
+        # the packaged CZ says k 10; without its last unit line it is not a
+        # nine-unit sequence
+        text = _packaged_text("cz")
+        last = [ln for ln in text.splitlines(keepends=True) if ln.startswith("unit ")][-1]
+        with pytest.raises(ValueError, match="k 10 but has 9 unit lines"):
+            deserialize_sequence(text.replace(last, ""))
+
+    @pytest.mark.parametrize("field", [
+        "format_version", "target", "a_par_hz", "a_perp_hz", "gamma_e_hz_per_t",
+        "gamma_n_hz_per_t", "b_field_t", "fidelity", "met_threshold", "k", "final_gate",
+    ])
+    def test_missing_field_named(self, field):
+        lines = _packaged_text("cz").splitlines(keepends=True)
+        text = "".join(ln for ln in lines if ln.split()[0] != field)
+        with pytest.raises(ValueError, match=f"missing {field}$"):
+            deserialize_sequence(text)
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_spacing_rejected(self, siv, tau):
         seq = DDSequence((1e-8,), ("I", "I"))
