@@ -21,10 +21,14 @@ jointly Gaussian with closed-form moments (D. T. Gillespie, Phys. Rev. E
 54, 2084 (1996)). One draw per segment is exact for any segment length, so
 no sampler has a step size: `segment_phases` draws the integrals over a
 list of segments, `fid_echo_signals` reads them on the grid {0, t/2, t},
-and `sample_trajectory` keeps the B values on its output grid.
+and `sample_trajectory` keeps the B values on its output grid. The update
+composes: `unit_phases` draws, for each DD unit, the toggling-frame phase
+of its three segments as one update of the same form, which is what the
+DD gates of a run need (Cywinski et al., PRB 77, 174509 (2008)).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +67,59 @@ def ou_from_coherence(t2_star: float, t2_hahn: float, seed: int = 0) -> OUNoise:
     return OUNoise(b=b, tau_c=tau_c, seed=seed)
 
 
-# elements of the temporary that `_ou_segments` forms its mean term in
+# elements of the temporary that `_ou_integrals` forms its mean term in
 _BLOCK = 1 << 16
+
+
+def _excess(x: np.ndarray) -> np.ndarray:
+    """x - 2 tanh(x / 2), which cancels to ~x^3/12. It is
+    2 (y cosh y - sinh y) / cosh y with y = x / 2, and below x = 2 the
+    numerator is summed from its series sum_n 2n y^(2n+1) / (2n+1)!, whose
+    terms are all positive (ten of them reach rounding at y = 1); above 2
+    the direct difference loses a few ulp at most."""
+    excess = x - 2 * np.tanh(x / 2)
+    small = x < 2
+    y = x[small] / 2
+    y2 = y * y
+    series = np.zeros_like(y)
+    for n in range(10, 0, -1):
+        series = series * y2 + 2 * n / math.factorial(2 * n + 1)
+    excess[small] = 2 * y * y2 * series / np.cosh(y)
+    return excess
+
+
+def _ou_integrals(noise: OUNoise, x: np.ndarray, mean: np.ndarray, sd: np.ndarray,
+                  n_traj: int, rng: np.random.Generator):
+    """Exact joint draw of B at the ends of consecutive intervals of lengths
+    x tau_c and of one linear functional of B per interval, for n_traj
+    stationary OU paths continuous across the intervals.
+
+    Returns (b, phases) shaped (n_traj, S + 1) and (n_traj, S). Given B at
+    its two ends, the functional over interval j is Gaussian with mean
+    mean_j (B0 + B1) and standard deviation sd_j. B is drawn from S + 1
+    normals and the functionals from S more.
+    """
+    s = noise.sigma_st
+    # B_j = mu_j B_(j-1) + s sqrt(1 - mu_j^2) xi_j as a prefix scan: log2(S)
+    # vectorised passes; decay 0 in front makes B_0 = s xi_0 stationary
+    b = rng.standard_normal((n_traj, len(x) + 1))
+    b *= s * np.sqrt(np.concatenate(([1.0], -np.expm1(-2 * x))))
+    decay = np.concatenate(([0.0], np.exp(-x)))
+    d = 1
+    while d < len(decay):
+        b[:, d:] += decay[d:] * b[:, :-d]
+        decay[d:] = decay[d:] * decay[:-d]
+        d *= 2
+    phases = rng.standard_normal((n_traj, len(x)))
+    phases *= sd
+    # the mean term a block of rows at a time, so that b and the phases are
+    # the only (n_traj, S) arrays held
+    rows = max(1, _BLOCK // max(1, len(x)))
+    for r in range(0, n_traj, rows):
+        term = b[r:r + rows, :-1] + b[r:r + rows, 1:]
+        term *= mean
+        phases[r:r + rows] += term
+    return b, phases
 
 
 def _ou_segments(noise: OUNoise, durations: np.ndarray, n_traj: int, rng: np.random.Generator):
@@ -80,33 +135,34 @@ def _ou_segments(noise: OUNoise, durations: np.ndarray, n_traj: int, rng: np.ran
     """
     x = np.asarray(durations, float) / noise.tau_c
     s, tau = noise.sigma_st, noise.tau_c
-    half = np.tanh(x / 2)
-    # x - 2 tanh(x/2) cancels to ~x^3/12; below 1e-2 its series is exact to
-    # rounding, above it the direct form loses at most ~1e-11 relative
-    excess = x - 2 * half
-    small = x < 1e-2
-    xs = x[small]
-    excess[small] = xs ** 3 / 12 - xs ** 5 / 120 + 17 * xs ** 7 / 20160
-    # B_j = mu_j B_(j-1) + s sqrt(1 - mu_j^2) xi_j as a prefix scan: log2(S)
-    # vectorised passes; decay 0 in front makes B_0 = s xi_0 stationary
-    b = rng.standard_normal((n_traj, len(x) + 1))
-    b *= s * np.sqrt(np.concatenate(([1.0], -np.expm1(-2 * x))))
-    decay = np.concatenate(([0.0], np.exp(-x)))
-    d = 1
-    while d < len(decay):
-        b[:, d:] += decay[d:] * b[:, :-d]
-        decay[d:] = decay[d:] * decay[:-d]
-        d *= 2
-    phases = rng.standard_normal((n_traj, len(x)))
-    phases *= s * tau * np.sqrt(2 * excess)
-    # the mean term a block of rows at a time, so that b and the phases are
-    # the only (n_traj, S) arrays held
-    scale, rows = tau * half, max(1, _BLOCK // max(1, len(x)))
-    for r in range(0, n_traj, rows):
-        mean = b[r:r + rows, :-1] + b[r:r + rows, 1:]
-        mean *= scale
-        phases[r:r + rows] += mean
-    return b, phases
+    sd = s * tau * np.sqrt(2 * _excess(x))
+    return _ou_integrals(noise, x, tau * np.tanh(x / 2), sd, n_traj, rng)
+
+
+def unit_phases(noise: OUNoise, tau_f, n_traj: int, rng: np.random.Generator) -> np.ndarray:
+    """Toggling-frame bath phase of every DD unit, shape (n_traj, K): the
+    integral of B over unit j's free segments (tau, 2 tau, tau) with signs
+    (+, -, +), the sign the electron's z axis has in each segment between
+    the unit's two pi pulses. The units are contiguous and the bath is
+    continuous across them.
+
+    Exact, from 2K + 1 normals per trajectory: composing the three
+    segments' updates of `_ou_segments` makes a unit one update of the same
+    form. With x = tau / tau_c and t = tanh(x / 2), B at the unit's end has
+    decay exp(-4 x), and given B0 and B1 at its ends the phase has mean
+    tau_c 8 t^3 / (1 + 6 t^2 + t^4) (B0 + B1) and variance
+    8 s^2 tau_c^2 (x - 2 t + 2 t^3 (1 + t^2) / (1 + 6 t^2 + t^4)), where
+    x - 2 t is the segment's cancelling difference, `_excess`, and the rest
+    has no cancellation.
+    """
+    x = np.asarray(tau_f, float) / noise.tau_c
+    s, tau = noise.sigma_st, noise.tau_c
+    t = np.tanh(x / 2)
+    t2 = t * t
+    norm = 1 + 6 * t2 + t2 * t2
+    excess = _excess(x) + 2 * t * t2 * (1 + t2) / norm
+    sd = s * tau * np.sqrt(8 * excess)
+    return _ou_integrals(noise, 4 * x, tau * 8 * t * t2 / norm, sd, n_traj, rng)[1]
 
 
 def sample_trajectory(noise: OUNoise, duration: float, rng: np.random.Generator | None = None) -> np.ndarray:

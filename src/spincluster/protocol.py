@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,8 @@ import numpy as np
 from .clifford import Tableau, completion_corrections, lc_equivalence
 from .states import (
     CZ, SWAP, H, I2, X, Y, Z, QuantumState, RoleKind,
-    _apply_matrix_vec, apply_gate, electron, nuclear, photon, ry,
+    _GEMM_MIN_ROWS, _GEMM_SPANS, _apply_matrix_vec, apply_gate, electron, nuclear,
+    photon, ry,
 )
 from .hamiltonian import SpinSystemParams
 from .synthesis import (
@@ -195,9 +197,9 @@ def emit_photon(state: QuantumState) -> QuantumState:
 
 
 # trajectory-columns (instances x trials) per `noisy_sequence_unitary` call.
-# Measured on a 2-core Xeon, its time per column and DD unit falls from
-# ~850 ns at 20 columns to ~150 ns at 500 and stays there to 2000; past that
-# it rises a few percent, and the (4, 4, cols) working set outgrows L2
+# Measured on a 2-core Xeon, its time per column and merged block of the
+# packaged SWAP falls from ~800 ns at 20 columns to 105-140 ns from 500 to
+# 8000; 2048 keeps the (4, 4, cols) working set at 0.5 MB
 _COLUMNS = 2048
 
 
@@ -213,16 +215,16 @@ def _gate_unitary(spec, item, compiler):
 def _instances(seq, compiler, phases, starts, size):
     """Noisy unitaries (T, 4, 4) of the instances of `seq` whose phases start
     at the columns `starts` of `phases`, assembled `size` at a time on their
-    (instances, T, 3k) phases; a group is let go before the next is built."""
-    n_seg = 3 * seq.k
+    (instances, T, k) unit phases; a group is let go before the next is
+    built."""
     for i in range(0, len(starts), size):
-        group = np.stack([phases[:, s:s + n_seg] for s in starts[i:i + size]])
+        group = np.stack([phases[:, s:s + seq.k] for s in starts[i:i + size]])
         yield from noisy_sequence_unitary(seq, compiler, group)
 
 
 def _gate_unitaries(spec, items, compiler, phases):
     """The unitary of every gate among `items`, in order: a shared matrix, or
-    under (T, segments) phases a (T, 4, 4) stack per DD sequence instance.
+    under (T, units) phases a (T, 4, 4) stack per DD sequence instance.
 
     A shared gate is built once. The instances of each DD sequence are
     assembled max(1, _COLUMNS // T) consecutive ones per call, when the
@@ -236,7 +238,7 @@ def _gate_unitaries(spec, items, compiler, phases):
             g = spec.gate_library.get(item.gate)
             if isinstance(g, DDSequence):
                 starts.setdefault(item.gate, []).append(cursor)
-                cursor += 3 * g.k
+                cursor += g.k
         size = max(1, _COLUMNS // len(phases))
         noisy = {
             name: _instances(spec.gate_library[name], compiler, phases, s, size)
@@ -251,16 +253,55 @@ def _gate_unitaries(spec, items, compiler, phases):
             yield shared[item.gate]
 
 
+# bytes `_execute_bytes` allows for the shared gates and the compiler's unit
+# stacks, a few kB at the packaged k
+_MATRIX_BYTES = 1 << 16
+
+
+def _execute_bytes(spec: ProtocolSpec, items, rows: int, width: int, phases) -> int:
+    """Peak bytes that `_execute` holds on `rows` rows of `width` amplitudes,
+    read from its code. `_apply_matrix_vec` holds its input and output, the
+    axis-moved copy for wires that do not lead, and the transposed copy
+    that its GEMM for a shared matrix on short rows reads; `_emit` holds its
+    input and its output, twice as long. Under `phases`, which stay held,
+    each DD sequence keeps its current group of noisy unitaries, 256 B per
+    trajectory-column, and assembling a group holds at most three more
+    arrays of that size and the group's phases. `_MATRIX_BYTES` covers the
+    rest."""
+    n, peak = width.bit_length() - 1, 0
+    for item in items:
+        batch = 16 * rows * 2 ** n
+        if item.kind == "gate":
+            k = len(item.wires)
+            shared = phases is None or not isinstance(spec.gate_library.get(item.gate), DDSequence)
+            gemm = shared and rows >= _GEMM_MIN_ROWS and 2 ** (n - k) in _GEMM_SPANS
+            moved = list(item.wires) != list(range(k))
+            peak = max(peak, (2 + moved + gemm) * batch)
+        elif item.kind == "emit":
+            peak = max(peak, 3 * batch)
+            n += 1
+    if phases is not None:
+        counts = Counter(
+            item.gate for item in items
+            if item.kind == "gate" and isinstance(spec.gate_library.get(item.gate), DDSequence)
+        )
+        size = max(1, _COLUMNS // rows)
+        for name, count in counts.items():
+            peak += rows * min(count, size) * (4 * 256 + 8 * spec.gate_library[name].k)
+        peak += phases.nbytes
+    return peak + _MATRIX_BYTES
+
+
 def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) -> np.ndarray:
     """Run the gate and emit items of a schedule on a batch of pure register
     states, one row per row of `phases` (a single row without them), from
     the initial spin state, or from the (1, 2^wires) amplitudes `start`.
     Returns the amplitudes, shaped (T, 2^wires). Raises ValueError before
-    allocating if that batch needs more bytes than the physical memory."""
+    allocating if the run's peak, `_execute_bytes`, is more bytes than the
+    physical memory."""
     rows = 1 if phases is None else len(phases)
     width = 2 ** spec.m if start is None else start.shape[1]
-    emits = sum(item.kind == "emit" for item in items)
-    _refuse_past_memory(16 * rows * width * 2 ** emits, "the trajectory batch")
+    _refuse_past_memory(_execute_bytes(spec, items, rows, width, phases), "the trajectory batch")
     if start is None:
         start = np.zeros((1, 2 ** spec.m), dtype=complex)
         start[0, -1 if spec.init_one else 0] = 1.0
@@ -277,18 +318,18 @@ def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) 
 
 
 def _sample_phases(spec: ProtocolSpec, items, rng):
-    """Bath phase of every free segment of the DD sequences among `items`,
-    shaped (trials, segments); None without noise."""
+    """Toggling-frame bath phase of every DD unit of the sequences among
+    `items`, shaped (trials, units); None without noise."""
     if spec.noise is None:
         return None
-    from .noise import segment_phases
+    from .noise import unit_phases
 
-    durations = [
-        d for item in items
+    taus = [
+        t for item in items
         if item.kind == "gate" and isinstance(spec.gate_library.get(item.gate), DDSequence)
-        for d in spec.gate_library[item.gate].segment_durations()
+        for t in spec.gate_library[item.gate].tau_f
     ]
-    return segment_phases(spec.noise, np.array(durations), spec.trials, rng)
+    return unit_phases(spec.noise, np.array(taus), spec.trials, rng)
 
 
 def _compiler_for(spec: ProtocolSpec):

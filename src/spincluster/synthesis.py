@@ -30,6 +30,9 @@ ELECTRON_GATES = {
     "Rx180": rx(np.pi),
 }
 _GATE_NAMES = list(ELECTRON_GATES)
+# the electron gates g with g D(phi) g^dag = D(sign phi) for the bath rotation
+# D(phi) = exp(-i phi Z_e / 2); Rx90 and Ry90 turn it off the z axis
+_BATH_SIGN = {"I": 1, "Rz90": 1, "Rx180": -1}
 _GATE_4X4 = {name: np.kron(g, I2) for name, g in ELECTRON_GATES.items()}
 _ALL_GATES = np.array(list(_GATE_4X4.values()))  # in _GATE_NAMES order
 
@@ -72,13 +75,6 @@ class DDSequence:
     def total_duration(self) -> float:
         return 4.0 * float(np.sum(self.tau_f))
 
-    def segment_durations(self) -> np.ndarray:
-        """Free-precession segments in order: (tau, 2tau, tau) per unit."""
-        out = []
-        for t in self.tau_f:
-            out.extend((t, 2 * t, t))
-        return np.array(out)
-
 
 @dataclass(frozen=True)
 class SynthesisReport:
@@ -99,6 +95,7 @@ class UnitCompiler:
         self.h = free_hamiltonian(p)
         self._vals, self._vecs = np.linalg.eigh(self.h)
         self._pi = self._vecs.conj().T @ PI_PULSE @ self._vecs
+        self._bath_blocks = {}
 
     def free_propagator(self, t: float) -> np.ndarray:
         return (self._vecs * np.exp(-2j * np.pi * self._vals * t)) @ self._vecs.conj().T
@@ -122,6 +119,37 @@ class UnitCompiler:
         db = h[:, None] * b + b * h + 2 * ((left * (h * d2)[:, None, :]) @ right)
         return vecs @ b @ vecs_h, -2j * np.pi * (vecs @ db @ vecs_h)
 
+    def bath_blocks(self, seq: DDSequence):
+        """The noiseless products of `seq` between the bath rotations that
+        `noisy_sequence_unitary` keeps, built once per sequence: returns
+        (products, signs, tail). The rotation of block b is by
+        sum_j s phi_j over the (unit j, sign s) pairs of signs[b] and acts
+        after products[b]; the gate `tail`, if not None, acts last.
+
+        The rotation D(phi_j) after unit j commutes with every unit, which
+        is electron block-diagonal, and with each gate of `_BATH_SIGN` up to
+        its sign, so it moves past them to just before the next Rx90 or
+        Ry90, or to the end of the sequence."""
+        key = (tuple(seq.tau_f), tuple(seq.electron_gates))  # a list field cannot hash
+        if key not in self._bath_blocks:
+            factors = self.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
+            products, signs = [], []
+            for j, (name, f) in enumerate(zip(seq.electron_gates, factors)):
+                if name in _BATH_SIGN and signs:
+                    products[-1] = f @ products[-1]
+                    signs[-1] = [(i, s * _BATH_SIGN[name]) for i, s in signs[-1]] + [(j, 1)]
+                else:
+                    products.append(f)
+                    signs.append([(j, 1)])
+            last = seq.electron_gates[-1]
+            tail = _GATE_4X4[last]
+            if last in _BATH_SIGN and signs:
+                products[-1] = tail @ products[-1]
+                signs[-1] = [(i, s * _BATH_SIGN[last]) for i, s in signs[-1]]
+                tail = None
+            self._bath_blocks[key] = (products, signs, tail)
+        return self._bath_blocks[key]
+
 
 def dd_unit(tau_f: float, compiler: UnitCompiler) -> np.ndarray:
     """F(tau) Pi F(2 tau) Pi F(tau) on (electron, nucleus)."""
@@ -144,36 +172,52 @@ def sequence_unitary(seq: DDSequence, compiler: UnitCompiler) -> np.ndarray:
 
 def noisy_sequence_unitary(seq: DDSequence, compiler: UnitCompiler, phases: np.ndarray) -> np.ndarray:
     """Sequence unitary with an electron z rotation D(phi) = exp(-i phi Z_e / 2)
-    by `phases[..., j]` (rad) after free segment j. Phases shaped (3k,) give
-    one 4x4 unitary, phases shaped (..., 3k) a (..., 4, 4) stack: (T, 3k)
-    for T trajectories, or (n, T, 3k) for n instances of the sequence in
-    one call, which is how `protocol` assembles a schedule's repeats of a
-    gate, a few thousand trajectory-columns per call.
+    by `phases[..., j]` (rad) after DD unit j: its toggling-frame bath
+    phase, `noise.unit_phases`. The bath term commutes with the
+    electron-diagonal free Hamiltonian and Pi D(b) = D(-b) Pi, so the three
+    rotations of a unit's free segments fold exactly into that one.
+    Phases shaped (k,) give one 4x4 unitary, phases shaped (..., k) a
+    (..., 4, 4) stack: (T, k) for T trajectories, or (n, T, k) for n
+    instances of the sequence in one call, which is how `protocol`
+    assembles a schedule's repeats of a gate, a few thousand
+    trajectory-columns per call.
 
-    The bath term commutes with the electron-diagonal free Hamiltonian and
-    Pi D(b) = D(-b) Pi, so the three rotations of unit i fold exactly into
-    one, D(phi_1 - phi_2 + phi_3), applied after the noiseless unit.
-
-    The running products of all columns are held as one (4, 4, cols) array,
-    entry [a, b] of every product side by side, so each unit is one
-    (4, 4) @ (4, 4 cols) GEMM and its bath rotation an in-place scaling of
-    rows 0:2 by half = exp(-i phi / 2) and rows 2:4 by its conjugate. That
-    is the same arithmetic, element for element, as one 4x4 product per
-    column, without a call per column. The scaling is written
-    multiply(half, u), the operand order of those products: complex
-    multiply is not bit-symmetric in its operands."""
+    The rotations merge further: between two Rx90 or Ry90 gates they all
+    commute to one place (`UnitCompiler.bath_blocks`), so a column is the
+    shared noiseless block products with one rotation after each. The
+    running products of all columns are held as one (4, 4, cols) array,
+    entry [a, b] of every product side by side, so each block after the
+    first is one (4, 4) @ (4, 4 cols) GEMM and its rotation an in-place
+    scaling of rows 0:2 by half = exp(-i theta / 2) and rows 2:4 by its
+    conjugate. Every operation acts on each column alone, in an order that
+    does not depend on the number of columns, so a column's bits do not
+    depend on which others share the call."""
     phases = np.asarray(phases, float)
     lead = phases.shape[:-1]
     t = int(np.prod(lead))
     rows = phases.reshape(t, phases.shape[-1])  # reshape(-1, 0) cannot size (T, 0)
-    half = np.exp(-0.5j * (rows[:, 0::3] - rows[:, 1::3] + rows[:, 2::3]).T)
-    factors = compiler.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
-    u = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None], (4, 4, t))
-    for f, h, h_conj in zip(factors, half, half.conj()):
-        u = (f @ u.reshape(4, 4 * t)).reshape(4, 4, t)
-        np.multiply(h, u[:2], out=u[:2])
-        np.multiply(h_conj, u[2:], out=u[2:])
-    u = (_GATE_4X4[seq.electron_gates[-1]] @ u.reshape(4, 4 * t)).reshape(4, 4, t)
+    products, signs, tail = compiler.bath_blocks(seq)
+    u = None
+    for w, block in zip(products, signs):
+        theta = np.zeros(t)
+        for j, sign in block:
+            if sign > 0:
+                theta += rows[:, j]
+            else:
+                theta -= rows[:, j]
+        half = np.exp(-0.5j * theta)
+        if u is None:
+            u = np.empty((4, 4, t), dtype=complex)
+            np.multiply(half, w[:2, :, None], out=u[:2])
+            np.multiply(half.conj(), w[2:, :, None], out=u[2:])
+        else:
+            u = (w @ u.reshape(4, 4 * t)).reshape(4, 4, t)
+            np.multiply(half, u[:2], out=u[:2])
+            np.multiply(half.conj(), u[2:], out=u[2:])
+    if u is None:
+        u = np.broadcast_to(tail[:, :, None], (4, 4, t))
+    elif tail is not None:
+        u = (tail @ u.reshape(4, 4 * t)).reshape(4, 4, t)
     return np.ascontiguousarray(u.transpose(2, 0, 1)).reshape(lead + (4, 4))
 
 
@@ -404,7 +448,7 @@ def noisy_gate_fidelity(seq: DDSequence, p: SpinSystemParams, noise, trials: int
 
     Returns (mean_fidelity, standard_error).
     """
-    from .noise import segment_phases
+    from .noise import unit_phases
 
     if trials < 100:
         raise ValueError("need at least 100 trajectories")
@@ -412,7 +456,7 @@ def noisy_gate_fidelity(seq: DDSequence, p: SpinSystemParams, noise, trials: int
     inputs = np.array(TOMOGRAPHY_INPUTS).T
     refs = sequence_unitary(seq, compiler) @ inputs
     rng = np.random.default_rng(noise.seed if seed is None else seed)
-    phases = segment_phases(noise, seq.segment_durations(), trials, rng)
+    phases = unit_phases(noise, seq.tau_f, trials, rng)
     outs = noisy_sequence_unitary(seq, compiler, phases) @ inputs
     per_traj = np.mean(np.abs(np.sum(refs.conj() * outs, axis=1)) ** 2, axis=1)
     mean_overlap = float(np.mean(per_traj))
@@ -445,13 +489,22 @@ def serialize_sequence(report: SynthesisReport, p: SpinSystemParams) -> str:
 def deserialize_sequence(text: str):
     """Returns (SynthesisReport, SpinSystemParams); the stored fidelity is
     clipped to 1, as `synthesize` reports it. Raises ValueError if a field
-    is missing or `k` is not the number of `unit` lines."""
+    is missing, `k` is not the number of `unit` lines, or a line between the
+    first and the last is blank, a `unit` line lacks its spacing or gate, or
+    a field line its value; the last three name the line."""
     fields = {}
     units = []
-    for line in text.strip().splitlines():
+    lead = len(text) - len(text.lstrip())
+    for number, line in enumerate(text.strip().splitlines(), start=text[:lead].count("\n") + 1):
         parts = line.split()
+        if not parts:
+            raise ValueError(f"gate file line {number} is blank")
         if parts[0] == "unit":
+            if len(parts) != 3:
+                raise ValueError(f"gate file line {number} is not 'unit <spacing> <gate>'")
             units.append((float(parts[1]), parts[2]))
+        elif len(parts) < 2:
+            raise ValueError(f"gate file line {number} has no value for {parts[0]!r}")
         else:
             fields[parts[0]] = parts[1:]
     missing = [name for name in _SERIAL_FIELDS if name not in fields]

@@ -1,8 +1,9 @@
 """Slow reference paths kept only to cross-check the package: a matrix
 exponential for the eigendecomposition propagator, a one-state evolution for
 the batched engine, a quadrature for the closed-form emission fidelity, and
-the per-trajectory forms of the noisy gate assembly and the batched gate
-application, which the package's one-GEMM forms must match bit for bit,
+the per-unit form of the noisy gate assembly, which the package's merged
+bath rotations must match to rounding, the per-trajectory form of the
+batched gate application, which its one-GEMM form must match bit for bit,
 the dense trajectory path that `protocol.run` replaced by its
 boundary-tensor contraction, and the OU sampler that formed its mean term
 as a third (T, segments) array, which the package's blocked form must match
@@ -18,6 +19,7 @@ from scipy.linalg import expm
 from spincluster.emission import EmissionParams
 from spincluster import protocol
 from spincluster.hamiltonian import propagator
+from spincluster.noise import _excess
 from spincluster.states import QuantumState, apply_gate
 from spincluster.synthesis import _GATE_4X4, DDSequence, UnitCompiler, _gate_stack
 
@@ -62,12 +64,25 @@ def emission_fidelity_numeric(p: EmissionParams) -> float:
     return float(np.sqrt(np.linalg.eigvalsh(dephased_state(p))[-1]))
 
 
+def segment_durations(seq: DDSequence) -> np.ndarray:
+    """Free-precession segments of `seq` in order: (tau, 2tau, tau) per unit."""
+    return np.array([d for t in seq.tau_f for d in (t, 2 * t, t)])
+
+
+def fold_segment_phases(phases: np.ndarray) -> np.ndarray:
+    """Unit phases (..., k) from per-segment phases (..., 3k): the toggling
+    frame's (+, -, +) sum over each unit's three segments."""
+    phases = np.asarray(phases, float)
+    return phases[..., 0::3] - phases[..., 1::3] + phases[..., 2::3]
+
+
 def noisy_sequence_unitary_stacked(seq: DDSequence, compiler: UnitCompiler,
                                    phases: np.ndarray) -> np.ndarray:
-    """`synthesis.noisy_sequence_unitary` as a (T, 4, 4) stack of running
-    products: each unit is one stacked matmul, T separate 4x4 products."""
+    """`synthesis.noisy_sequence_unitary` on unit phases (..., k) as a stack
+    of running products with the bath rotation after every unit: each unit is
+    one stacked matmul, T separate 4x4 products, and no rotations merge."""
     phases = np.asarray(phases, float)
-    half = np.exp(-0.5j * (phases[..., 0::3] - phases[..., 1::3] + phases[..., 2::3]))
+    half = np.exp(-0.5j * phases)
     dephase = np.stack([half, half, half.conj(), half.conj()], axis=-1)[..., None]
     factors = compiler.units(seq.tau_f) @ _gate_stack(seq.electron_gates[:-1])
     u = np.broadcast_to(np.eye(4, dtype=complex), phases.shape[:-1] + (4, 4))
@@ -163,10 +178,7 @@ def ou_segments_whole(noise, durations: np.ndarray, n_traj: int, rng: np.random.
     x = np.asarray(durations, float) / noise.tau_c
     s, tau = noise.sigma_st, noise.tau_c
     half = np.tanh(x / 2)
-    excess = x - 2 * half
-    small = x < 1e-2
-    xs = x[small]
-    excess[small] = xs ** 3 / 12 - xs ** 5 / 120 + 17 * xs ** 7 / 20160
+    excess = _excess(x)
     b = rng.standard_normal((n_traj, len(x) + 1))
     b *= s * np.sqrt(np.concatenate(([1.0], -np.expm1(-2 * x))))
     decay = np.concatenate(([0.0], np.exp(-x)))

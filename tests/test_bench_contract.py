@@ -30,7 +30,7 @@ def test_trace_target_resolves(owner, attr):
 
 def test_traced_noisy_run_reaches_the_protocol_layers(packaged):
     # the spans exist only if each call goes through the wrapped attribute,
-    # e.g. run() must look segment_phases up on spincluster.noise at call time
+    # e.g. run() must look noisy_sequence_unitary up on protocol at call time
     from spincluster import protocol
     from spincluster.noise import ou_from_coherence
 
@@ -44,7 +44,7 @@ def test_traced_noisy_run_reaches_the_protocol_layers(packaged):
         protocol.run(spec, components=True)  # read at call time, as workloads.py does
     layers = t.layers()
     for name in ("protocol.run", "protocol.component_fidelities", "protocol.find_corrections",
-                 "noise.segment_phases", "synthesis.noisy_sequence_unitary"):
+                 "synthesis.noisy_sequence_unitary"):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 
 
@@ -68,3 +68,24 @@ def test_synth_cz_is_criterion_3s_cz_job(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
     spec.loader.exec_module(workloads)
     assert workloads.SYNTH_CZ == CRITERION_3_JOBS["cz"]
+
+
+def test_run_reads_unit_phases_at_call_time(packaged, monkeypatch):
+    # run() draws its bath through spincluster.noise.unit_phases, looked up
+    # when it runs, so a wrapper on that attribute sees every draw
+    from spincluster import noise, protocol
+
+    lib, params, _ = packaged
+    spec = protocol.ProtocolSpec(
+        m=2, n=1, gate_library=lib, params=params, style="lean",
+        noise=noise.ou_from_coherence(3e-6, 300e-6, seed=1), trials=20, seed=1,
+    )
+    calls, draw = [], noise.unit_phases
+
+    def counted(*args):
+        calls.append(args[2])
+        return draw(*args)
+
+    monkeypatch.setattr(noise, "unit_phases", counted)
+    protocol.run(spec, components=True)
+    assert calls == [20, 20, 20]

@@ -1,11 +1,12 @@
 """Reference checks for the batched trajectory engine and the synthesis
 hot path.
 
-The package folds the three bath rotations of each DD unit into one
-toggling-frame rotation and runs all trajectories as one batch. The slow
-references here do neither: they build every noisy unit from its free
-propagators, pi pulses and per-segment electron z rotations, and step one
-trajectory at a time through `apply_gate` and `emit_photon`. The corrected
+The package draws one toggling-frame bath phase per DD unit, merges the
+rotations of consecutive units up to the next Rx90 or Ry90 gate, and runs
+all trajectories as one batch. The slow references here do none of that:
+they build every noisy unit from its free propagators, pi pulses and
+per-segment electron z rotations, and step one trajectory at a time through
+`apply_gate` and `emit_photon`. The corrected
 completion applies each Pauli correction as one index flip and one phase
 vector; the reference applies it as one 2x2 matrix per photon wire.
 
@@ -19,12 +20,12 @@ target column by column. The reference is the dense path it replaced,
 `references.dense_run`: the whole batch, a sampled completion and an
 overlap with `ideal_target`, from the same random stream.
 
-The noisy gates of all trajectories are assembled with one GEMM per DD
-unit, and a shared matrix on short rows is applied with one GEMM over all
-rows. The per-trajectory forms in `references.py` do the same arithmetic
-one 4x4 product at a time, so the two must agree bit for bit. A schedule's
-instances of one DD sequence share that call, so grouping them, or not,
-must not move a bit either.
+The noisy gates of all trajectories are assembled with one GEMM per block
+of merged rotations; the per-unit product in `references.py` must match
+them to rounding. A schedule's instances of one DD sequence share that
+call, and every column's arithmetic is its own, so grouping them, or not,
+must not move a bit. A shared matrix on short rows is applied with one
+GEMM over all rows, which the per-trajectory form must match bit for bit.
 
 Synthesis builds all DD units and their spacing derivatives in one
 eigenbasis pass, takes the objective's gradient from prefix and suffix
@@ -39,7 +40,7 @@ import pytest
 from scipy.linalg import expm
 
 from references import (
-    apply_matrix_vec_moveaxis, complete_dense, dense_run, evolve,
+    apply_matrix_vec_moveaxis, complete_dense, dense_run, evolve, fold_segment_phases,
     noisy_sequence_unitary_stacked,
 )
 from spincluster import protocol
@@ -53,7 +54,7 @@ from spincluster.states import (
     I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, rz,
 )
 from spincluster.synthesis import (
-    _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
+    _BATH_SIGN, _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
     _discrete_sweep, _fidelity_and_gradient, _gate_stack, _slot_fidelities,
     gate_fidelity, noisy_sequence_unitary, sequence_unitary,
 )
@@ -83,12 +84,13 @@ def test_noisy_unitary_matches_three_phase_product(packaged, name):
     seq = lib[name]
     compiler = UnitCompiler(params)
     phases = np.random.default_rng(3).normal(0.0, 1.0, size=(6, 3 * seq.k))
-    batch = noisy_sequence_unitary(seq, compiler, phases)
+    units = fold_segment_phases(phases)
+    batch = noisy_sequence_unitary(seq, compiler, units)
     assert batch.shape == (6, 4, 4)
-    for row, u in zip(phases, batch):
+    for row, unit_row, u in zip(phases, units, batch):
         ref = three_phase_unitary(seq, compiler, row)
         assert np.max(np.abs(u - ref)) <= 1e-12
-        assert np.max(np.abs(noisy_sequence_unitary(seq, compiler, row) - ref)) <= 1e-12
+        assert np.max(np.abs(noisy_sequence_unitary(seq, compiler, unit_row) - ref)) <= 1e-12
 
 
 def test_noisy_unitary_without_units(packaged):
@@ -103,16 +105,58 @@ def test_noisy_unitary_without_units(packaged):
 @pytest.mark.parametrize("name", ["swap", "cz"])
 @pytest.mark.parametrize("shape", [(1,), (7,), (200,), ()], ids=["T1", "T7", "T200", "1d"])
 def test_noisy_unitary_bit_identical_to_stacked_products(packaged, name, shape):
-    # one GEMM per unit over all trajectories does each trajectory's 4x4
-    # product with the same arithmetic, so not one bit may move
+    # the merged rotations against one rotation after every unit: exact
+    # algebra, so they agree to rounding (bit for bit until the rotations
+    # were merged; the name is kept)
     lib, params, _ = packaged
     seq, compiler = lib[name], UnitCompiler(params)
-    phases = np.random.default_rng(5).normal(0.0, 1.0, size=shape + (3 * seq.k,))
+    phases = np.random.default_rng(5).normal(0.0, 0.3, size=shape + (seq.k,))
     got = noisy_sequence_unitary(seq, compiler, phases)
     ref = noisy_sequence_unitary_stacked(seq, compiler, phases)
     assert got.shape == ref.shape == shape + (4, 4)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_bath_sign_table_matches_the_algebra():
+    # g D(phi) g^dag is D(sign phi) for the gates that the merged rotations
+    # move past, and neither D(phi) nor D(-phi) for the gates that stop them,
+    # so a new gate label cannot be merged by mistake
+    def d(phi):
+        return expm(-0.5j * phi * Z)
+
+    phi = 0.37
+    assert set(_BATH_SIGN) <= set(ELECTRON_GATES)
+    for label, g in ELECTRON_GATES.items():
+        moved = g @ d(phi) @ g.conj().T
+        signs = [s for s in (1, -1) if np.max(np.abs(moved - d(s * phi))) <= 1e-12]
+        assert signs == ([_BATH_SIGN[label]] if label in _BATH_SIGN else []), label
+
+
+@pytest.mark.parametrize("name,blocks", [("swap", 8), ("cz", 1)])
+def test_packaged_gates_merge_into_blocks(packaged, name, blocks):
+    # SWAP's 18 units between 7 Rx90 / Ry90 gates, CZ's 10 with none
+    lib, params, _ = packaged
+    seq, compiler = lib[name], UnitCompiler(params)
+    products, signs, tail = compiler.bath_blocks(seq)
+    assert len(products) == len(signs) == blocks and tail is None
+    assert [j for block in signs for j, _ in block] == list(range(seq.k))
+    assert compiler.bath_blocks(seq)[0] is products
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_noisy_unitary_matches_stacked_products_on_random_gates(siv, k):
+    # every gate label in every slot, the final one too, so that blocks
+    # start at the first unit and a final Rx90 or Ry90 is left as a tail
+    compiler = UnitCompiler(siv)
+    rng = np.random.default_rng(40 + k)
+    for _ in range(6):
+        taus, names = random_sequence(rng, k)
+        seq = DDSequence(tuple(taus), tuple(names))
+        phases = rng.normal(0.0, 0.3, size=(7, k))
+        got = noisy_sequence_unitary(seq, compiler, phases)
+        ref = noisy_sequence_unitary_stacked(seq, compiler, phases)
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -129,17 +173,17 @@ def test_noisy_run_unchanged_by_gate_assembly(packaged, monkeypatch, seed):
     monkeypatch.setattr(protocol, "noisy_sequence_unitary", noisy_sequence_unitary_stacked)
     ref = protocol.run(spec, components=True)
     for field in fields:
-        assert getattr(got, field) == getattr(ref, field), field
+        assert abs(getattr(got, field) - getattr(ref, field)) <= 1e-12, field
 
 
 @pytest.mark.parametrize("name", ["swap", "cz"])
 @pytest.mark.parametrize("trials", [1, 7, 20, 200, 1000])
 def test_instances_in_one_call_bit_identical_to_separate_calls(packaged, name, trials):
     # a schedule's instances of one sequence are assembled in one call on
-    # (instances, T, 3k) phases; every column is still its own 4x4 product
+    # (instances, T, k) phases; every column is still its own 4x4 product
     lib, params, _ = packaged
     seq, compiler = lib[name], UnitCompiler(params)
-    phases = np.random.default_rng(trials).normal(0.0, 1.0, size=(3, trials, 3 * seq.k))
+    phases = np.random.default_rng(trials).normal(0.0, 1.0, size=(3, trials, seq.k))
     got = noisy_sequence_unitary(seq, compiler, phases)
     ref = np.array([noisy_sequence_unitary(seq, compiler, p) for p in phases])
     assert got.shape == (3, trials, 4, 4)
@@ -222,7 +266,7 @@ def test_executor_matches_per_trajectory_loop(packaged):
         if s.kind == "gate" and isinstance(lib.get(s.gate), DDSequence)
     )
     phases = np.random.default_rng(4).normal(0.0, 0.3, size=(5, n_seg))
-    batch = _execute(spec, sched, compiler, phases)
+    batch = _execute(spec, sched, compiler, fold_segment_phases(phases))
     assert batch.shape == (5, 2 ** 6)
     for row, traj in zip(batch, phases):
         state = QuantumState(np.eye(4, dtype=complex)[0], (electron(), nuclear(0)))

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from references import ou_segments_whole
+from references import fold_segment_phases, ou_segments_whole
 from spincluster.noise import (
     OUNoise, _ou_segments, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
-    sample_trajectory, segment_phases,
+    sample_trajectory, segment_phases, unit_phases,
 )
 
 
@@ -220,3 +220,62 @@ class TestCoherenceOracles:
         fid, _ = fid_echo_signals(n, times, n_traj=20000)
         expect = np.exp(-(n.b * times) ** 2 / 4)
         assert np.max(np.abs(fid - expect)) < 0.02
+
+
+class IdentityNormals:
+    """An rng whose `standard_normal((n, cols))` returns the next `cols`
+    columns of the n x n identity. A sampler that is linear in its n normals
+    then returns, for n trajectories, its linear map L as rows: the output
+    has covariance L^T L."""
+
+    def __init__(self, n):
+        self.basis, self.used = np.eye(n), 0
+
+    def standard_normal(self, shape):
+        rows, cols = shape
+        assert rows == len(self.basis)
+        block = self.basis[:, self.used:self.used + cols].copy()
+        self.used += cols
+        return block
+
+
+def linear_map(sampler, n):
+    rng = IdentityNormals(n)
+    out = sampler(n, rng)
+    assert rng.used == n
+    return out
+
+
+class TestUnitPhases:
+    """`unit_phases` draws each DD unit's toggling-frame phase directly; the
+    reference is the (+, -, +) fold of `segment_phases` over the unit's
+    segments (tau, 2 tau, tau). Both are linear in their normals, so their
+    covariances are compared exactly, not by sampling."""
+
+    RATIOS = np.array([1.0, 0.7, 1.3, 1.0, 0.05])
+
+    @pytest.mark.parametrize("x", np.logspace(-9, 3, 49))
+    def test_covariance_matches_folded_segments(self, x):
+        noise = OUNoise(b=1e5, tau_c=1e-6)
+        taus = x * noise.tau_c * self.RATIOS
+        k = len(taus)
+        units = linear_map(lambda n, rng: unit_phases(noise, taus, n, rng), 2 * k + 1)
+        durations = np.array([d for t in taus for d in (t, 2 * t, t)])
+        segments = linear_map(lambda n, rng: segment_phases(noise, durations, n, rng), 6 * k + 1)
+        got = units.T @ units
+        ref = fold_segment_phases(segments).T @ fold_segment_phases(segments)
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.max(np.abs(got - ref) / scale) <= 1e-12
+
+    def test_peak_is_two_phase_arrays(self):
+        # B at the unit ends (T, K + 1) and the phases (T, K), as for
+        # `segment_phases`
+        noise = ou_from_coherence(3e-6, 300e-6, seed=1)
+        taus = np.random.default_rng(6000).uniform(1e-9, 9e-8, 6000)
+        tracemalloc.start()
+        try:
+            phases = unit_phases(noise, taus, 1000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * phases.nbytes

