@@ -106,10 +106,10 @@ def cmd_run(args) -> int:
                 style=args.style, completion=args.completion, trials=args.trials,
                 seed=args.seed,
             )
+            result = run(spec, components=args.components)
         except ValueError as e:
             print(f"run: {e}", file=sys.stderr)
             return EXIT_USAGE
-        result = run(spec, components=args.components)
     out, close = _open_output(args)
     _header(args, out)
     out.write("m,n,style,fidelity,fidelity_se,prep_fidelity,block_fidelity,"
@@ -147,20 +147,24 @@ def _figure_fig3c(args, out):
             out.write(f"{tau:.6e},{w:.6e},{f:.8f}\n")
 
 
-def _noisy_2x2(t2, args, components):
+def _noisy_2x2_rows(t2s, args, components):
+    """(T2, noisy lean 2x2 run) for each T2 of `t2s`, each run from its own
+    child of --seed, so that the rows draw independent bath phases and
+    outcomes."""
     lib, params, _ = packaged_gate_library()
-    spec = ProtocolSpec(
-        m=2, n=2, gate_library=lib, params=params,
-        noise=ou_from_coherence(0.01 * t2, t2, seed=args.seed),
-        style="lean", trials=args.trials, seed=args.seed,
-    )
-    return run(spec, components=components)
+    for t2, row in zip(t2s, np.random.SeedSequence(args.seed).spawn(len(t2s))):
+        seed = int(row.generate_state(1)[0])
+        spec = ProtocolSpec(
+            m=2, n=2, gate_library=lib, params=params,
+            noise=ou_from_coherence(0.01 * t2, t2, seed=seed),
+            style="lean", trials=args.trials, seed=seed,
+        )
+        yield t2, run(spec, components=components)
 
 
 def _figure_fig3b(args, out):
     out.write("t2_s,n_columns,photons,fidelity,fidelity_spin_photon_94\n")
-    for t2 in (2e-6, 8e-6, 300e-6):
-        result = _noisy_2x2(t2, args, components=True)
+    for t2, result in _noisy_2x2_rows((2e-6, 8e-6, 300e-6), args, components=True):
         for n in range(1, args.max_columns + 1):
             fb = FidelityBudget(
                 result.prep_fidelity, result.block_fidelity, 1.0, 2, n
@@ -177,8 +181,7 @@ def _figure_fig3b(args, out):
 def _figure_fig3a(args, out):
     out.write("a_par_hz,t2_s,fidelity,fidelity_se\n")
     _, params, _ = packaged_gate_library()
-    for t2 in args.t2_list:
-        result = _noisy_2x2(t2, args, components=False)
+    for t2, result in _noisy_2x2_rows(args.t2_list, args, components=False):
         out.write(
             f"{params.a_par:.3e},{t2:.3e},{result.fidelity:.6f},"
             f"{result.fidelity_se:.2e}\n"

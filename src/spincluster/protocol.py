@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +21,7 @@ import numpy as np
 from .clifford import Tableau, completion_corrections, lc_equivalence
 from .states import (
     CZ, SWAP, H, I2, X, Y, Z, QuantumState, RoleKind,
-    _GEMM_MIN_ROWS, _GEMM_SPANS, _apply_matrix_vec, apply_gate, electron, nuclear,
-    photon, ry,
+    _apply_matrix_vec, apply_gate, electron, nuclear, photon, ry,
 )
 from .hamiltonian import SpinSystemParams
 from .synthesis import (
@@ -253,68 +251,18 @@ def _gate_unitaries(spec, items, compiler, phases):
             yield shared[item.gate]
 
 
-# bytes `_execute_bytes` allows for the shared gates and the compiler's unit
-# stacks, a few kB at the packaged k
-_MATRIX_BYTES = 1 << 16
-
-
-def _execute_bytes(spec: ProtocolSpec, items, rows: int, width: int, phases) -> int:
-    """Peak bytes that `_execute` holds on `rows` rows of `width` amplitudes,
-    read from its code. `_apply_matrix_vec` holds its input and output, the
-    axis-moved copy for wires that do not lead, and the transposed copy
-    that its GEMM for a shared matrix on short rows reads; `_emit` holds its
-    input and its output, twice as long. Under `phases`, which stay held,
-    each DD sequence keeps its current group of noisy unitaries, 256 B per
-    trajectory-column, and assembling a group holds at most three more
-    arrays of that size and the group's phases. `_MATRIX_BYTES` covers the
-    rest."""
-    n, peak = width.bit_length() - 1, 0
-    for item in items:
-        batch = 16 * rows * 2 ** n
-        if item.kind == "gate":
-            k = len(item.wires)
-            shared = phases is None or not isinstance(spec.gate_library.get(item.gate), DDSequence)
-            gemm = shared and rows >= _GEMM_MIN_ROWS and 2 ** (n - k) in _GEMM_SPANS
-            moved = list(item.wires) != list(range(k))
-            peak = max(peak, (2 + moved + gemm) * batch)
-        elif item.kind == "emit":
-            peak = max(peak, 3 * batch)
-            n += 1
-    if phases is not None:
-        counts = Counter(
-            item.gate for item in items
-            if item.kind == "gate" and isinstance(spec.gate_library.get(item.gate), DDSequence)
-        )
-        size = max(1, _COLUMNS // rows)
-        for name, count in counts.items():
-            peak += rows * min(count, size) * (4 * 256 + 8 * spec.gate_library[name].k)
-        peak += phases.nbytes
-    return peak + _MATRIX_BYTES
-
-
-def _execute(spec: ProtocolSpec, items, compiler=None, phases=None, start=None) -> np.ndarray:
-    """Run the gate and emit items of a schedule on a batch of pure register
-    states, one row per row of `phases` (a single row without them), from
-    the initial spin state, or from the (1, 2^wires) amplitudes `start`.
-    Returns the amplitudes, shaped (T, 2^wires). Raises ValueError before
-    allocating if the run's peak, `_execute_bytes`, is more bytes than the
-    physical memory."""
-    rows = 1 if phases is None else len(phases)
-    width = 2 ** spec.m if start is None else start.shape[1]
-    _refuse_past_memory(_execute_bytes(spec, items, rows, width, phases), "the trajectory batch")
-    if start is None:
-        start = np.zeros((1, 2 ** spec.m), dtype=complex)
-        start[0, -1 if spec.init_one else 0] = 1.0
-    amps = np.broadcast_to(start, (rows, start.shape[1]))
-    n = start.shape[1].bit_length() - 1
-    unitaries = _gate_unitaries(spec, items, compiler, phases)
+def _execute(spec: ProtocolSpec, items) -> np.ndarray:
+    """Run the gate and emit items of a schedule without noise on the initial
+    spin state, each gate the library's matrix; returns the amplitudes
+    (2^wires,)."""
+    amps, n = _initial_spins(spec)[None], spec.m
     for item in items:
         if item.kind == "gate":
-            amps = _apply_matrix_vec(amps, next(unitaries), item.wires, n)
+            amps = _apply_matrix_vec(amps, _gate_unitary(spec, item, None), item.wires, n)
         elif item.kind == "emit":
             amps = _emit(amps, 0)
             n += 1
-    return amps
+    return amps[0]
 
 
 def _sample_phases(spec: ProtocolSpec, items, rng):
@@ -397,11 +345,15 @@ def ideal_target(
     m: int, n: int, style: str = "pedagogical", init_one: bool = False,
 ) -> QuantumState:
     """Noiseless ideal-gate circuit output after the all-|1> completion;
-    the reference state for every fidelity in this module."""
+    the reference state for every fidelity in this module. Raises
+    ValueError before allocating if four copies of the final amplitudes
+    (three at a gate on wires that do not lead, and the schedule) are more
+    bytes than the physical memory."""
+    _refuse_past_memory(4 * 16 * 2 ** (m + m * n), "the ideal target")
     spec = ProtocolSpec(
         m=m, n=n, gate_library=ideal_library(), style=style, init_one=init_one,
     )
-    vec = _execute(spec, build_schedule(spec))[0].reshape(2 ** m, -1)[-1]
+    vec = _execute(spec, build_schedule(spec)).reshape(2 ** m, -1)[-1]
     norm = np.linalg.norm(vec)
     if norm ** 2 < 1e-12:
         raise ValueError("all-|1> completion branch has zero probability")
@@ -415,7 +367,7 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     overlaps o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1>
     probability under postselection); its standard error is the ratio
     estimator's.
-    The overlaps come from `_contract`, which holds no photonic state."""
+    The overlaps come from `_complete`, which holds no photonic state."""
     sched = build_schedule(spec)
     compiler = _compiler_for(spec)
     if spec.noise is not None and compiler is None:
@@ -426,7 +378,7 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     )
     rng = np.random.default_rng(spec.seed)
     phases = _sample_phases(spec, sched, rng)
-    overlaps, weights, _ = _contract(spec, sched, compiler, phases, corrections, rng)
+    overlaps, weights, _ = _complete(spec, sched, compiler, phases, corrections, rng)
     fid2 = overlaps.sum() / max(weights.sum(), 1e-300)
     fid = float(np.sqrt(max(fid2, 0.0)))
     t = len(weights)
@@ -437,12 +389,17 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
         se = float(np.sqrt(np.sum(resid ** 2) / (t - 1)) / np.sqrt(t) / np.mean(weights))
         se = se / (2 * fid) if fid > 0 else se
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
-    prep_f = block_f = None
-    if components:
-        prep_f, block_f = component_fidelities(spec, compiler)
+    prep_f, block_f = component_fidelities(spec, compiler) if components else (None, None)
     return ProtocolResult(
         weights, fid, se, prep_f, block_f, wall_clock_model(spec), ps_prob, t,
     )
+
+
+def _initial_spins(spec) -> np.ndarray:
+    """The initial spin register (2^M,): all |0>, or all |1> under init_one."""
+    psi = np.zeros(2 ** spec.m, dtype=complex)
+    psi[-1 if spec.init_one else 0] = 1.0
+    return psi
 
 
 def _emission_masks(corrections, photons: int, m: int) -> np.ndarray:
@@ -481,18 +438,18 @@ def _full_matrix(u, wires, m: int) -> np.ndarray:
     return _apply_matrix_vec(np.eye(2 ** m, dtype=complex), u, wires, m).T
 
 
-def _ideal_frames(spec, sched):
+def _ideal_frames(spec, sched, psi):
     """The ideal-gate circuit as seen from a boundary tensor's ideal wires:
     for each emission and for the end, the product W of the ideal gates
     since the previous emission, as the matrix W^dagger that B is multiplied
-    by from the right; and the all-|1> probability of the ideal register,
-    from its spin density carried with the same masks.
+    by from the right; and the all-|1> probability of the ideal register
+    started from the spin vector `psi`, from its spin density carried with
+    the same masks.
     Returns ((emissions + 1, 2^M, 2^M) array, float)."""
     ideal = replace(spec, gate_library=ideal_library(), noise=None)
     d, frames, full = 2 ** spec.m, [], {}
     frame = np.eye(d, dtype=complex)
-    rho = np.zeros((d, d), dtype=complex)
-    rho[(-1, -1) if spec.init_one else (0, 0)] = 1.0
+    rho = np.outer(psi, psi.conj())
     for item in sched:
         if item.kind == "gate":
             key = (item.gate, item.wires)
@@ -509,54 +466,65 @@ def _ideal_frames(spec, sched):
     return np.array(frames), rho[-1, -1].real
 
 
-def _frame(x, frame):
-    """The candidates' slots of `_contract`'s boundary x times the ideal
-    gates' `frame` from the right, as one GEMM."""
-    rows, d, slots, _ = x.shape
-    return (x[:, :, :-1].reshape(-1, d) @ frame).reshape(rows, d, slots - 1, d)
+def _frame(b, frame):
+    """Boundary slots `b` (T, 2^M, slots, 2^M) times the ideal gates' `frame`
+    from the right, as one GEMM."""
+    return (b.reshape(-1, len(frame)) @ frame).reshape(b.shape)
 
 
-def _contract(spec, sched, compiler, phases, corrections, rng):
-    """Overlap of every trajectory's completed photonic vector with the
-    target, with no photonic state: returns (overlaps o_t, weights w_t,
-    sampled spin outcomes), each shaped (T,).
+# peak bytes of `_contract`, fitted under tracemalloc: six boundary tensors
+# (3.2 to 5.97 traced from 2048 trials on), and room for the groups of
+# noisy unitaries, 256 B per trajectory-column and up to `_COLUMNS` columns
+# per DD sequence, which outweigh the boundary on fewer trials
+_BOUNDARY_COPIES, _GROUP_BYTES = 6, 8 * 256 * _COLUMNS
+
+
+def _contract(spec, sched, compiler, phases, psi, frames, masks=None):
+    """Boundary tensor of every trajectory after `sched` from the spin
+    register `psi`, with no photonic state: (T, 2^M noisy spin, slots, 2^M
+    ideal spin), one trajectory per row of `phases` (one without them).
 
     Sequentially emitted photons form a matrix-product state of bond
     dimension 2^M (Schoen et al., PRL 95, 110503 (2005)), so each trajectory
     carries the boundary tensor
         B_c = sum_x psi(., x xor f_c) psi_ideal(., x)^dagger prod_p ph_{c,p}(x_p),
-    shaped (T, 2^M noisy spin, candidates, 2^M ideal spin): the photon
-    contraction of the noisy and ideal-gate registers under the correction
-    (f_c, ph_c) of each completion outcome c. A noisy gate U acts as U B,
-    the ideal gates V as B V^dagger (`_ideal_frames`, one matrix per
-    emission); an emission masks B (`_emission_masks`). The noisy spin
-    density rho (T, 2^M, 2^M) is carried the same way and gives the branch
-    probabilities. That is O(T 8^M) memory for any number of columns.
-    Outcomes are drawn from diag rho exactly as a dense completion draws
-    them; o_t = |B_o[o, 1...1]|^2 / (p_t(o) p_ideal(1...1)).
+    the photon contraction of the noisy and ideal-gate registers under the
+    correction (f_c, ph_c) of each completion outcome c; it starts as
+    psi psi^dagger. A noisy gate U acts as U B, the ideal gates V as
+    B V^dagger (`frames`, from `_ideal_frames`, one matrix per emission and
+    one for the end, applied here); an emission masks B. Under `masks`,
+    from `_emission_masks`, the slots are the candidates' B_c and, last,
+    the noisy spin density rho (T, 2^M, 2^M), carried the same way; without,
+    one slot B of no correction and no rho, and tr B = <ideal|noisy> over
+    the whole register. That is O(T 8^M) memory for any number of columns.
+    Raises ValueError before allocating if its peak, `_BOUNDARY_COPIES`
+    boundaries and `_GROUP_BYTES`, is more bytes than the physical memory.
 
     The shared noisy gates (ry, or every gate of a noiseless run) since the
     last per-trajectory gate or emission are held as one matrix, folded
     into the next per-trajectory gate on the whole register or applied on
     their own."""
     m, d = spec.m, 2 ** spec.m
-    frames, p_one = _ideal_frames(spec, sched)
-    if p_one < 1e-12:
-        raise ValueError("all-|1> completion branch has zero probability")
-    masks = _emission_masks(corrections, len(frames) - 1, m)
-    rows, cands = 1 if phases is None else len(phases), masks.shape[2] - 1
-    # x[t, a, c] is row a of B_c for c < cands, and row a of rho for c = cands
-    start = d - 1 if spec.init_one else 0
-    x = np.zeros((rows, d, cands + 1, d), dtype=complex)
-    x[:, start, :, start] = 1.0
+    rows = 1 if phases is None else len(phases)
+    density = masks is not None
+    if not density:
+        # one slot, no rho: an emission keeps the entries whose electron bits agree
+        same = np.broadcast_to(_SAME_BIT, (2, d // 2, 2, d // 2)).reshape(d, 1, d)
+        masks = np.broadcast_to(same, (len(frames) - 1, d, 1, d))
+    slots = masks.shape[2]
+    cands = slots - density
+    need = _BOUNDARY_COPIES * 16 * rows * d * slots * d + _GROUP_BYTES
+    _refuse_past_memory(need, "the boundary tensor")
+    x = np.broadcast_to(np.outer(psi, psi.conj())[:, None], (rows, d, slots, d)).copy()
     held, full, whole = None, {}, tuple(range(m))
 
     def apply(u, wires):
         nonlocal x
-        # rho stays Hermitian, so U (U rho)^dagger is U rho U^dagger: U acts
-        # on rho alone, then on B and rho together
-        half = _apply_matrix_vec(x[:, :, -1].reshape(rows, -1), u, wires, m)
-        x[:, :, -1] = half.reshape(rows, d, d).conj().transpose(0, 2, 1)
+        if density:
+            # rho stays Hermitian, so U (U rho)^dagger is U rho U^dagger: U
+            # acts on rho alone, then on B and rho together
+            half = _apply_matrix_vec(x[:, :, -1].reshape(rows, -1), u, wires, m)
+            x[:, :, -1] = half.reshape(rows, d, d).conj().transpose(0, 2, 1)
         x = _apply_matrix_vec(x.reshape(rows, -1), u, wires, m).reshape(x.shape)
 
     def release():
@@ -582,15 +550,31 @@ def _contract(spec, sched, compiler, phases, corrections, rng):
                 apply(u, item.wires)
         elif item.kind == "emit":
             release()
-            x[:, :, :-1] = _frame(x, frames[photon])
+            x[:, :, :cands] = _frame(x[:, :, :cands], frames[photon])
             x = x * masks[photon]
             photon += 1
     release()
-    b = _frame(x, frames[-1])
+    x[:, :, :cands] = _frame(x[:, :, :cands], frames[-1])
+    return x
+
+
+def _complete(spec, sched, compiler, phases, corrections, rng):
+    """(overlaps o_t, weights w_t, sampled spin outcomes), each (T,), of
+    every trajectory's completed photonic vector against the target, read
+    from `_contract`'s boundary: outcomes are drawn from diag rho exactly as
+    a dense completion draws them; o_t = |B_o[o, 1...1]|^2 / (p_t(o) p_ideal(1...1))."""
+    m, d = spec.m, 2 ** spec.m
+    psi = _initial_spins(spec)
+    frames, p_one = _ideal_frames(spec, sched, psi)
+    if p_one < 1e-12:
+        raise ValueError("all-|1> completion branch has zero probability")
+    masks = _emission_masks(corrections, len(frames) - 1, m)
+    x = _contract(spec, sched, compiler, phases, psi, frames, masks)
+    rows = len(x)
     probs = np.diagonal(x[:, :, -1], axis1=1, axis2=2).real
     if corrections is None:
         outcomes = np.full(rows, d - 1)
-        overlaps = np.abs(b[:, -1, 0, -1]) ** 2 / p_one
+        overlaps = np.abs(x[:, -1, 0, -1]) ** 2 / p_one
         if spec.completion == "postselect":
             return overlaps, probs[:, -1], outcomes
         return overlaps / np.maximum(probs[:, -1], 1e-300), np.ones(rows), outcomes
@@ -600,7 +584,7 @@ def _contract(spec, sched, compiler, phases, corrections, rng):
         if corrections[outcome_bits[o]] is None:
             raise RuntimeError(f"sampled a branch with no cached correction: {outcome_bits[o]}")
     t = np.arange(rows)
-    overlaps = np.abs(b[t, outcomes, outcomes, -1]) ** 2 / (probs[t, outcomes] * p_one)
+    overlaps = np.abs(x[t, outcomes, outcomes, -1]) ** 2 / (probs[t, outcomes] * p_one)
     return overlaps, np.ones(rows), outcomes
 
 
@@ -634,45 +618,33 @@ def _pauli_action(locals_):
 
 def component_fidelities(spec: ProtocolSpec, compiler=None):
     """(preparation fidelity, single-building-block fidelity), each the
-    square-root state fidelity of the noisy output against the ideal one.
+    square-root state fidelity sqrt(mean |<ideal|noisy>|^2) of the noisy
+    output against the ideal one, read as |tr B|^2 from `_contract`.
 
     Preparation runs the initialisation block alone; the building block runs
     one column starting from the ideally prepared spin register, the output
     of the initialisation block with ideal gates and no noise. Both use
     `compiler`, the one of `spec`'s run, or one built here for both."""
     compiler = _compiler_for(spec) if compiler is None else compiler
-    prep = _segment_fidelity(spec, compiler, prep_only=True)
-    block = _segment_fidelity(spec, compiler, prep_only=False)
-    return prep, block
+    one_col = replace(spec, n=min(spec.n, 1))
+    fids, psi = [], _initial_spins(spec)
+    for items, seed in zip(_schedule_split(one_col), (spec.seed + 1, spec.seed + 2)):
+        frames, _ = _ideal_frames(one_col, items, psi)
+        phases = _sample_phases(one_col, items, np.random.default_rng(seed))
+        x = _contract(one_col, items, compiler, phases, psi, frames)
+        fids.append(float(np.sqrt(np.mean(np.abs(np.trace(x[:, :, 0], axis1=1, axis2=2)) ** 2))))
+        # the preparation emits no photon, so its one frame is W^dagger for
+        # the whole block, and the prepared register is W psi
+        psi = frames[-1].conj().T @ psi
+    return tuple(fids)
 
 
 def _schedule_split(spec):
+    """(preparation, columns): the schedule without its measurements, split
+    at the first CZ."""
     sched = [s for s in build_schedule(spec) if s.kind != "measure"]
-    n_prep = 0
-    for item in sched:
-        if item.kind == "gate" and item.gate == "cz":
-            break
-        n_prep += 1
+    n_prep = next((i for i, s in enumerate(sched) if s.gate == "cz"), len(sched))
     return sched[:n_prep], sched[n_prep:]
-
-
-def _segment_fidelity(spec, compiler, prep_only: bool) -> float:
-    one_col = replace(
-        spec, n=min(spec.n, 1), seed=spec.seed + (1 if prep_only else 2)
-    )
-    prep_sched, block_sched = _schedule_split(one_col)
-    ideal = replace(one_col, gate_library=ideal_library())
-    if prep_only:
-        items, start = prep_sched, None
-    else:
-        items, start = block_sched, _execute(ideal, prep_sched)
-    ref = _execute(ideal, items, start=start)[0]
-    out = _execute(
-        one_col, items, compiler,
-        _sample_phases(one_col, items, np.random.default_rng(one_col.seed)),
-        start=start,
-    )
-    return float(np.sqrt(np.mean(np.abs(out @ ref.conj()) ** 2)))
 
 
 # -------------------------------------------------- local-Clifford analysis
@@ -759,7 +731,7 @@ def verify_appendix_a() -> AppendixReport:
     spins = (electron(), nuclear(0), nuclear(1))
     steps = []
     for i, label in enumerate(["init"] + [s.label() for s in items]):
-        amps = _execute(spec, items[:i])[0]
+        amps = _execute(spec, items[:i])
         wires = spins + _photon_wires(amps.size.bit_length() - 1 - spec.m)
         steps.append((label, QuantumState(amps, wires, validate=False)))
     vec = steps[-1][1].data.reshape(2 ** spec.m, -1)[-1]

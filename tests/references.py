@@ -5,12 +5,16 @@ the per-unit form of the noisy gate assembly, which the package's merged
 bath rotations must match to rounding, the per-trajectory form of the
 batched gate application, which its one-GEMM form must match bit for bit,
 the dense trajectory path that `protocol.run` replaced by its
-boundary-tensor contraction, and the OU sampler that formed its mean term
+boundary-tensor contraction, with the batched noisy executor it ran on and
+the dense component fidelities that `protocol.component_fidelities`
+replaced by the same contraction, and the OU sampler that formed its mean term
 as a third (T, segments) array, which the package's blocked form must match
 byte for byte. The first three need scipy, which the package does not load
 on its simulation path.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -103,6 +107,50 @@ def apply_matrix_vec_moveaxis(vecs: np.ndarray, u: np.ndarray, targets, n: int) 
     return psi.reshape(len(psi), -1)
 
 
+def execute(spec, items, compiler=None, phases=None, start=None) -> np.ndarray:
+    """Run the gate and emit items of a schedule on a batch of pure register
+    states, one row per row of `phases` (a single row without them), from
+    the initial spin state, or from the (1, 2^wires) amplitudes `start`.
+    Returns the amplitudes, shaped (T, 2^wires)."""
+    rows = 1 if phases is None else len(phases)
+    if start is None:
+        start = np.zeros((1, 2 ** spec.m), dtype=complex)
+        start[0, -1 if spec.init_one else 0] = 1.0
+    amps = np.broadcast_to(start, (rows, start.shape[1]))
+    n = start.shape[1].bit_length() - 1
+    unitaries = protocol._gate_unitaries(spec, items, compiler, phases)
+    for item in items:
+        if item.kind == "gate":
+            amps = protocol._apply_matrix_vec(amps, next(unitaries), item.wires, n)
+        elif item.kind == "emit":
+            amps = protocol._emit(amps, 0)
+            n += 1
+    return amps
+
+
+def segment_fidelity_dense(spec, compiler, prep_only: bool) -> float:
+    """`protocol.component_fidelities`' preparation (`prep_only`) or
+    building-block fidelity on dense (T, 2^n) batches: the noisy segment
+    from `execute` against the ideal one, sqrt(mean |<ideal|noisy>|^2), on
+    the same phases; the block starts from the dense ideal preparation."""
+    one_col = replace(
+        spec, n=min(spec.n, 1), seed=spec.seed + (1 if prep_only else 2)
+    )
+    prep_sched, block_sched = protocol._schedule_split(one_col)
+    ideal = replace(one_col, gate_library=protocol.ideal_library())
+    if prep_only:
+        items, start = prep_sched, None
+    else:
+        items, start = block_sched, execute(ideal, prep_sched)
+    ref = execute(ideal, items, start=start)[0]
+    out = execute(
+        one_col, items, compiler,
+        protocol._sample_phases(one_col, items, np.random.default_rng(one_col.seed)),
+        start=start,
+    )
+    return float(np.sqrt(np.mean(np.abs(out @ ref.conj()) ** 2)))
+
+
 def complete_dense(amps, spec, corrections, rng):
     """Completion measurement of the spin wires on each row of a (T, 2^n)
     batch; returns (photonic vectors (T, 2^(n-m)), weights (T,), spin
@@ -157,7 +205,7 @@ def dense_run(spec):
     )
     rng = np.random.default_rng(spec.seed)
     phases = protocol._sample_phases(spec, sched, rng)
-    amps = protocol._execute(spec, sched, protocol._compiler_for(spec), phases)
+    amps = execute(spec, sched, protocol._compiler_for(spec), phases)
     vecs, weights, outcomes = complete_dense(amps, spec, corrections, rng)
     overlaps = np.abs(vecs @ target.data.conj()) ** 2
     fid2 = overlaps.sum() / weights.sum()

@@ -18,7 +18,9 @@ piecewise-constant slices.
 `run` never forms the dense batch: it contracts each trajectory with the
 target column by column. The reference is the dense path it replaced,
 `references.dense_run`: the whole batch, a sampled completion and an
-overlap with `ideal_target`, from the same random stream.
+overlap with `ideal_target`, from the same random stream. The component
+fidelities run through the same contraction; their reference is the dense
+segment formula, `references.segment_fidelity_dense`, on the same phases.
 
 The noisy gates of all trajectories are assembled with one GEMM per block
 of merged rotations; the per-unit product in `references.py` must match
@@ -40,15 +42,15 @@ import pytest
 from scipy.linalg import expm
 
 from references import (
-    apply_matrix_vec_moveaxis, complete_dense, dense_run, evolve, fold_segment_phases,
-    noisy_sequence_unitary_stacked,
+    apply_matrix_vec_moveaxis, complete_dense, dense_run, evolve, execute, fold_segment_phases,
+    noisy_sequence_unitary_stacked, segment_fidelity_dense,
 )
 from spincluster import protocol
 from spincluster.hamiltonian import free_hamiltonian, propagator
 from spincluster.noise import ou_from_coherence
 from spincluster.protocol import (
-    RY_PROTO, ProtocolSpec, _execute, _sample_phases, build_schedule, emit_photon,
-    find_corrections,
+    RY_PROTO, ProtocolSpec, _sample_phases, build_schedule, component_fidelities,
+    emit_photon, find_corrections, ideal_library,
 )
 from spincluster.states import (
     I2, Y, Z, QuantumState, _apply_matrix_vec, apply_gate, electron, nuclear, rz,
@@ -199,16 +201,16 @@ def _lean_noisy(packaged, n):
 
 
 def run_and_outcomes(spec, monkeypatch):
-    """`protocol.run(spec)` and the spin outcomes (T,) its contraction sampled."""
-    sampled, contract = [], protocol._contract
+    """`protocol.run(spec)` and the spin outcomes (T,) its completion sampled."""
+    sampled, complete = [], protocol._complete
 
     def recorded(*args):
-        out = contract(*args)
+        out = complete(*args)
         sampled.append(out[2])
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(protocol, "_contract", recorded)
+        patch.setattr(protocol, "_complete", recorded)
         res = protocol.run(spec)
     return res, sampled[0]
 
@@ -266,7 +268,7 @@ def test_executor_matches_per_trajectory_loop(packaged):
         if s.kind == "gate" and isinstance(lib.get(s.gate), DDSequence)
     )
     phases = np.random.default_rng(4).normal(0.0, 0.3, size=(5, n_seg))
-    batch = _execute(spec, sched, compiler, fold_segment_phases(phases))
+    batch = execute(spec, sched, compiler, fold_segment_phases(phases))
     assert batch.shape == (5, 2 ** 6)
     for row, traj in zip(batch, phases):
         state = QuantumState(np.eye(4, dtype=complex)[0], (electron(), nuclear(0)))
@@ -323,7 +325,7 @@ def test_completion_matches_per_wire_passes(packaged, n, trials, seed, times_y):
     )
     sched = build_schedule(spec)
     phases = _sample_phases(spec, sched, np.random.default_rng(seed))
-    amps = _execute(spec, sched, UnitCompiler(params), phases)
+    amps = execute(spec, sched, UnitCompiler(params), phases)
     corrections = {
         bits: None if locals_ is None else [Y @ u if times_y else u for u in locals_]
         for bits, locals_ in find_corrections(spec).items()
@@ -358,6 +360,41 @@ def test_contraction_matches_dense_run(packaged, monkeypatch, m, n, style, compl
     assert np.max(np.abs(res.weights - weights)) <= 1e-12
     # the same spin outcome for every trajectory, drawn from the same stream
     assert np.array_equal(outcomes, dense_outcomes)
+
+
+_SEGMENT_GRID = [
+    ("lean", 2, t2, seed, False) for t2 in (2e-6, 8e-6, 300e-6) for seed in (1, 2, 3)
+] + [("pedagogical", m, 8e-6, 1, init_one) for m in (2, 3) for init_one in (False, True)]
+
+
+@pytest.mark.parametrize("style,m,t2,seed,init_one", _SEGMENT_GRID)
+def test_component_fidelities_match_dense_segments(packaged, style, m, t2, seed, init_one):
+    # the preparation and the building block through the contraction, each
+    # |tr B|^2, against the dense segments' |<ideal|noisy>|^2 on the same
+    # phases
+    lib, params, _ = packaged
+    spec = ProtocolSpec(
+        m=m, n=2, gate_library=lib, params=params, style=style, init_one=init_one,
+        trials=200 if style == "lean" else 50, seed=seed,
+        noise=ou_from_coherence(0.01 * t2, t2, seed=seed),
+    )
+    compiler = UnitCompiler(params)
+    got = component_fidelities(spec, compiler)
+    ref = [segment_fidelity_dense(spec, compiler, prep_only) for prep_only in (True, False)]
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["packaged-noiseless", "identity-cz"])
+def test_noiseless_component_fidelities_match_dense_segments(packaged, case):
+    lib, params, _ = packaged
+    if case == "identity-cz":
+        lib, params = dict(ideal_library(), cz=np.eye(4, dtype=complex)), None
+    spec = ProtocolSpec(m=2, n=2, gate_library=lib, params=params, style="lean")
+    compiler = None if params is None else UnitCompiler(params)
+    got = component_fidelities(spec, compiler)
+    ref = [segment_fidelity_dense(spec, compiler, prep_only) for prep_only in (True, False)]
+    assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12
+    assert got[1] < 1 - 1e-6
 
 
 def apply_noise_segment(state, trajectory, h, t, dt, targets=None):

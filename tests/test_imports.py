@@ -12,6 +12,10 @@ so a helper that only the tests (or only itself) call does not stay. A name assi
 must be read in that function or in a function nested in it, unless it
 starts with `_`.
 
+Inside `spincluster.protocol` only the trajectory engine, `_contract`, may
+reach the noisy gate assembly (`_gate_unitaries`, `noisy_sequence_unitary`):
+a second path to it would be a second noisy engine.
+
 scipy serves only gate synthesis, the coherence fits and the local-Clifford
 check, so a fresh interpreter that imports the package and runs trajectories,
 `noisy_gate_fidelity`, `run` and `figure fig3b` must not load it.
@@ -175,6 +179,49 @@ def test_check_flags_an_unseeded_generator():
         "d = default_rng(seed=None)\n"
     )
     assert unseeded_generators(src) == ["line 3", "line 5"]
+
+
+def reached_past(source: str, targets: set, owner: str) -> list:
+    """Top-level functions of `source` that read a name in `targets`, directly
+    or through the top-level functions they read, on a path that does not
+    pass through `owner`, leaving out the functions `owner` itself reads."""
+    funcs = {n.name: n for n in ast.parse(source).body
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reads = {name: {n.id for n in ast.walk(f)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+             for name, f in funcs.items()}
+
+    def below(start):
+        seen, todo = set(), [start]
+        while todo:
+            for ref in reads[todo.pop()] & (funcs.keys() - seen - {owner}):
+                seen.add(ref)
+                todo.append(ref)
+        return seen
+
+    helpers = below(owner)
+    return sorted(
+        name for name in funcs
+        if name != owner and name not in helpers
+        and any(reads[f] & targets for f in below(name) | {name})
+    )
+
+
+def test_only_the_engine_assembles_noisy_gates():
+    source = (Path(spincluster.__file__).parent / "protocol.py").read_text()
+    assert reached_past(source, {"_gate_unitaries", "noisy_sequence_unitary"}, "_contract") == []
+
+
+def test_check_flags_a_second_path_to_the_noisy_gates():
+    src = (
+        "from lib import noisy\n"
+        "def _assemble():\n    return noisy()\n"
+        "def _engine():\n    return _assemble()\n"
+        "def run():\n    return _engine()\n"
+        "def _dense():\n    return _assemble()\n"
+        "def target():\n    return _dense()\n"
+    )
+    assert reached_past(src, {"noisy"}, "_engine") == ["_dense", "target"]
 
 
 # a noisy lean 2x1 run on the packaged gates with component fidelities, the

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spincluster import cli
+from spincluster import cli, protocol
 from spincluster.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from spincluster.noise import OUNoise
 from spincluster.presets import (
@@ -126,6 +126,24 @@ class TestCLI:
         assert "at least 2 trials" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_refusal_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # M = 6 at the default 2000 noisy trials needs an 8.5-GB boundary:
+        # on a 7-GiB box run refuses it before the engine starts, and the
+        # CLI reports the refusal, not a traceback
+        def no_allocation(*args):
+            raise AssertionError("the engine ran")
+
+        memory = {"SC_PHYS_PAGES": 7 * 2 ** 18, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(protocol.os, "sysconf", memory.__getitem__)
+        monkeypatch.setattr(protocol, "_gate_unitaries", no_allocation)
+        out = tmp_path / "run.csv"
+        rc = main(["run", "--m", "6", "--n", "1", "--style", "pedagogical",
+                   "--output", str(out)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("run: the boundary tensor needs ")
+        assert "Traceback" not in err and not out.exists()
+
     def test_rate_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["rate", "--photons", "10", "--duration", "3e-6"]
@@ -157,6 +175,13 @@ class TestCLI:
         assert main(argv + ["--output", str(a)]) == EXIT_OK
         assert main(argv + ["--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_figure_rows_draw_their_own_seeds(self, capsys):
+        # two rows at one T2: with one seed for both they would be the same
+        assert main(["figure", "fig3a", "--t2-list", "8e-6", "8e-6", "--trials", "50"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert rows[0].split(",")[1] == rows[1].split(",")[1] == "8.000e-06"
+        assert rows[0] != rows[1]
 
     def test_figure_rates(self, tmp_path):
         out = tmp_path / "rates.csv"

@@ -170,6 +170,21 @@ class TestNoiselessRuns:
         assert abs(prep - 1) < 1e-12
         assert block < 1 - 1e-3
 
+    def test_component_fidelities_need_no_dense_executor(self, packaged, monkeypatch):
+        # both segments run through the contraction, and the block starts
+        # from the register read off the preparation's ideal frame
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense executor ran")
+
+        monkeypatch.setattr(protocol, "_execute", refuse)
+        lib, params, _ = packaged
+        spec = ProtocolSpec(m=2, n=2, gate_library=lib, params=params, style="lean",
+                            noise=ou_from_coherence(3e-6, 300e-6, seed=1), trials=20, seed=1)
+        prep, block = component_fidelities(spec)
+        assert 0.99 < prep <= 1 and 0.99 < block <= 1
+        prep, block = component_fidelities(_spec(3, 1, init_one=True))
+        assert abs(prep - 1) <= 1e-12 and abs(block - 1) <= 1e-12
+
 
 _CORRECTION_GRID = [
     (m, n, style, init_one)
@@ -184,7 +199,7 @@ def _dense_branches(spec, items=None):
     """Completion branches of the dense ideal-gate run, one unnormalised
     photonic vector per spin outcome: the reference for the tableau."""
     items = build_schedule(spec) if items is None else items
-    return protocol._execute(spec, items)[0].reshape(2 ** spec.m, -1)
+    return protocol._execute(spec, items).reshape(2 ** spec.m, -1)
 
 
 def _paulis(x, z):
@@ -317,7 +332,7 @@ class TestCorrections:
         spec = _spec(m, n, style=style, init_one=init_one)
         items = [s for s in build_schedule(spec) if s.kind != "measure"]
         tab = Tableau(m, ones=init_one).run(items)
-        psi = protocol._execute(spec, items)[0]
+        psi = protocol._execute(spec, items)
         for reduced in (False, True):
             if reduced:
                 # independent generators: a full set of pivots, each column
@@ -529,48 +544,65 @@ class TestTrajectoryFactor:
     def _memory(pages):
         return lambda name: {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}[name]
 
+    @staticmethod
+    def _contract_peaks(monkeypatch):
+        """Wrap `_contract` to record, per call, (the bytes it asked
+        `_refuse_past_memory` for, its traced peak above what was held at
+        entry, its boundary's bytes); tracemalloc must be running."""
+        needs, peaks, contract = [], [], protocol._contract
+
+        def traced(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            x = contract(*args)
+            peaks.append((needs[-1], tracemalloc.get_traced_memory()[1] - held, x.nbytes))
+            return x
+
+        monkeypatch.setattr(protocol, "_refuse_past_memory", lambda need, what: needs.append(need))
+        monkeypatch.setattr(protocol, "_contract", traced)
+        return peaks
+
     def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
-        # the dense executor's batch of 5 lean 2x2 trajectories ends at
-        # 5 * 2^6 amplitudes of 16 B, 5120 B, and its last ry holds that
-        # batch twice; refused one byte below the executor's peak
-        spec = self._lean_2x2(packaged, "corrected", 1)
-        sched = build_schedule(spec)
-        phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))[:5]
-        compiler = protocol.UnitCompiler(spec.params)
-        need = protocol._execute_bytes(spec, sched, 5, 4, phases)
-        assert need >= 2 * 5120
+        # the boundary of 5 lean 2x2 trajectories is 5 * 4 * 5 * 4 complex
+        # entries, 6400 B: refused one byte below six of them and the room
+        # for the noisy unitaries
+        spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=5)
+        need = 6 * 6400 + 8 * 256 * 2048
 
         def no_allocation(*args):
-            raise AssertionError("the executor ran")
+            raise AssertionError("the engine ran")
 
         monkeypatch.setattr(protocol.os, "sysconf", self._memory(need - 1))
-        monkeypatch.setattr(protocol, "_emit", no_allocation)
         monkeypatch.setattr(protocol, "_gate_unitaries", no_allocation)
-        with pytest.raises(ValueError, match=f"batch needs {need} B, more than the {need - 1} B"):
-            protocol._execute(spec, sched, compiler, phases)
-        # ideal_target runs one trajectory of 2^6 * 16 B
-        ideal = _spec(2, 2, style="lean")
-        need_ideal = protocol._execute_bytes(ideal, build_schedule(ideal), 1, 4, None)
-        assert need_ideal >= 2 * 1024
-        monkeypatch.setattr(protocol.os, "sysconf", self._memory(need_ideal - 1))
-        with pytest.raises(ValueError, match=f"batch needs {need_ideal} B"):
+        msg = f"boundary tensor needs {need} B, more than the {need - 1} B"
+        with pytest.raises(ValueError, match=msg):
+            run(spec)
+        # ideal_target holds one row of 2^6 amplitudes of 16 B; it is
+        # refused below four copies
+        monkeypatch.setattr(protocol.os, "sysconf", self._memory(4 * 1024 - 1))
+        monkeypatch.setattr(protocol, "_execute", no_allocation)
+        with pytest.raises(ValueError, match="ideal target needs 4096 B, more than the 4095 B"):
             ideal_target(2, 2, style="lean")
+        # M = 6 pedagogical at the CLI's 2000 trials: its boundary alone is
+        # 2000 * 64 * 65 * 64 * 16 B = 8.5 GB, refused on a 7-GiB box
+        big = replace(spec, m=6, n=1, style="pedagogical", trials=2000)
+        monkeypatch.setattr(protocol.os, "sysconf", self._memory(7 * 2 ** 30))
+        with pytest.raises(ValueError, match="boundary tensor needs"):
+            run(big)
         monkeypatch.undo()
         monkeypatch.setattr(protocol.os, "sysconf", self._memory(need))
-        assert protocol._execute(spec, sched, compiler, phases).shape == (5, 2 ** 6)
+        assert 0.99 < run(spec).fidelity <= 1
 
     def test_batch_below_memory_refused_when_its_peak_is_not(self, packaged, monkeypatch):
-        # 20 noisy lean 2x6 trajectories end in a 5.2-MB batch, and the
-        # executor peaks near twice that: memory of 1.5 batches is refused
-        lib, params, _ = packaged
-        spec = ProtocolSpec(m=2, n=6, gate_library=lib, params=params, style="lean",
-                            noise=ou_from_coherence(3e-6, 300e-6, seed=1), trials=20, seed=1)
-        sched = build_schedule(spec)
-        phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))
-        final = 16 * 20 * 2 ** 14
-        monkeypatch.setattr(protocol.os, "sysconf", self._memory(3 * final // 2))
-        with pytest.raises(ValueError, match="more than the"):
-            protocol._execute(spec, sched, protocol.UnitCompiler(params), phases)
+        # the boundary of 2048 noisy lean 2x2 trajectories is 2.6 MB, and
+        # the contraction peaks near four times that: memory of 1.5
+        # boundaries and the room for the noisy unitaries is refused
+        spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=2048)
+        boundary = 16 * 2048 * 4 * 5 * 4
+        monkeypatch.setattr(protocol.os, "sysconf",
+                            self._memory(3 * boundary // 2 + 8 * 256 * 2048))
+        with pytest.raises(ValueError, match="boundary tensor needs .* more than the"):
+            run(spec)
 
     @pytest.mark.parametrize("m,n,style,trials,noisy", [
         (2, 6, "lean", 20, True), (2, 6, "lean", 1, False), (2, 2, "lean", 200, True),
@@ -578,23 +610,55 @@ class TestTrajectoryFactor:
     ])
     def test_refusal_bound_covers_traced_peak(self, packaged, monkeypatch, m, n, style,
                                               trials, noisy):
+        # every contraction of a run with its component fidelities: the run
+        # itself and the two segments
         lib, params, _ = packaged
         spec = ProtocolSpec(m=m, n=n, gate_library=lib, params=params, style=style,
                             noise=ou_from_coherence(3e-6, 300e-6, seed=1) if noisy else None,
                             trials=trials, seed=1)
-        sched = build_schedule(spec)
-        compiler = protocol.UnitCompiler(params)
-        phases = protocol._sample_phases(spec, sched, np.random.default_rng(1))
-        needs = []
-        monkeypatch.setattr(protocol, "_refuse_past_memory", lambda need, what: needs.append(need))
+        peaks = self._contract_peaks(monkeypatch)
         tracemalloc.start()
         try:
-            out = protocol._execute(spec, sched, compiler, phases)
+            run(spec, components=True)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        for need, peak, boundary in peaks:
+            assert boundary < peak <= need
+
+    @pytest.mark.parametrize("trials", [2048, 5000])
+    def test_refusal_bound_covers_traced_peak_on_many_trials(self, packaged, monkeypatch,
+                                                             trials):
+        # from 2048 trials on, a DD sequence's noisy unitaries come one
+        # instance per call and grow with the boundary: six boundaries and
+        # 64 KiB for the schedule's small arrays cover the peak without the
+        # room kept for the unitaries on fewer trials
+        spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=trials)
+        peaks = self._contract_peaks(monkeypatch)
+        tracemalloc.start()
+        try:
+            run(spec, components=True)
+        finally:
+            tracemalloc.stop()
+        for need, peak, boundary in peaks:
+            assert boundary < peak <= need - 8 * 256 * 2048 + 64 * 1024
+
+    @pytest.mark.parametrize("m,n,style", [
+        (2, 6, "lean"), (2, 8, "lean"), (3, 3, "pedagogical"), (4, 2, "pedagogical"),
+    ])
+    def test_ideal_target_refusal_covers_traced_peak(self, monkeypatch, m, n, style):
+        # final batches of 64 KiB and up, where the schedule's own objects
+        # are a few percent of them
+        needs = []
+        monkeypatch.setattr(protocol, "_refuse_past_memory", lambda need, what: needs.append(need))
+        ideal_target(m, n, style)  # first-use allocations
+        tracemalloc.start()
+        try:
+            ideal_target(m, n, style)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak > out.nbytes
-        assert peak <= needs[0]
+        assert 16 * 2 ** (m + m * n) < peak <= needs[-1]
 
     def test_long_lattice_run_holds_no_dense_rho(self, packaged):
         lib, params, _ = packaged
