@@ -79,7 +79,8 @@ def cmd_synthesize(args) -> int:
         f"target={args.target} k={report.sequence.k} "
         f"duration={report.sequence.total_duration * 1e6:.4f}us "
         f"fidelity={report.unitary_fidelity:.7f} "
-        f"met_threshold={report.met_threshold}"
+        f"met_threshold={report.met_threshold}",
+        file=sys.stdout if close else sys.stderr,  # keep a gate file on stdout clean
     )
     return EXIT_OK if report.met_threshold else EXIT_CHECK_FAILED
 

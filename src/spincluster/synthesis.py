@@ -7,8 +7,8 @@ with coordinate-wise sweeps over the discrete electron-gate insertions.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,24 +100,34 @@ class UnitCompiler:
     def free_propagator(self, t: float) -> np.ndarray:
         return (self._vecs * np.exp(-2j * np.pi * self._vals * t)) @ self._vecs.conj().T
 
-    def units(self, taus, derivative: bool = False):
+    def units(self, taus):
         """DD units F(tau) Pi F(2 tau) Pi F(tau) for all spacings at once, a
-        (k, 4, 4) stack, and with `derivative` also their d/dtau stack.
-
-        In the eigenbasis F(t) is the diagonal D(t), so a unit is
-        V D1 Pi' D2 Pi' D1 V^dag with D2 = D1^2, and H' = diag(h) commutes
-        through every D: d/dtau = -2 pi i V (H' b + b H' + 2 D1 Pi' H' D2 Pi' D1) V^dag."""
+        (k, 4, 4) stack: V b V^dag with b the unit in the eigenbasis, where
+        F(t) is the diagonal D(t), so b = D1 Pi' D2 Pi' D1 with D2 = D1^2."""
         d1 = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(taus, float), self._vals))
-        d2 = d1 * d1
-        left = d1[:, :, None] * self._pi  # D1 Pi'
-        right = self._pi * d1[:, None, :]  # Pi' D1
-        b = (left * d2[:, None, :]) @ right
-        vecs, vecs_h = self._vecs, self._vecs.conj().T
-        if not derivative:
-            return vecs @ b @ vecs_h
-        h = self._vals
-        db = h[:, None] * b + b * h + 2 * ((left * (h * d2)[:, None, :]) @ right)
-        return vecs @ b @ vecs_h, -2j * np.pi * (vecs @ db @ vecs_h)
+        b = (d1[:, :, None] * self._pi * (d1 * d1)[:, None, :]) @ (self._pi * d1[:, None, :])
+        return self._vecs @ b @ self._vecs.conj().T
+
+    @cached_property
+    def _unit_weights(self):
+        """W[m, (s, a, b)] of `eigen_units`, for s = 0 (b) and s = 1 (db/dtau)."""
+        h, pi = self._vals, self._pi
+        w = pi.T[:, :, None] * pi[:, None, :]  # Pi'_am Pi'_mb
+        dw = -2j * np.pi * (2 * h[:, None, None] + h[:, None] + h) * w
+        return np.stack([w, dw], axis=1).reshape(4, 32)
+
+    def eigen_units(self, taus):
+        """The units in the eigenbasis over their d/dtau, a (k, 8, 4) stack with
+        b_i in rows 0-3 and db_i in rows 4-7. b = D1 Pi' D2 Pi' D1 is
+        b_ab = d1_a d1_b sum_m Pi'_am d2_m Pi'_mb, and each term's d/dtau is
+        -2 pi i (h_a + h_b + 2 h_m) times it: one (k, 4) @ (4, 32) product."""
+        d1 = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(taus, float), self._vals))
+        phase = (d1[:, :, None] * d1[:, None, :])[:, None]  # d1_a d1_b
+        return (((d1 * d1) @ self._unit_weights).reshape(-1, 2, 4, 4) * phase).reshape(-1, 8, 4)
+
+    def to_eigenbasis(self, ops):
+        """V^dag A V for an operator, or a stack of them, on (electron, nucleus)."""
+        return self._vecs.conj().T @ ops @ self._vecs
 
     def bath_blocks(self, seq: DDSequence):
         """The noiseless products of `seq` between the bath rotations that
@@ -232,36 +242,33 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
 
 # ------------------------------------------------------------ optimization
 
-def _environments(units, gates, target):
-    """Environments of the units in U = G_k B_{k-1} G_{k-1} ... B_0 G_0.
-
-    With the prefix R_i = B_{i-1} G_{i-1} ... B_0 G_0 and the suffix
-    W_i = G_k B_{k-1} G_{k-1} ... B_{i+1} G_{i+1}, both built in one loop,
-    returns E_i = R_i T^dag W_i, a (k, 4, 4) stack with
-    Tr(T^dag U) = Tr(E_i B_i G_i) for every i, and R_k T^dag, with
-    Tr(T^dag U) = Tr(R_k T^dag G_k)."""
-    k = len(units)
-    factors = list(units @ gates[:-1])
-    prefix, suffix = [np.eye(4, dtype=complex)], [gates[-1]]
-    for i in range(k - 1):
-        prefix.append(factors[i] @ prefix[-1])
-        suffix.append(suffix[-1] @ factors[k - 1 - i])
-    t_dag = target.conj().T
-    return np.array(prefix) @ t_dag @ np.array(suffix[::-1]), factors[-1] @ prefix[-1] @ t_dag
+def _prefix_pass(factors, last, target_h):
+    """For U' = G'_k f_{k-1} ... f_0 with f_i = b_i G'_i in the eigenbasis:
+    the prefixes R_i = f_{i-1} ... f_0, a (k+1, 4, 4) stack (R_0 = 1) built
+    by doubling, and X = T'^dag U' = target_h G'_k R_k, with Tr X = Tr(T^dag U)."""
+    prefix = np.concatenate([_ALL_GATES[:1], factors])  # gate "I" as R_0
+    step = 1
+    while step < len(factors):
+        prefix[step + 1:] = prefix[step + 1:] @ prefix[1:-step]
+        step *= 2
+    return prefix, target_h @ last @ prefix[-1]
 
 
-def _fidelity_and_gradient(taus, gates, target, compiler):
+def _fidelity_and_gradient(taus, gates, target_h, compiler):
     """|Tr(T^dag U)| / 4 and its gradient in the spacings, for the (k+1, 4, 4)
-    electron-gate stack `gates`."""
-    units, d_units = compiler.units(taus, derivative=True)
-    env, tail = _environments(units, gates, target)
-    overlap = np.sum(tail * gates[-1].T)
-    fid = abs(overlap) / 4
+    electron-gate stack `gates` and `target_h` = T^dag, both in the eigenbasis
+    (`UnitCompiler.to_eigenbasis`). Every factor is unitary, so the part of U'
+    after unit i is U' P_i^dag with P_i = R_{i+1}, and the prefix pass alone
+    gives d Tr(T'^dag U') / dtau_i = Tr(R_i X P_i^dag db_i G'_i)."""
+    f = compiler.eigen_units(taus) @ gates[:-1]  # [b_i G'_i over db_i G'_i]
+    prefix, x = _prefix_pass(f[:, :4], gates[-1], target_h)
+    overlap = x.trace()
     grad = np.zeros(len(taus))
     if abs(overlap) > 1e-300:
-        d_overlap = np.einsum("kab,kba->k", env, d_units @ gates[:-1])
-        grad = np.real(np.conj(overlap) * d_overlap) / (abs(overlap) * 4)
-    return fid, grad
+        rx = (prefix[:-1].reshape(-1, 4) @ x).reshape(-1, 4, 4)  # all R_i X, one GEMM
+        d_overlap = np.einsum("kab,kba->k", rx @ prefix[1:].conj().transpose(0, 2, 1), f[:, 4:])
+        grad = (d_overlap * (overlap.conjugate() / (abs(overlap) * 4))).real
+    return abs(overlap) / 4, grad
 
 
 # L-BFGS-B stops once a step lowers 1 - F by at most _FTOL (the objective lies
@@ -280,11 +287,11 @@ def minimize(fun, x0, **kw):
     return scipy_minimize(fun, x0, **kw)
 
 
-def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
-    gates = _gate_stack(gate_names)
+def _polish(taus, gate_names, target_h, compiler, lb, ub, maxiter=800):
+    gates = compiler.to_eigenbasis(_gate_stack(gate_names))
 
     def neg(x):
-        f, g = _fidelity_and_gradient(x, gates, target, compiler)
+        f, g = _fidelity_and_gradient(x, gates, target_h, compiler)
         return 1 - f, -g
 
     res = minimize(
@@ -295,25 +302,26 @@ def _polish(taus, gate_names, target, compiler, lb, ub, maxiter=800):
     return res.x, 1 - res.fun, res.nfev
 
 
-def _slot_fidelities(units, names, target):
-    """|Tr(T^dag U)| / 4 with each electron gate in each slot of the sequence,
-    the other slots held fixed: a (k+1, len(_GATE_NAMES)) table.
+def _slot_fidelities(units, names, target_h, candidates):
+    """|Tr(T^dag U)| / 4 with each electron gate in each slot, the others held
+    fixed: a (k+1, len(_GATE_NAMES)) table. The units, `target_h` = T^dag and
+    `candidates` (`_ALL_GATES`) are in the eigenbasis. The overlap is linear in
+    the gate G of slot i, Tr(M_i G) with M_i = R_i X R_i^dag G'_i^dag, for the
+    last slot too, so every entry costs one contraction."""
+    gates = candidates[[_GATE_NAMES.index(g) for g in names]]
+    prefix, x = _prefix_pass(units @ gates[:-1], gates[-1], target_h)
+    env = prefix @ x @ prefix.conj().transpose(0, 2, 1) @ gates.conj().transpose(0, 2, 1)
+    return np.abs(np.einsum("gab,sba->sg", candidates, env)) / 4
 
-    The overlap is linear in the gate G of one slot s, Tr(M_s G), with the
-    environment M_s = E_s B_s (M_k = R_k T^dag for the last slot), so every
-    entry costs one contraction."""
-    env, tail = _environments(units, _gate_stack(names), target)
-    slots = np.concatenate([env @ units, tail[None]])
-    return np.abs(np.einsum("gab,sba->sg", _ALL_GATES, slots)) / 4
 
-
-def _discrete_sweep(taus, gate_names, target, compiler, rng):
+def _discrete_sweep(taus, gate_names, target_h, compiler, rng):
     """Coordinate-wise sweep over the electron-gate slots at fixed spacings,
     accepting any candidate that raises the fidelity by more than 1e-12; the
     table of candidate fidelities is rebuilt only after a slot changes."""
     names = list(gate_names)
-    units = compiler.units(taus)
-    table = _slot_fidelities(units, names, target)
+    units = compiler.eigen_units(taus)[:, :4]
+    candidates = compiler.to_eigenbasis(_ALL_GATES)
+    table = _slot_fidelities(units, names, target_h, candidates)
     best = table[0, _GATE_NAMES.index(names[0])]
     improved = True
     evals = 0
@@ -329,7 +337,7 @@ def _discrete_sweep(taus, gate_names, target, compiler, rng):
                     best, improved = f, True
                     names[slot] = cand
             if names[slot] != current:
-                table = _slot_fidelities(units, names, target)
+                table = _slot_fidelities(units, names, target_h, candidates)
     return names, best, evals
 
 
@@ -382,6 +390,7 @@ def synthesize(
             f"no random starts between lb = {lb} and ub = {ub}: the start interval "
             f"[max(lb, 2e-11), 0.75 ub] = [{start_lo}, {start_hi}] is empty")
     compiler = UnitCompiler(p)
+    target_h = compiler.to_eigenbasis(target.conj().T)
     rng = np.random.default_rng(seed)
     best_f, best_x, best_names = 0.0, None, None
     evals = 0
@@ -389,26 +398,22 @@ def synthesize(
     def admissible(x):
         return duration_limit is None or 4 * np.sum(x) <= duration_limit
 
+    def descend(x, names):
+        nonlocal evals
+        x, _, polished = _polish(x, names, target_h, compiler, lb, ub)
+        names, _, swept = _discrete_sweep(x, names, target_h, compiler, rng)
+        x, f, repolished = _polish(x, names, target_h, compiler, lb, ub)
+        evals += polished + swept + repolished
+        return x, f, names
+
     for k in ks:
         for _ in range(restarts):
             names = ["I"] + [_GATE_NAMES[rng.integers(len(_GATE_NAMES))] for _ in range(k)]
-            x = rng.uniform(start_lo, start_hi, size=k)
-            x, f, ne = _polish(x, names, target, compiler, lb, ub)
-            evals += ne
-            names, _, ne = _discrete_sweep(x, names, target, compiler, rng)
-            evals += ne
-            x, f, ne = _polish(x, names, target, compiler, lb, ub)
-            evals += ne
+            x, f, names = descend(rng.uniform(start_lo, start_hi, size=k), names)
             for _ in range(hops):
                 if f >= threshold and admissible(x):
                     break
-                xp = np.clip(x + rng.normal(0, 8e-9, size=k), lb, ub)
-                xp, fp, ne = _polish(xp, names, target, compiler, lb, ub)
-                evals += ne
-                names_p, _, ne = _discrete_sweep(xp, names, target, compiler, rng)
-                evals += ne
-                xp, fp, ne = _polish(xp, names_p, target, compiler, lb, ub)
-                evals += ne
+                xp, fp, names_p = descend(np.clip(x + rng.normal(0, 8e-9, size=k), lb, ub), names)
                 if fp > f and (admissible(xp) or not admissible(x)):
                     x, f, names = xp, fp, names_p
             if f > best_f and (admissible(x) or best_x is None or not admissible(best_x)):
@@ -420,7 +425,7 @@ def synthesize(
 
     # final polish pass to squeeze the local optimum
     if best_x is not None and len(best_x):
-        x, f, ne = _polish(best_x, best_names, target, compiler, lb, ub, maxiter=3000)
+        x, f, ne = _polish(best_x, best_names, target_h, compiler, lb, ub, maxiter=3000)
         evals += ne
         if f >= best_f and (admissible(x) or not admissible(best_x)):
             best_x, best_f = x, f
@@ -469,29 +474,22 @@ def noisy_gate_fidelity(seq: DDSequence, p: SpinSystemParams, noise, trials: int
 # ------------------------------------------------------------ serialization
 
 def serialize_sequence(report: SynthesisReport, p: SpinSystemParams) -> str:
-    buf = io.StringIO()
-    buf.write(f"format_version {SERIAL_FORMAT_VERSION}\n")
-    buf.write(f"target {report.target_name}\n")
-    buf.write(f"a_par_hz {p.a_par!r}\n")
-    buf.write(f"a_perp_hz {p.a_perp!r}\n")
-    buf.write(f"gamma_e_hz_per_t {p.gamma_e!r}\n")
-    buf.write(f"gamma_n_hz_per_t {p.gamma_n!r}\n")
-    buf.write(f"b_field_t {p.b_field[0]!r} {p.b_field[1]!r} {p.b_field[2]!r}\n")
-    buf.write(f"fidelity {report.unitary_fidelity!r}\n")
-    buf.write(f"met_threshold {int(report.met_threshold)}\n")
-    buf.write(f"k {report.sequence.k}\n")
-    for t, g in zip(report.sequence.tau_f, report.sequence.electron_gates):
-        buf.write(f"unit {t!r} {g}\n")
-    buf.write(f"final_gate {report.sequence.electron_gates[-1]}\n")
-    return buf.getvalue()
+    seq = report.sequence
+    values = (
+        SERIAL_FORMAT_VERSION, report.target_name, repr(p.a_par), repr(p.a_perp), repr(p.gamma_e),
+        repr(p.gamma_n), " ".join(map(repr, p.b_field)), repr(report.unitary_fidelity),
+        int(report.met_threshold), seq.k,
+    )  # one per key of _SERIAL_FIELDS but final_gate, which follows the units
+    lines = [f"{key} {value}" for key, value in zip(_SERIAL_FIELDS, values)]
+    lines += [f"unit {t!r} {g}" for t, g in zip(seq.tau_f, seq.electron_gates)]
+    return "\n".join(lines + [f"final_gate {seq.electron_gates[-1]}", ""])
 
 
 def deserialize_sequence(text: str):
     """Returns (SynthesisReport, SpinSystemParams); the stored fidelity is
     clipped to 1, as `synthesize` reports it. Raises ValueError if a field
-    is missing, `k` is not the number of `unit` lines, or a line between the
-    first and the last is blank, a `unit` line lacks its spacing or gate, or
-    a field line its value; the last three name the line."""
+    is missing or `k` is not the number of `unit` lines, and names the line
+    that is blank, has an unknown key, or lacks a value, spacing or gate."""
     fields = {}
     units = []
     lead = len(text) - len(text.lstrip())
@@ -503,6 +501,8 @@ def deserialize_sequence(text: str):
             if len(parts) != 3:
                 raise ValueError(f"gate file line {number} is not 'unit <spacing> <gate>'")
             units.append((float(parts[1]), parts[2]))
+        elif parts[0] not in _SERIAL_FIELDS:
+            raise ValueError(f"gate file line {number} has the unknown key {parts[0]!r}")
         elif len(parts) < 2:
             raise ValueError(f"gate file line {number} has no value for {parts[0]!r}")
         else:

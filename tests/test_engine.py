@@ -29,12 +29,12 @@ call, and every column's arithmetic is its own, so grouping them, or not,
 must not move a bit. A shared matrix on short rows is applied with one
 GEMM over all rows, which the per-trajectory form must match bit for bit.
 
-Synthesis builds all DD units and their spacing derivatives in one
-eigenbasis pass, takes the objective's gradient from prefix and suffix
-environments, and prices every candidate gate of the discrete sweep with one
-contraction. The references build each unit from free propagators, keep
-explicit lists of partial products for the objective, and evaluate each
-candidate as a full sequence.
+Synthesis works in the eigenbasis of the free Hamiltonian: it builds all
+DD units and their spacing derivatives in one product, runs one prefix pass,
+takes each suffix from unitarity, and prices every candidate gate of the
+discrete sweep with one contraction. The references build each unit from
+free propagators in the computational basis, keep explicit lists of partial
+products for the objective, and evaluate each candidate as a full sequence.
 """
 
 import numpy as np
@@ -57,8 +57,8 @@ from spincluster.states import (
 )
 from spincluster.synthesis import (
     _BATH_SIGN, _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
-    _discrete_sweep, _fidelity_and_gradient, _gate_stack, _slot_fidelities,
-    gate_fidelity, noisy_sequence_unitary, sequence_unitary,
+    _ALL_GATES, _discrete_sweep, _fidelity_and_gradient, _gate_stack, _prefix_pass,
+    _slot_fidelities, gate_fidelity, noisy_sequence_unitary, sequence_unitary,
 )
 
 Z_E = np.kron(Z, I2)
@@ -523,11 +523,18 @@ def random_sequence(rng, k):
     return taus, names
 
 
+def eigen_stacks(compiler, names, target):
+    """The gate stack and T^dag of `names` and `target` in the eigenbasis."""
+    return compiler.to_eigenbasis(_gate_stack(names)), compiler.to_eigenbasis(target.conj().T)
+
+
 def test_unit_stacks_match_per_unit_products(siv):
     compiler = UnitCompiler(siv)
     taus = np.random.default_rng(5).uniform(1e-9, 2e-7, size=9)
-    units, d_units = compiler.units(taus, derivative=True)
-    assert units.shape == d_units.shape == (9, 4, 4)
+    stack = compiler.eigen_units(taus)
+    assert stack.shape == (9, 8, 4)
+    v = compiler._vecs
+    units, d_units = v @ stack[:, :4] @ v.conj().T, v @ stack[:, 4:] @ v.conj().T
     assert np.max(np.abs(compiler.units(taus) - units)) <= 1e-12
     # d/dtau is of order 2 pi |H|, about 1e9 per second here
     scale = 2 * np.pi * np.linalg.norm(compiler.h, 2)
@@ -537,24 +544,43 @@ def test_unit_stacks_match_per_unit_products(siv):
         assert np.max(np.abs(du - ref_du)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("k", [1, 4, 12])
+@pytest.mark.parametrize("k", [1, 4, 12, 20])
 @pytest.mark.parametrize("target", ["cz", "swap"])
 def test_objective_matches_list_products(siv, k, target):
     compiler = UnitCompiler(siv)
     rng = np.random.default_rng(k)
     for _ in range(3):
         taus, names = random_sequence(rng, k)
-        fid, grad = _fidelity_and_gradient(taus, _gate_stack(names), TARGETS[target], compiler)
+        fid, grad = _fidelity_and_gradient(
+            taus, *eigen_stacks(compiler, names, TARGETS[target]), compiler)
         ref_fid, ref_grad = list_fidelity_and_gradient(taus, names, TARGETS[target], compiler)
         assert abs(fid - ref_fid) <= 1e-12
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
+@pytest.mark.parametrize("target", ["cz", "swap"])
+def test_suffix_from_unitarity_matches_explicit_products(siv, target):
+    # the environment R_i X P_i^dag of unit i, with the suffix taken as
+    # U' P_i^dag, against R_i T'^dag W_i with W_i = G'_k f_{k-1} ... f_{i+1}
+    # multiplied out, at k = 20
+    compiler = UnitCompiler(siv)
+    taus, names = random_sequence(np.random.default_rng(31), 20)
+    gates, target_h = eigen_stacks(compiler, names, TARGETS[target])
+    factors = compiler.eigen_units(taus)[:, :4] @ gates[:-1]
+    prefix, x = _prefix_pass(factors, gates[-1], target_h)
+    derived = prefix[:-1] @ x @ prefix[1:].conj().transpose(0, 2, 1)
+    suffix = gates[-1]
+    for i in reversed(range(20)):
+        assert np.max(np.abs(derived[i] - prefix[i] @ target_h @ suffix)) <= 1e-12
+        suffix = suffix @ factors[i]
+    assert np.max(np.abs(gates[-1] @ prefix[-1] - suffix)) <= 1e-12
+
+
 def test_gradient_matches_central_difference(siv):
     compiler = UnitCompiler(siv)
     taus, names = random_sequence(np.random.default_rng(8), 6)
-    gates = _gate_stack(names)
-    _, grad = _fidelity_and_gradient(taus, gates, TARGETS["cz"], compiler)
+    gates, target_h = eigen_stacks(compiler, names, TARGETS["cz"])
+    _, grad = _fidelity_and_gradient(taus, gates, target_h, compiler)
     # a 0.1 ps step: truncation (h^2 f''') and rounding (eps / h) both stay
     # below 1e-8 of the gradient
     h = 1e-13
@@ -562,8 +588,8 @@ def test_gradient_matches_central_difference(siv):
     for i in range(len(taus)):
         step = np.zeros_like(taus)
         step[i] = h
-        up = _fidelity_and_gradient(taus + step, gates, TARGETS["cz"], compiler)[0]
-        down = _fidelity_and_gradient(taus - step, gates, TARGETS["cz"], compiler)[0]
+        up = _fidelity_and_gradient(taus + step, gates, target_h, compiler)[0]
+        down = _fidelity_and_gradient(taus - step, gates, target_h, compiler)[0]
         numeric[i] = (up - down) / (2 * h)
     assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
 
@@ -574,7 +600,9 @@ def test_slot_fidelities_match_full_sequences(siv, k):
     rng = np.random.default_rng(20 + k)
     for target in ("cz", "swap"):
         taus, names = random_sequence(rng, k)
-        table = _slot_fidelities(compiler.units(taus), names, TARGETS[target])
+        table = _slot_fidelities(compiler.eigen_units(taus)[:, :4], names,
+                                 compiler.to_eigenbasis(TARGETS[target].conj().T),
+                                 compiler.to_eigenbasis(_ALL_GATES))
         assert table.shape == (k + 1, len(_GATE_NAMES))
         for slot in range(k + 1):
             for g, cand in enumerate(_GATE_NAMES):
@@ -594,7 +622,8 @@ def test_sweep_matches_full_sequence_sweep(packaged):
         names = list(seq.electron_gates)
         for slot in rng.choice(len(names), 3, replace=False):
             names[slot] = _GATE_NAMES[rng.integers(len(_GATE_NAMES))]
-        got = _discrete_sweep(np.array(seq.tau_f), names, TARGETS["cz"], compiler,
+        got = _discrete_sweep(np.array(seq.tau_f), names,
+                              compiler.to_eigenbasis(TARGETS["cz"].conj().T), compiler,
                               np.random.default_rng(trial))
         ref = full_sequence_sweep(seq.tau_f, names, TARGETS["cz"], compiler,
                                   np.random.default_rng(trial))

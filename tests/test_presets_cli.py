@@ -11,6 +11,7 @@ from spincluster.presets import (
     PRESET_DIR_ENV, load_preset, load_presets, preset_names, spin_params,
 )
 from spincluster.protocol import run
+from spincluster.synthesis import serialize_sequence
 
 
 class TestPresets:
@@ -95,6 +96,21 @@ class TestCLI:
                    "--output", str(out)])
         assert rc == EXIT_CHECK_FAILED
         assert "met_threshold 0" in out.read_text()
+
+    def test_synthesize_to_stdout_writes_only_the_gate_file(self, monkeypatch, capsys):
+        # the summary line goes to stderr, so `synthesize > gate.ddseq` stores
+        # the gate file and nothing else
+        reports, synthesize = [], cli.synthesize
+
+        def recorded(*args, **kw):
+            reports.append(synthesize(*args, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "synthesize", recorded)
+        main(["synthesize", "--target", "cz", "--max-k", "4", "--restarts", "1"])
+        out, err = capsys.readouterr()
+        assert out == serialize_sequence(reports[0], spin_params("siv29"))
+        assert err.startswith("target=cz k=")
 
     def test_run_ideal_gates(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -290,6 +290,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 6 is blank"):
             deserialize_sequence(text)
 
+    def test_unknown_key_named(self):
+        # the summary line that `spincluster synthesize` prints, stored in the file
+        text = _packaged_text("cz") + "target=cz k=10 duration=1.7997us met_threshold=True\n"
+        with pytest.raises(ValueError, match=r"line 22 has the unknown key 'target=cz'"):
+            deserialize_sequence(text)
+
     def test_unit_line_without_gate_named(self):
         # line 11 is the first unit line; the leading blank line is counted
         lines = _packaged_text("cz").splitlines(keepends=True)
