@@ -1,6 +1,7 @@
 """Command-line driver: synthesis, protocol runs, figure sweeps, invariant
 verification, and the generation-rate model. All outputs are CSV with a
-reproducibility header (version, config hash, seed)."""
+reproducibility header (version, config hash, and the seed of a command
+that takes one)."""
 from __future__ import annotations
 
 import argparse
@@ -42,7 +43,8 @@ def _config_hash(args: argparse.Namespace) -> str:
 def _header(args, out):
     out.write(f"# spincluster {__version__}\n")
     out.write(f"# config_hash={_config_hash(args)}\n")
-    out.write(f"# seed={getattr(args, 'seed', 0)}\n")
+    if "seed" in args:
+        out.write(f"# seed={args.seed}\n")
 
 
 def _open_output(args):
@@ -150,8 +152,7 @@ def _figure_fig3c(args, out):
 
 def _noisy_2x2_rows(t2s, args, components):
     """(T2, noisy lean 2x2 run) for each T2 of `t2s`, each run from its own
-    child of --seed, so that the rows draw independent bath phases and
-    outcomes."""
+    child of --seed, so that the rows draw independent bath phases."""
     lib, params, _ = packaged_gate_library()
     for t2, row in zip(t2s, np.random.SeedSequence(args.seed).spawn(len(t2s))):
         seed = int(row.generate_state(1)[0])
@@ -385,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eta-combined", type=float, default=0.85)
     t.add_argument("--photons", type=int, default=10)
     t.add_argument("--duration", type=float, default=3e-6)
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--output", default="-")
     t.set_defaults(func=cmd_rate)
     return ap

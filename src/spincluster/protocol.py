@@ -364,9 +364,11 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     """Execute the protocol on one trajectory without noise, on `trials`
     noisy trajectories otherwise, and complete each. Fidelity is against the
     ideal-gate target: F = sqrt(sum o_t / sum w_t) over the per-trajectory
-    overlaps o_t = |<target|v_t>|^2 and weights w_t (1, or the all-|1>
-    probability under postselection); its standard error is the ratio
-    estimator's.
+    overlaps o_t, the Born-weighted mean of |<target|v>|^2 over the
+    corrected completion branches v (the all-|1> branch's alone under
+    postselection), and weights w_t (1, or the all-|1> probability under
+    postselection); its standard error is the ratio estimator's, and the
+    seed sets the bath phases only.
     The overlaps come from `_complete`, which holds no photonic state."""
     sched = build_schedule(spec)
     compiler = _compiler_for(spec)
@@ -376,9 +378,8 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
         find_corrections(spec) if spec.completion == "corrected" and spec.n > 0
         else None
     )
-    rng = np.random.default_rng(spec.seed)
-    phases = _sample_phases(spec, sched, rng)
-    overlaps, weights, _ = _complete(spec, sched, compiler, phases, corrections, rng)
+    phases = _sample_phases(spec, sched, np.random.default_rng(spec.seed))
+    overlaps, weights = _complete(spec, sched, compiler, phases, corrections)
     fid2 = overlaps.sum() / max(weights.sum(), 1e-300)
     fid = float(np.sqrt(max(fid2, 0.0)))
     t = len(weights)
@@ -402,30 +403,32 @@ def _initial_spins(spec) -> np.ndarray:
     return psi
 
 
-def _emission_masks(corrections, photons: int, m: int) -> np.ndarray:
-    """Per-photon masks (photons, 2^M, candidates + 1, 2^M) of `_contract`'s
-    boundary: slot c < candidates holds B_c, the last slot the spin density.
-    Entry [a, c, b] of B_c's slot is ph_{c,p}(b_0) where a_0 = b_0 xor
-    f_{c,p}, else 0, for the noisy and ideal electron bits a_0 and b_0 at
-    emission p and the correction (f_{c,p}, ph_{c,p}) that candidate c
-    applies to photon p, read from its Pauli u as (P v)[b] = u[b, b ^ f]
-    v[b ^ f]; rho's slot keeps a_0 = b_0. Without corrections there is one
-    candidate, the identity; a branch of probability zero has none, a zero
-    u, and a zero mask."""
+def _emission_masks(corrections, photons: int, m: int, density: bool) -> np.ndarray:
+    """Per-photon masks (photons, 2^M, slots, 2^M) of `_contract`'s
+    boundary: slot c of the candidates holds B_c and, under `density`, one
+    more slot the spin density. Entry [a, c, b] of B_c's slot is
+    ph_{c,p}(b_0) where a_0 = b_0 xor f_{c,p}, else 0, for the noisy and
+    ideal electron bits a_0 and b_0 at emission p and the correction
+    (f_{c,p}, ph_{c,p}) that candidate c applies to photon p, read from its
+    Pauli u as (P v)[b] = u[b, b ^ f] v[b ^ f]; rho's slot keeps a_0 = b_0.
+    Without corrections there is one candidate, the identity; a branch of
+    probability zero has none, a zero u, and a zero mask."""
     cands = [[I2] * photons] if corrections is None else [
         [np.zeros((2, 2))] * photons if locals_ is None else locals_
         for locals_ in corrections.values()
     ]
+    slots = len(cands) + density
     u = np.array(cands, dtype=complex).reshape(len(cands), photons, 2, 2)
     c, p, b = np.ogrid[:len(cands), :photons, :2]
     a = b ^ (u[:, :, :1, 0] == 0)  # f = 1 for an off-diagonal X or Y
-    bits = np.zeros((photons, 2, len(cands) + 1, 2), dtype=complex)
+    bits = np.zeros((photons, 2, slots, 2), dtype=complex)
     bits[p, a, c, b] = u[c, p, b, a]
-    bits[:, [0, 1], -1, [0, 1]] = 1.0
+    if density:
+        bits[:, [0, 1], -1, [0, 1]] = 1.0
     h = 2 ** (m - 1)
-    shape = (photons, 2, h, len(cands) + 1, 2, h)
+    shape = (photons, 2, h, slots, 2, h)
     return np.broadcast_to(bits[:, :, None, :, :, None], shape).reshape(
-        photons, 2 * h, len(cands) + 1, 2 * h
+        photons, 2 * h, slots, 2 * h
     )
 
 
@@ -473,13 +476,13 @@ def _frame(b, frame):
 
 
 # peak bytes of `_contract`, fitted under tracemalloc: six boundary tensors
-# (3.2 to 5.97 traced from 2048 trials on), and room for the groups of
+# (3.1 to 5.97 traced from 2048 trials on), and room for the groups of
 # noisy unitaries, 256 B per trajectory-column and up to `_COLUMNS` columns
 # per DD sequence, which outweigh the boundary on fewer trials
 _BOUNDARY_COPIES, _GROUP_BYTES = 6, 8 * 256 * _COLUMNS
 
 
-def _contract(spec, sched, compiler, phases, psi, frames, masks=None):
+def _contract(spec, sched, compiler, phases, psi, frames, masks, density):
     """Boundary tensor of every trajectory after `sched` from the spin
     register `psi`, with no photonic state: (T, 2^M noisy spin, slots, 2^M
     ideal spin), one trajectory per row of `phases` (one without them).
@@ -492,11 +495,12 @@ def _contract(spec, sched, compiler, phases, psi, frames, masks=None):
     correction (f_c, ph_c) of each completion outcome c; it starts as
     psi psi^dagger. A noisy gate U acts as U B, the ideal gates V as
     B V^dagger (`frames`, from `_ideal_frames`, one matrix per emission and
-    one for the end, applied here); an emission masks B. Under `masks`,
-    from `_emission_masks`, the slots are the candidates' B_c and, last,
-    the noisy spin density rho (T, 2^M, 2^M), carried the same way; without,
-    one slot B of no correction and no rho, and tr B = <ideal|noisy> over
-    the whole register. That is O(T 8^M) memory for any number of columns.
+    one for the end, applied here); an emission masks B with `masks`, from
+    `_emission_masks`. The slots are the candidates' B_c and, last under
+    `density`, the noisy spin density rho (T, 2^M, 2^M), carried the same
+    way; with the identity as the one candidate and no rho,
+    tr B = <ideal|noisy> over the whole register. That is O(T 8^M) memory
+    for any number of columns.
     Raises ValueError before allocating if its peak, `_BOUNDARY_COPIES`
     boundaries and `_GROUP_BYTES`, is more bytes than the physical memory.
 
@@ -506,11 +510,6 @@ def _contract(spec, sched, compiler, phases, psi, frames, masks=None):
     their own."""
     m, d = spec.m, 2 ** spec.m
     rows = 1 if phases is None else len(phases)
-    density = masks is not None
-    if not density:
-        # one slot, no rho: an emission keeps the entries whose electron bits agree
-        same = np.broadcast_to(_SAME_BIT, (2, d // 2, 2, d // 2)).reshape(d, 1, d)
-        masks = np.broadcast_to(same, (len(frames) - 1, d, 1, d))
     slots = masks.shape[2]
     cands = slots - density
     need = _BOUNDARY_COPIES * 16 * rows * d * slots * d + _GROUP_BYTES
@@ -558,49 +557,31 @@ def _contract(spec, sched, compiler, phases, psi, frames, masks=None):
     return x
 
 
-def _complete(spec, sched, compiler, phases, corrections, rng):
-    """(overlaps o_t, weights w_t, sampled spin outcomes), each (T,), of
-    every trajectory's completed photonic vector against the target, read
-    from `_contract`'s boundary: outcomes are drawn from diag rho exactly as
-    a dense completion draws them; o_t = |B_o[o, 1...1]|^2 / (p_t(o) p_ideal(1...1))."""
-    m, d = spec.m, 2 ** spec.m
+def _complete(spec, sched, compiler, phases, corrections):
+    """(overlaps o_t, weights w_t), each (T,), of every trajectory's
+    completed photonic state against the target, read from `_contract`'s
+    boundary. With corrections, every spin outcome o is summed by its Born
+    weight: o_t = sum_o |B_o[o, 1...1]|^2 / p_ideal(1...1), the mean over o
+    of the corrected branch's |B_o[o, 1...1]|^2 / (p_t(o) p_ideal), with
+    weight 1, so no spin density is carried. Without, the all-|1> branch,
+    whose probability p_t(1...1) the carried spin density gives: the
+    weight under postselection, else the branch's normalisation."""
     psi = _initial_spins(spec)
     frames, p_one = _ideal_frames(spec, sched, psi)
     if p_one < 1e-12:
         raise ValueError("all-|1> completion branch has zero probability")
-    masks = _emission_masks(corrections, len(frames) - 1, m)
-    x = _contract(spec, sched, compiler, phases, psi, frames, masks)
-    rows = len(x)
-    probs = np.diagonal(x[:, :, -1], axis1=1, axis2=2).real
-    if corrections is None:
-        outcomes = np.full(rows, d - 1)
-        overlaps = np.abs(x[:, -1, 0, -1]) ** 2 / p_one
-        if spec.completion == "postselect":
-            return overlaps, probs[:, -1], outcomes
-        return overlaps / np.maximum(probs[:, -1], 1e-300), np.ones(rows), outcomes
-    outcomes = _sample_outcomes(probs, rng)
-    outcome_bits = list(np.ndindex(*(2,) * m))
-    for o in np.flatnonzero(np.bincount(outcomes)):
-        if corrections[outcome_bits[o]] is None:
-            raise RuntimeError(f"sampled a branch with no cached correction: {outcome_bits[o]}")
-    t = np.arange(rows)
-    overlaps = np.abs(x[t, outcomes, outcomes, -1]) ** 2 / (probs[t, outcomes] * p_one)
-    return overlaps, np.ones(rows), outcomes
-
-
-def _sample_outcomes(probs, rng):
-    """Spin outcome of every trajectory from its branch probabilities
-    (T, 2^M), drawn wire by wire by the Born rule from one uniform each;
-    the outcome's wire 0 is its most significant bit."""
-    t, m = len(probs), probs.shape[1].bit_length() - 1
-    uniforms = rng.random((t, m))
-    rows = np.arange(t)
-    outcome = np.zeros(t, dtype=int)
-    for wire in range(m):
-        sub = probs.reshape(t, 2 ** wire, 2, -1)[rows, outcome]
-        p0, norm = sub[:, 0].sum(axis=1), sub.sum(axis=(1, 2))
-        outcome = 2 * outcome + (uniforms[:, wire] * norm >= p0)
-    return outcome
+    density = corrections is None
+    masks = _emission_masks(corrections, len(frames) - 1, spec.m, density)
+    x = _contract(spec, sched, compiler, phases, psi, frames, masks, density)
+    ones = np.ones(len(x))
+    if not density:
+        branches = np.diagonal(x[..., -1], axis1=1, axis2=2)  # B_o[o, 1...1]
+        return np.sum(np.abs(branches) ** 2, axis=1) / p_one, ones
+    overlaps = np.abs(x[:, -1, 0, -1]) ** 2 / p_one
+    p_all_one = x[:, -1, -1, -1].real
+    if spec.completion == "postselect":
+        return overlaps, p_all_one
+    return overlaps / np.maximum(p_all_one, 1e-300), ones
 
 
 def _pauli_action(locals_):
@@ -631,7 +612,8 @@ def component_fidelities(spec: ProtocolSpec, compiler=None):
     for items, seed in zip(_schedule_split(one_col), (spec.seed + 1, spec.seed + 2)):
         frames, _ = _ideal_frames(one_col, items, psi)
         phases = _sample_phases(one_col, items, np.random.default_rng(seed))
-        x = _contract(one_col, items, compiler, phases, psi, frames)
+        masks = _emission_masks(None, len(frames) - 1, spec.m, False)
+        x = _contract(one_col, items, compiler, phases, psi, frames, masks, False)
         fids.append(float(np.sqrt(np.mean(np.abs(np.trace(x[:, :, 0], axis1=1, axis2=2)) ** 2))))
         # the preparation emits no photon, so its one frame is W^dagger for
         # the whole block, and the prepared register is W psi

@@ -6,8 +6,10 @@ bath rotations must match to rounding, the per-trajectory form of the
 batched gate application, which its one-GEMM form must match bit for bit,
 the dense trajectory path that `protocol.run` replaced by its
 boundary-tensor contraction, with the batched noisy executor it ran on and
-the dense component fidelities that `protocol.component_fidelities`
-replaced by the same contraction, and the OU sampler that formed its mean term
+its completion, which samples one branch per trajectory; the dense
+Born-weighted sum over every branch that `run` computes instead; the dense
+component fidelities that `protocol.component_fidelities` replaced by the
+same contraction; and the OU sampler that formed its mean term
 as a third (T, segments) array, which the package's blocked form must match
 byte for byte. The first three need scipy, which the package does not load
 on its simulation path.
@@ -218,6 +220,37 @@ def dense_run(spec):
         se = se / (2 * fid)
     ps_prob = float(np.mean(weights)) if spec.completion == "postselect" else 1.0
     return fid, se, ps_prob, vecs, weights, outcomes
+
+
+def dense_branch_sum(spec):
+    """`protocol.run` in corrected mode on the dense path, with every spin
+    outcome summed by its Born weight instead of sampled: on the same bath
+    phases, branch o of each trajectory's (2^M, 2^(MN)) register, left
+    unnormalised, takes the 2x2 Pauli corrections of `find_corrections` one
+    photon wire at a time (a branch without one is a zero vector), and
+    o_t = sum_o |<target|v_{t,o}>|^2 with weight 1. Needs n > 0. Returns
+    (fidelity, fidelity_se, corrected branches (T, 2^M, 2^(MN)))."""
+    sched = protocol.build_schedule(spec)
+    target = protocol.ideal_target(spec.m, spec.n, spec.style, spec.init_one)
+    corrections = protocol.find_corrections(spec)
+    phases = protocol._sample_phases(spec, sched, np.random.default_rng(spec.seed))
+    amps = execute(spec, sched, protocol._compiler_for(spec), phases)
+    branches = amps.reshape(len(amps), 2 ** spec.m, -1).copy()
+    photons = spec.m * spec.n
+    for o, bits in enumerate(np.ndindex(*(2,) * spec.m)):
+        if corrections[bits] is None:
+            branches[:, o] = 0.0
+            continue
+        for wire, u in enumerate(corrections[bits]):
+            branches[:, o] = protocol._apply_matrix_vec(branches[:, o], u, [wire], photons)
+    overlaps = np.sum(np.abs(branches @ target.data.conj()) ** 2, axis=1)
+    fid2 = overlaps.mean()
+    fid = float(np.sqrt(fid2))
+    se = 0.0
+    if spec.noise is not None:
+        t = len(overlaps)
+        se = float(np.sqrt(np.sum((overlaps - fid2) ** 2) / (t - 1)) / np.sqrt(t)) / (2 * fid)
+    return fid, se, branches
 
 
 def ou_segments_whole(noise, durations: np.ndarray, n_traj: int, rng: np.random.Generator):

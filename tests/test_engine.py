@@ -16,9 +16,12 @@ insertion steps the Hamiltonian plus the sampled field B(t) sigma_z / 2 in
 piecewise-constant slices.
 
 `run` never forms the dense batch: it contracts each trajectory with the
-target column by column. The reference is the dense path it replaced,
-`references.dense_run`: the whole batch, a sampled completion and an
-overlap with `ideal_target`, from the same random stream. The component
+target column by column, and a corrected run sums every completion branch
+by its Born weight. The references are dense: `references.dense_branch_sum`
+corrects every branch of the whole batch and sums its overlaps with
+`ideal_target`; `references.dense_run`, the path `run` replaced, takes the
+all-|1> branch under postselection, or samples one corrected branch per
+trajectory, whose mean over seeds must agree with the sum. The component
 fidelities run through the same contraction; their reference is the dense
 segment formula, `references.segment_fidelity_dense`, on the same phases.
 
@@ -37,13 +40,15 @@ free propagators in the computational basis, keep explicit lists of partial
 products for the objective, and evaluate each candidate as a full sequence.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from references import (
-    apply_matrix_vec_moveaxis, complete_dense, dense_run, evolve, execute, fold_segment_phases,
-    noisy_sequence_unitary_stacked, segment_fidelity_dense,
+    apply_matrix_vec_moveaxis, complete_dense, dense_branch_sum, dense_run, evolve, execute,
+    fold_segment_phases, noisy_sequence_unitary_stacked, segment_fidelity_dense,
 )
 from spincluster import protocol
 from spincluster.hamiltonian import free_hamiltonian, propagator
@@ -200,30 +205,15 @@ def _lean_noisy(packaged, n):
     )
 
 
-def run_and_outcomes(spec, monkeypatch):
-    """`protocol.run(spec)` and the spin outcomes (T,) its completion sampled."""
-    sampled, complete = [], protocol._complete
-
-    def recorded(*args):
-        out = complete(*args)
-        sampled.append(out[2])
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(protocol, "_complete", recorded)
-        res = protocol.run(spec)
-    return res, sampled[0]
-
-
 @pytest.mark.parametrize("n", [6, 20])
 def test_noisy_run_unchanged_by_assembly_groups(packaged, monkeypatch, n):
     # one instance per call, as before the instances were grouped
     spec = _lean_noisy(packaged, n)
-    got, got_outcomes = run_and_outcomes(spec, monkeypatch)
+    got = protocol.run(spec)
     monkeypatch.setattr(protocol, "_COLUMNS", 1)
-    ref, ref_outcomes = run_and_outcomes(spec, monkeypatch)
+    ref = protocol.run(spec)
     assert got.fidelity == ref.fidelity and got.fidelity_se == ref.fidelity_se
-    assert np.array_equal(got_outcomes, ref_outcomes)
+    assert np.array_equal(got.weights, ref.weights)
 
 
 def test_noisy_run_assembles_each_sequence_once(packaged, monkeypatch):
@@ -344,22 +334,77 @@ _CONTRACTION_GRID = [(2, n, "lean") for n in range(7)] + [
 @pytest.mark.parametrize("completion", ["corrected", "postselect"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
 @pytest.mark.parametrize("init_one", [False, True])
-def test_contraction_matches_dense_run(packaged, monkeypatch, m, n, style, completion, noisy,
-                                      init_one):
+def test_contraction_matches_dense_run(packaged, m, n, style, completion, noisy, init_one):
+    # a corrected run with photons against the dense branch sum; the
+    # all-|1> branch (postselection, or no photons) against the dense run
     lib, params, _ = packaged
     spec = ProtocolSpec(
         m=m, n=n, gate_library=lib, params=params, style=style, completion=completion,
         init_one=init_one, trials=20, seed=n + 7 * m,
         noise=ou_from_coherence(0.08e-6, 8e-6, seed=n) if noisy else None,
     )
-    res, outcomes = run_and_outcomes(spec, monkeypatch)
-    fid, se, ps_prob, _, weights, dense_outcomes = dense_run(spec)
+    res = protocol.run(spec)
+    if completion == "corrected" and n > 0:
+        fid, se, _ = dense_branch_sum(spec)
+        ps_prob, weights = 1.0, np.ones(res.trials)
+    else:
+        fid, se, ps_prob, _, weights, _ = dense_run(spec)
     assert abs(res.fidelity - fid) <= 1e-12
     assert abs(res.fidelity_se - se) <= 1e-12
     assert abs(res.postselect_probability - ps_prob) <= 1e-12
     assert np.max(np.abs(res.weights - weights)) <= 1e-12
-    # the same spin outcome for every trajectory, drawn from the same stream
-    assert np.array_equal(outcomes, dense_outcomes)
+
+
+@pytest.mark.parametrize("m,n,style", _CONTRACTION_GRID)
+@pytest.mark.parametrize("init_one", [False, True])
+def test_noiseless_corrected_run_is_the_branch_sum_for_every_seed(packaged, m, n, style,
+                                                                  init_one):
+    # no random number reaches a noiseless corrected run: every seed gives
+    # the same F, with SE 0, and the dense branch sum
+    lib, params, _ = packaged
+    spec = ProtocolSpec(m=m, n=n, gate_library=lib, params=params, style=style,
+                        init_one=init_one)
+    runs = [protocol.run(replace(spec, seed=seed)) for seed in range(4)]
+    assert len({(r.fidelity, r.fidelity_se) for r in runs}) == 1
+    assert runs[0].fidelity_se == 0.0
+    ref = dense_branch_sum(spec)[0] if n > 0 else dense_run(spec)[0]
+    assert abs(runs[0].fidelity - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("t2", [2e-6, 8e-6, 300e-6])
+def test_sampled_completion_averages_to_the_branch_sum(packaged, n, t2):
+    # the dense run samples one branch per trajectory from the same phases;
+    # over seeds 1-10 its mean F agrees with the exact sum's within 3
+    # combined standard errors of the two means
+    lib, params, _ = packaged
+    sampled, exact = [], []
+    for seed in range(1, 11):
+        spec = ProtocolSpec(m=2, n=n, gate_library=lib, params=params, style="lean",
+                            trials=200, seed=seed,
+                            noise=ou_from_coherence(0.01 * t2, t2, seed=seed))
+        sampled.append(dense_run(spec)[:2])
+        res = protocol.run(spec)
+        exact.append((res.fidelity, res.fidelity_se))
+    (f_s, se_s), (f_e, se_e) = np.transpose(sampled), np.transpose(exact)
+    combined = np.sqrt(np.sum(se_s ** 2) + np.sum(se_e ** 2)) / 10
+    assert abs(f_s.mean() - f_e.mean()) <= 3 * combined
+
+
+def test_uncorrectable_branch_contributes_zero(packaged, monkeypatch):
+    # a branch without a correction keeps a zero mask: F^2 loses exactly the
+    # branch's share of the dense sum, and nothing raises
+    spec = _lean_noisy(packaged, 2)
+    corrections = find_corrections(spec)
+    full = protocol.run(spec)
+    target = protocol.ideal_target(2, 2, style="lean").data
+    share = np.mean(np.abs(dense_branch_sum(spec)[2][:, 0] @ target.conj()) ** 2)
+    assert share > 1e-3
+    monkeypatch.setattr(protocol, "find_corrections",
+                        lambda spec_: {**corrections, (0, 0): None})
+    got = protocol.run(spec)
+    assert abs(got.fidelity ** 2 - (full.fidelity ** 2 - share)) <= 1e-12
+    assert abs(got.fidelity - dense_branch_sum(spec)[0]) <= 1e-12
 
 
 _SEGMENT_GRID = [

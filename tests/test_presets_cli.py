@@ -143,7 +143,7 @@ class TestCLI:
         assert not out.exists()
 
     def test_run_refusal_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # M = 6 at the default 2000 noisy trials needs an 8.5-GB boundary:
+        # M = 6 at the default 2000 noisy trials needs an 8.4-GB boundary:
         # on a 7-GiB box run refuses it before the engine starts, and the
         # CLI reports the refusal, not a traceback
         def no_allocation(*args):
@@ -166,8 +166,16 @@ class TestCLI:
         assert main(argv + ["--output", str(a)]) == EXIT_OK
         assert main(argv + ["--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        # the rate model draws nothing, so its header names no seed
+        assert not any(line.startswith("# seed=") for line in a.read_text().splitlines())
         rate = float(a.read_text().splitlines()[-1].split(",")[-1])
         assert abs(rate - 0.85 ** 10 / 3e-6) < 1.0
+
+    def test_rate_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["rate", "--seed", "3"])
+        assert exit_.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_figure_emission_grid(self, tmp_path):
         out = tmp_path / "fig3c.csv"

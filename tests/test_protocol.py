@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from references import dense_run
+from references import dense_branch_sum, dense_run
 from spincluster import protocol
 from spincluster.noise import OUNoise, ou_from_coherence
 from spincluster.clifford import Tableau, completion_corrections, lc_equivalence
@@ -497,9 +497,12 @@ class TestNoisyRuns:
 
 class TestTrajectoryFactor:
     """A run returns its fidelity, SE and weights w (T,) and keeps no
-    trajectory data. The completed vectors V (T, 2^(MN)) of the same
-    trajectories come from the dense reference `dense_run`; their mixture
-    rho = V^T V* / sum w is the photonic state of a noisy run."""
+    trajectory data. The completed vectors V of the same trajectories come
+    from the dense references: under postselection the all-|1> branch
+    (T, 2^(MN)) of `dense_run`; corrected, every corrected branch
+    (T, 2^M, 2^(MN)) of `dense_branch_sum`, unnormalised, with weight 1 per
+    trajectory. Their mixture rho = V^T V* / sum w is the photonic state of
+    a noisy run."""
 
     @staticmethod
     def _lean_2x2(packaged, completion, seed):
@@ -516,8 +519,11 @@ class TestTrajectoryFactor:
         # mixture of the run's trajectories
         spec = self._lean_2x2(packaged, completion, seed)
         res = run(spec)
-        v, w = dense_run(spec)[3:5]
-        assert v.shape == (100, 16) and res.weights.shape == (100,)
+        if completion == "postselect":
+            v, w = dense_run(spec)[3:5]
+        else:
+            v, w = dense_branch_sum(spec)[2].reshape(400, 16), np.ones(100)
+        assert v.shape[1] == 16 and res.weights.shape == (100,)
         assert np.max(np.abs(res.weights - w)) <= 1e-12
         rho = _mixture(v, w)
         assert abs(np.trace(rho) - 1) <= 1e-12
@@ -563,11 +569,12 @@ class TestTrajectoryFactor:
         return peaks
 
     def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
-        # the boundary of 5 lean 2x2 trajectories is 5 * 4 * 5 * 4 complex
-        # entries, 6400 B: refused one byte below six of them and the room
-        # for the noisy unitaries
+        # the boundary of 5 corrected lean 2x2 trajectories is 5 * 4 * 4 * 4
+        # complex entries, one slot per outcome and no spin density, 5120 B:
+        # refused one byte below six of them and the room for the noisy
+        # unitaries
         spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=5)
-        need = 6 * 6400 + 8 * 256 * 2048
+        need = 6 * 5120 + 8 * 256 * 2048
 
         def no_allocation(*args):
             raise AssertionError("the engine ran")
@@ -584,7 +591,7 @@ class TestTrajectoryFactor:
         with pytest.raises(ValueError, match="ideal target needs 4096 B, more than the 4095 B"):
             ideal_target(2, 2, style="lean")
         # M = 6 pedagogical at the CLI's 2000 trials: its boundary alone is
-        # 2000 * 64 * 65 * 64 * 16 B = 8.5 GB, refused on a 7-GiB box
+        # 2000 * 64 * 64 * 64 * 16 B = 8.4 GB, refused on a 7-GiB box
         big = replace(spec, m=6, n=1, style="pedagogical", trials=2000)
         monkeypatch.setattr(protocol.os, "sysconf", self._memory(7 * 2 ** 30))
         with pytest.raises(ValueError, match="boundary tensor needs"):
@@ -594,11 +601,11 @@ class TestTrajectoryFactor:
         assert 0.99 < run(spec).fidelity <= 1
 
     def test_batch_below_memory_refused_when_its_peak_is_not(self, packaged, monkeypatch):
-        # the boundary of 2048 noisy lean 2x2 trajectories is 2.6 MB, and
-        # the contraction peaks near four times that: memory of 1.5
-        # boundaries and the room for the noisy unitaries is refused
+        # the boundary of 2048 noisy corrected lean 2x2 trajectories is
+        # 2.1 MB, and the contraction peaks near four times that: memory of
+        # 1.5 boundaries and the room for the noisy unitaries is refused
         spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=2048)
-        boundary = 16 * 2048 * 4 * 5 * 4
+        boundary = 16 * 2048 * 4 * 4 * 4
         monkeypatch.setattr(protocol.os, "sysconf",
                             self._memory(3 * boundary // 2 + 8 * 256 * 2048))
         with pytest.raises(ValueError, match="boundary tensor needs .* more than the"):
