@@ -258,19 +258,24 @@ def cmd_verify(args) -> int:
         check("resonance_spacing_ratios", resonance_ratios)
 
         def seed_reproducibility():
+            # under postselection each trajectory's weight is its all-|1>
+            # probability, set by the bath phases the seed draws; a summed
+            # (corrected) F barely depends on them at this T2
             lib, params, _ = packaged_gate_library()
             spec = ProtocolSpec(
                 m=2, n=1, gate_library=lib, params=params, style="lean", trials=150,
+                completion="postselect",
                 noise=ou_from_coherence(3e-6, 300e-6, seed=args.seed), seed=args.seed,
             )
             a, b = run(spec), run(spec)
             other = run(replace(spec, seed=args.seed + 1))
             same = (a.fidelity == b.fidelity and a.fidelity_se == b.fidelity_se
                     and np.array_equal(a.weights, b.weights))
-            ok = same and other.fidelity != a.fidelity
+            moved = float(np.max(np.abs(other.weights - a.weights)))
+            ok = same and moved > 0
             return bool(ok), (
-                "two noisy 2x1 runs, one seed: identical F, SE and weights; "
-                f"seed + 1 moves F by {other.fidelity - a.fidelity:+.2e}"
+                "two noisy postselected 2x1 runs, one seed: identical F, SE and weights; "
+                f"seed + 1 moves a trajectory weight by up to {moved:.2e}"
             )
 
         check("seed_reproducibility", seed_reproducibility)

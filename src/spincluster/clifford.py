@@ -173,9 +173,6 @@ def lc_equivalence(a: Tableau, b: Tableau):
     splits over blocks of qubits that share a nullspace basis vector: all of
     a block of dimension <= 4, else its basis vectors and their pairwise
     sums (Bouchet, Combinatorica 11, 315 (1991))."""
-    # imported here: no run or synthesis needs csgraph, which costs ~1 MB
-    from scipy.sparse.csgraph import connected_components
-
     if a.x.shape != b.x.shape:
         raise ValueError("qubit counts differ")
     n = len(a.r)
@@ -183,8 +180,20 @@ def lc_equivalence(a: Tableau, b: Tableau):
     eqs = np.einsum("pji,qki->jkpqi", np.stack([b.z, b.x]), np.stack([a.x, a.z]))
     basis = _nullspace(eqs.reshape(n * n, 4 * n))
     support = basis.reshape(-1, 4, n).any(axis=1)
-    # blocks: qubits joined by shared vectors; a qubit in none must map to 0
-    _, block = connected_components(support.T.astype(int) @ support)
+    # blocks: qubits joined by shared vectors, by union-find on their roots;
+    # a qubit in none is a block of its own and must map to 0
+    root = list(range(n))
+
+    def find(q):
+        while root[q] != q:
+            root[q] = root[root[q]]
+            q = root[q]
+        return q
+
+    for first, *rest in map(np.flatnonzero, support):
+        for q in rest:
+            root[find(q)] = find(first)
+    block = np.array([find(q) for q in range(n)])
     found = np.zeros(4 * n, dtype=bool)
     for qubits in block == np.unique(block)[:, None]:
         vecs = basis[support[:, qubits].any(axis=1)]

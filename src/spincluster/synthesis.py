@@ -110,20 +110,30 @@ class UnitCompiler:
 
     @cached_property
     def _unit_weights(self):
-        """W[m, (s, a, b)] of `eigen_units`, for s = 0 (b) and s = 1 (db/dtau)."""
+        """W[m, s, a, b]: Pi'_am Pi'_mb at s = 0, and -2 pi i (h_a + h_b + 2 h_m)
+        times it at s = 1. A unit b = D1 Pi' D2 Pi' D1 in the eigenbasis is
+        b_ab = d1_a d1_b sum_m d2_m W[m, 0, a, b], and its d/dtau the same
+        sum over W[m, 1, a, b]."""
         h, pi = self._vals, self._pi
         w = pi.T[:, :, None] * pi[:, None, :]  # Pi'_am Pi'_mb
         dw = -2j * np.pi * (2 * h[:, None, None] + h[:, None] + h) * w
-        return np.stack([w, dw], axis=1).reshape(4, 32)
+        return np.stack([w, dw], axis=1)
+
+    @cached_property
+    def _gate_kernels(self):
+        """K_g[(m, b), (s, a, c)] = W[m, s, a, b] G'_g[b, c] for each electron
+        gate g in `_GATE_NAMES` order, G'_g in the eigenbasis: a (5, 16, 32)
+        stack, the unit weights with the gate of a slot folded in."""
+        gates = self.to_eigenbasis(_ALL_GATES)
+        return np.einsum("msab,gbc->gmbsac", self._unit_weights, gates).reshape(-1, 16, 32)
 
     def eigen_units(self, taus):
-        """The units in the eigenbasis over their d/dtau, a (k, 8, 4) stack with
-        b_i in rows 0-3 and db_i in rows 4-7. b = D1 Pi' D2 Pi' D1 is
-        b_ab = d1_a d1_b sum_m Pi'_am d2_m Pi'_mb, and each term's d/dtau is
-        -2 pi i (h_a + h_b + 2 h_m) times it: one (k, 4) @ (4, 32) product."""
+        """The units b = D1 Pi' D2 Pi' D1 in the eigenbasis for all spacings
+        at once, a (k, 4, 4) stack: one (k, 4) @ (4, 16) product of d2 with
+        the unit weights, scaled by d1_a d1_b."""
         d1 = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(taus, float), self._vals))
-        phase = (d1[:, :, None] * d1[:, None, :])[:, None]  # d1_a d1_b
-        return (((d1 * d1) @ self._unit_weights).reshape(-1, 2, 4, 4) * phase).reshape(-1, 8, 4)
+        w = self._unit_weights[:, 0].reshape(4, 16)
+        return ((d1 * d1) @ w).reshape(-1, 4, 4) * (d1[:, :, None] * d1[:, None, :])
 
     def to_eigenbasis(self, ops):
         """V^dag A V for an operator, or a stack of them, on (electron, nucleus)."""
@@ -242,33 +252,75 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
 
 # ------------------------------------------------------------ optimization
 
+def _doubling_scan(prefix):
+    """The (later, earlier) view pairs that turn the stack prefix = [1, f_0,
+    ..., f_{k-1}] into R_i = f_{i-1} ... f_0 in place: step s = 1, 2, 4, ...
+    replaces R_j by R_j R_{j-s} for every j > s at once, so log2(k) batched
+    products scan the whole stack (`np.matmul` copies an operand that
+    overlaps its output first)."""
+    pairs, step = [], 1
+    while step < len(prefix) - 1:
+        pairs.append((prefix[step + 1:], prefix[1:-step]))
+        step *= 2
+    return pairs
+
+
 def _prefix_pass(factors, last, target_h):
     """For U' = G'_k f_{k-1} ... f_0 with f_i = b_i G'_i in the eigenbasis:
     the prefixes R_i = f_{i-1} ... f_0, a (k+1, 4, 4) stack (R_0 = 1) built
     by doubling, and X = T'^dag U' = target_h G'_k R_k, with Tr X = Tr(T^dag U)."""
     prefix = np.concatenate([_ALL_GATES[:1], factors])  # gate "I" as R_0
-    step = 1
-    while step < len(factors):
-        prefix[step + 1:] = prefix[step + 1:] @ prefix[1:-step]
-        step *= 2
+    for later, earlier in _doubling_scan(prefix):
+        np.matmul(later, earlier, out=later)
     return prefix, target_h @ last @ prefix[-1]
 
 
-def _fidelity_and_gradient(taus, gates, target_h, compiler):
-    """|Tr(T^dag U)| / 4 and its gradient in the spacings, for the (k+1, 4, 4)
-    electron-gate stack `gates` and `target_h` = T^dag, both in the eigenbasis
-    (`UnitCompiler.to_eigenbasis`). Every factor is unitary, so the part of U'
-    after unit i is U' P_i^dag with P_i = R_{i+1}, and the prefix pass alone
-    gives d Tr(T'^dag U') / dtau_i = Tr(R_i X P_i^dag db_i G'_i)."""
-    f = compiler.eigen_units(taus) @ gates[:-1]  # [b_i G'_i over db_i G'_i]
-    prefix, x = _prefix_pass(f[:, :4], gates[-1], target_h)
-    overlap = x.trace()
-    grad = np.zeros(len(taus))
-    if abs(overlap) > 1e-300:
-        rx = (prefix[:-1].reshape(-1, 4) @ x).reshape(-1, 4, 4)  # all R_i X, one GEMM
-        d_overlap = np.einsum("kab,kba->k", rx @ prefix[1:].conj().transpose(0, 2, 1), f[:, 4:])
-        grad = (d_overlap * (overlap.conjugate() / (abs(overlap) * 4))).real
-    return abs(overlap) / 4, grad
+def _objective(gate_names, target_h, compiler):
+    """The cost function of a polish: taus -> (|Tr(T^dag U)| / 4, its
+    gradient in the spacings), for the k + 1 electron gates `gate_names` and
+    `target_h` = T^dag in the eigenbasis (`UnitCompiler.to_eigenbasis`),
+    which stay fixed while the spacings move.
+
+    All that does not depend on the spacings is built here, once. The factor
+    f_i = b_i G'_i of `eigen_units`' unit b_i is
+    f_ac = d1_a sum_{m,b} d2_m d1_b W[m, 0, a, b] G'_bc, so with each slot's
+    gate folded into the unit weights (`UnitCompiler._gate_kernels`), every f_i
+    and df_i = db_i G'_i is one (k, 1, 16) @ (k, 16, 32) product scaled by
+    d1_a. The prefixes R_i = f_{i-1} ... f_0 (R_0 = 1) are scanned in place
+    by doubling, in a buffer the calls share; no array the function returns
+    is a view of it. Every factor is unitary, so the part of U' after unit i
+    is U' R_{i+1}^dag, and with X = T'^dag U' the prefix pass alone gives
+    d Tr(T'^dag U') / dtau_i = Tr(R_{i+1}^dag df_i R_i X). This is the
+    forward/backward-propagator gradient of GRAPE."""
+    k = len(gate_names) - 1
+    kernel = compiler._gate_kernels[[_GATE_NAMES.index(g) for g in gate_names[:-1]]]
+    last = target_h @ compiler.to_eigenbasis(_GATE_4X4[gate_names[-1]])
+    phases = -2j * np.pi * compiler._vals
+    buf = np.zeros((2, k + 1, 4, 4), dtype=complex)  # [R_i, df_{i-1}]
+    buf[0, 0] = np.eye(4)
+    prefix, d_factors = buf[0], buf[1, 1:]
+    scan = _doubling_scan(prefix)
+    before = prefix[:-1].reshape(-1, 4)  # R_0 ... R_{k-1} stacked, for one GEMM
+    # Re Tr(A^dag B) as the dot of A's and B's real and imaginary parts
+    after = prefix[1:].view(float).reshape(k, 32, 1)
+
+    def fidelity_and_gradient(taus):
+        d1 = np.exp(np.multiply.outer(taus, phases))
+        v = ((d1 * d1)[:, :, None] * d1[:, None, :]).reshape(k, 1, 16)  # d2_m d1_b
+        f = (v @ kernel).reshape(k, 2, 4, 4).transpose(1, 0, 2, 3)
+        np.multiply(f, d1[:, :, None], out=buf[:, 1:])
+        for later, earlier in scan:
+            np.matmul(later, earlier, out=later)
+        x = last @ prefix[-1]
+        overlap = complex(x.trace())
+        size = abs(overlap)
+        if size <= 1e-300:
+            return size / 4, np.zeros(k)
+        x *= overlap.conjugate() / (size * 4)  # d|z| = Re(z^* dz) / |z|
+        y = d_factors @ (before @ x).reshape(k, 4, 4)
+        return size / 4, (y.view(float).reshape(k, 1, 32) @ after).reshape(k)
+
+    return fidelity_and_gradient
 
 
 # L-BFGS-B stops once a step lowers 1 - F by at most _FTOL (the objective lies
@@ -288,10 +340,13 @@ def minimize(fun, x0, **kw):
 
 
 def _polish(taus, gate_names, target_h, compiler, lb, ub, maxiter=800):
-    gates = compiler.to_eigenbasis(_gate_stack(gate_names))
+    """L-BFGS-B over the spacings in [lb, ub] at fixed electron gates, from
+    `taus`: returns (spacings, fidelity, evaluations). The objective is built
+    once per polish (`_objective`), for the gates and target it holds fixed."""
+    fidelity_and_gradient = _objective(gate_names, target_h, compiler)
 
     def neg(x):
-        f, g = _fidelity_and_gradient(x, gates, target_h, compiler)
+        f, g = fidelity_and_gradient(x)
         return 1 - f, -g
 
     res = minimize(
@@ -319,7 +374,7 @@ def _discrete_sweep(taus, gate_names, target_h, compiler, rng):
     accepting any candidate that raises the fidelity by more than 1e-12; the
     table of candidate fidelities is rebuilt only after a slot changes."""
     names = list(gate_names)
-    units = compiler.eigen_units(taus)[:, :4]
+    units = compiler.eigen_units(taus)
     candidates = compiler.to_eigenbasis(_ALL_GATES)
     table = _slot_fidelities(units, names, target_h, candidates)
     best = table[0, _GATE_NAMES.index(names[0])]

@@ -62,7 +62,7 @@ from spincluster.states import (
 )
 from spincluster.synthesis import (
     _BATH_SIGN, _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
-    _ALL_GATES, _discrete_sweep, _fidelity_and_gradient, _gate_stack, _prefix_pass,
+    _ALL_GATES, _discrete_sweep, _gate_stack, _objective, _prefix_pass,
     _slot_fidelities, gate_fidelity, noisy_sequence_unitary, sequence_unitary,
 )
 
@@ -574,33 +574,50 @@ def eigen_stacks(compiler, names, target):
 
 
 def test_unit_stacks_match_per_unit_products(siv):
+    # the d/dtau half of the unit weights is checked through the objective's
+    # gradient below
     compiler = UnitCompiler(siv)
     taus = np.random.default_rng(5).uniform(1e-9, 2e-7, size=9)
     stack = compiler.eigen_units(taus)
-    assert stack.shape == (9, 8, 4)
+    assert stack.shape == (9, 4, 4)
     v = compiler._vecs
-    units, d_units = v @ stack[:, :4] @ v.conj().T, v @ stack[:, 4:] @ v.conj().T
+    units = v @ stack @ v.conj().T
     assert np.max(np.abs(compiler.units(taus) - units)) <= 1e-12
-    # d/dtau is of order 2 pi |H|, about 1e9 per second here
-    scale = 2 * np.pi * np.linalg.norm(compiler.h, 2)
-    for t, u, du in zip(taus, units, d_units):
-        ref_u, ref_du = unit_and_derivative(t, compiler)
-        assert np.max(np.abs(u - ref_u)) <= 1e-12
-        assert np.max(np.abs(du - ref_du)) <= 1e-12 * scale
+    for t, u in zip(taus, units):
+        assert np.max(np.abs(u - unit_and_derivative(t, compiler)[0])) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [1, 4, 12, 20])
+# every depth of the doubling scan: no step (k = 1), one, and k on both sides
+# of 8 and 16, where a step is added
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 9, 12, 16, 17, 20])
 @pytest.mark.parametrize("target", ["cz", "swap"])
 def test_objective_matches_list_products(siv, k, target):
     compiler = UnitCompiler(siv)
     rng = np.random.default_rng(k)
+    target_h = compiler.to_eigenbasis(TARGETS[target].conj().T)
     for _ in range(3):
         taus, names = random_sequence(rng, k)
-        fid, grad = _fidelity_and_gradient(
-            taus, *eigen_stacks(compiler, names, TARGETS[target]), compiler)
+        fid, grad = _objective(names, target_h, compiler)(taus)
         ref_fid, ref_grad = list_fidelity_and_gradient(taus, names, TARGETS[target], compiler)
         assert abs(fid - ref_fid) <= 1e-12
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_objective_reuses_its_buffer_without_carrying_state(siv):
+    # the prefix buffer is shared by all calls of one objective: a call must
+    # depend on its own spacings alone, to the bit
+    compiler = UnitCompiler(siv)
+    rng = np.random.default_rng(17)
+    taus_a, names = random_sequence(rng, 9)
+    taus_b = rng.uniform(1e-9, 9e-8, size=9)
+    objective = _objective(names, compiler.to_eigenbasis(TARGETS["swap"].conj().T), compiler)
+    first = objective(taus_a)
+    other = objective(taus_b)
+    again = objective(taus_a)
+    assert first[0] == again[0] and np.array_equal(first[1], again[1])
+    assert first[0] != other[0]
+    # the returned gradient is not a view of the buffer the next call rewrites
+    assert not np.array_equal(first[1], other[1])
 
 
 @pytest.mark.parametrize("target", ["cz", "swap"])
@@ -611,7 +628,7 @@ def test_suffix_from_unitarity_matches_explicit_products(siv, target):
     compiler = UnitCompiler(siv)
     taus, names = random_sequence(np.random.default_rng(31), 20)
     gates, target_h = eigen_stacks(compiler, names, TARGETS[target])
-    factors = compiler.eigen_units(taus)[:, :4] @ gates[:-1]
+    factors = compiler.eigen_units(taus) @ gates[:-1]
     prefix, x = _prefix_pass(factors, gates[-1], target_h)
     derived = prefix[:-1] @ x @ prefix[1:].conj().transpose(0, 2, 1)
     suffix = gates[-1]
@@ -624,8 +641,8 @@ def test_suffix_from_unitarity_matches_explicit_products(siv, target):
 def test_gradient_matches_central_difference(siv):
     compiler = UnitCompiler(siv)
     taus, names = random_sequence(np.random.default_rng(8), 6)
-    gates, target_h = eigen_stacks(compiler, names, TARGETS["cz"])
-    _, grad = _fidelity_and_gradient(taus, gates, target_h, compiler)
+    objective = _objective(names, compiler.to_eigenbasis(TARGETS["cz"].conj().T), compiler)
+    _, grad = objective(taus)
     # a 0.1 ps step: truncation (h^2 f''') and rounding (eps / h) both stay
     # below 1e-8 of the gradient
     h = 1e-13
@@ -633,9 +650,7 @@ def test_gradient_matches_central_difference(siv):
     for i in range(len(taus)):
         step = np.zeros_like(taus)
         step[i] = h
-        up = _fidelity_and_gradient(taus + step, gates, target_h, compiler)[0]
-        down = _fidelity_and_gradient(taus - step, gates, target_h, compiler)[0]
-        numeric[i] = (up - down) / (2 * h)
+        numeric[i] = (objective(taus + step)[0] - objective(taus - step)[0]) / (2 * h)
     assert np.max(np.abs(grad - numeric)) <= 1e-6 * np.max(np.abs(grad))
 
 
@@ -645,7 +660,7 @@ def test_slot_fidelities_match_full_sequences(siv, k):
     rng = np.random.default_rng(20 + k)
     for target in ("cz", "swap"):
         taus, names = random_sequence(rng, k)
-        table = _slot_fidelities(compiler.eigen_units(taus)[:, :4], names,
+        table = _slot_fidelities(compiler.eigen_units(taus), names,
                                  compiler.to_eigenbasis(TARGETS[target].conj().T),
                                  compiler.to_eigenbasis(_ALL_GATES))
         assert table.shape == (k + 1, len(_GATE_NAMES))

@@ -16,8 +16,8 @@ Inside `spincluster.protocol` only the trajectory engine, `_contract`, may
 reach the noisy gate assembly (`_gate_unitaries`, `noisy_sequence_unitary`):
 a second path to it would be a second noisy engine.
 
-scipy serves only gate synthesis, the coherence fits and the local-Clifford
-check, so a fresh interpreter that imports the package and runs trajectories,
+scipy serves only gate synthesis and the coherence fits, so a fresh
+interpreter that imports the package and runs trajectories,
 `noisy_gate_fidelity`, `run` and `figure fig3b` must not load it.
 """
 import ast

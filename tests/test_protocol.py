@@ -943,6 +943,22 @@ class TestLUEquivalence:
             maps = lc_equivalence(a, b)
             assert maps is not None and _maps_onto(a, b, maps), n
 
+    def test_two_blocks(self):
+        # two disjoint 3-qubit paths: the search runs per block and XORs the
+        # blocks' maps together, so each block must match on its own
+        two = np.zeros((6, 6), dtype=bool)
+        two[:3, :3] = two[3:, 3:] = _path(3)
+        a = Tableau.graph(two)
+        b = _random_local_image(a, np.random.default_rng(5))
+        maps = lc_equivalence(a, b)
+        assert maps is not None and _maps_onto(a, b, maps)
+        # the second path cut to isolated qubits: the first block still
+        # matches, the second cannot
+        half = two.copy()
+        half[3:, 3:] = False
+        assert lc_equivalence(a, Tableau.graph(half)) is None
+        assert lc_equivalence(Tableau.graph(half), a) is None
+
     def test_forty_qubit_product_and_ghz(self):
         for tab in (Tableau(40), _ghz_tableau(40)):
             maps = lc_equivalence(tab, tab)

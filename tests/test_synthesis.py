@@ -360,14 +360,23 @@ class TestStoppingRule:
     def test_last_bit_of_the_objective_does_not_steer(self, siv, monkeypatch, target, kw):
         # shift F by one ulp up or down, the sign fixed by the bits of tau
         base = synthesize(target, siv, **kw)
-        exact = synthesis._fidelity_and_gradient
+        exact = synthesis._objective
+        calls = 0
 
-        def shifted(taus, *args):
-            f, g = exact(taus, *args)
-            up = np.asarray(taus, float).view(np.uint64).sum() % 2
-            return f + (1 if up else -1) * np.spacing(f), g
+        def shifted_objective(*args):
+            fidelity_and_gradient = exact(*args)
 
-        monkeypatch.setattr(synthesis, "_fidelity_and_gradient", shifted)
+            def shifted(taus):
+                nonlocal calls
+                calls += 1
+                f, g = fidelity_and_gradient(taus)
+                up = np.asarray(taus, float).view(np.uint64).sum() % 2
+                return f + (1 if up else -1) * np.spacing(f), g
+
+            return shifted
+
+        monkeypatch.setattr(synthesis, "_objective", shifted_objective)
         moved = synthesize(target, siv, **kw)
+        assert calls > 0  # the search polished through the shifted objective
         assert moved.sequence.electron_gates == base.sequence.electron_gates
         np.testing.assert_allclose(moved.sequence.tau_f, base.sequence.tau_f, rtol=1e-6, atol=0)
