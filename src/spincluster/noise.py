@@ -211,21 +211,39 @@ def fid_echo_signals(noise: OUNoise, times: np.ndarray, n_traj: int, seed: int |
     return fid, echo
 
 
-def fit_t2star(times: np.ndarray, signal: np.ndarray) -> float:
-    """Fit exp(-(t/T2*)^2 / 2) to a free-induction decay."""
-    from scipy.optimize import curve_fit
+def _fit_decay(times: np.ndarray, signal: np.ndarray, power: int) -> float:
+    """|T| of the least-squares fit of exp(-(t/T)^power / 2) to `signal`,
+    from the start T0 = times[len(times) // 2]. Gauss-Newton in the one
+    parameter r = (T0/T)^power of the model exp(-r w), w = (t/T0)^power / 2:
+    a step that would not lower the squared residual, or make r <= 0, is
+    halved, and the search ends once a step moves r by 1e-13 of itself."""
+    times = np.asarray(times, float)
+    t0 = times[len(times) // 2]
+    w = (times / t0) ** power / 2
+    y = np.asarray(signal, float)
 
-    def model(t, t2s):
-        return np.exp(-(t / t2s) ** 2 / 2)
-    popt, _ = curve_fit(model, times, signal, p0=[times[len(times) // 2]])
-    return float(abs(popt[0]))
+    def misfit(r):
+        return float(np.sum((np.exp(-r * w) - y) ** 2))
+
+    r, now = 1.0, misfit(1.0)
+    for _ in range(200):
+        model = np.exp(-r * w)
+        slope = w * model  # -d model / dr
+        step = float(slope @ (model - y) / (slope @ slope))
+        while r + step <= 0 or misfit(r + step) > now:
+            step /= 2
+        r += step
+        now = misfit(r)
+        if abs(step) <= 1e-13 * r:
+            break
+    return float(abs(t0 * r ** (-1 / power)))
+
+
+def fit_t2star(times: np.ndarray, signal: np.ndarray) -> float:
+    """Fit exp(-(t/T2*)^2 / 2) to a free-induction decay (`_fit_decay`)."""
+    return _fit_decay(times, signal, 2)
 
 
 def fit_t2_hahn(times: np.ndarray, signal: np.ndarray) -> float:
-    """Fit exp(-(t/T2)^3 / 2) to a Hahn-echo decay."""
-    from scipy.optimize import curve_fit
-
-    def model(t, t2):
-        return np.exp(-(t / t2) ** 3 / 2)
-    popt, _ = curve_fit(model, times, signal, p0=[times[len(times) // 2]])
-    return float(abs(popt[0]))
+    """Fit exp(-(t/T2)^3 / 2) to a Hahn-echo decay (`_fit_decay`)."""
+    return _fit_decay(times, signal, 3)

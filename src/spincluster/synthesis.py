@@ -7,6 +7,7 @@ with coordinate-wise sweeps over the discrete electron-gate insertions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -275,9 +276,28 @@ def _prefix_pass(factors, last, target_h):
     return prefix, target_h @ last @ prefix[-1]
 
 
+# The real form rho(C) = Re C (x) 1_2 + Im C (x) J of a complex matrix C, with
+# J = [[0, -1], [1, 0]]: rho(AB) = rho(A) rho(B), rho(A^dag) = rho(A)^T and
+# Tr(rho(A)^T rho(B)) = 2 Re Tr(A^dag B). Row a of a 4x4 C, read as the floats
+# (Re C_a0, Im C_a0, ...), maps through _RHO_ROWS to rows 2a and 2a + 1 of
+# rho(C) side by side; _RHO_TRACES holds rho(1) and rho(i), flattened and
+# halved, so that _RHO_TRACES @ rho(M).ravel() = (Re Tr M, Im Tr M).
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])
+_RHO_ROWS = np.einsum("cd,sij->csidj", np.eye(4), np.stack([np.eye(2), _J])).reshape(8, 16)
+
+
+def _rho(c):
+    """rho(C) of a 4x4 complex C, or of a (..., 4, 4) stack: (..., 8, 8)."""
+    c = np.ascontiguousarray(c, dtype=complex)
+    return (c.view(float) @ _RHO_ROWS).reshape(c.shape[:-2] + (8, 8))
+
+
+_RHO_TRACES = _rho(np.array([np.eye(4), 1j * np.eye(4)])).reshape(2, 64) / 2
+
+
 def _objective(gate_names, target_h, compiler):
-    """The cost function of a polish: taus -> (|Tr(T^dag U)| / 4, its
-    gradient in the spacings), for the k + 1 electron gates `gate_names` and
+    """The cost function of a polish: taus -> (1 - F, -dF/dtau) with
+    F = |Tr(T^dag U)| / 4, for the k + 1 electron gates `gate_names` and
     `target_h` = T^dag in the eigenbasis (`UnitCompiler.to_eigenbasis`),
     which stay fixed while the spacings move.
 
@@ -286,41 +306,46 @@ def _objective(gate_names, target_h, compiler):
     f_ac = d1_a sum_{m,b} d2_m d1_b W[m, 0, a, b] G'_bc, so with each slot's
     gate folded into the unit weights (`UnitCompiler._gate_kernels`), every f_i
     and df_i = db_i G'_i is one (k, 1, 16) @ (k, 16, 32) product scaled by
-    d1_a. The prefixes R_i = f_{i-1} ... f_0 (R_0 = 1) are scanned in place
-    by doubling, in a buffer the calls share; no array the function returns
-    is a view of it. Every factor is unitary, so the part of U' after unit i
-    is U' R_{i+1}^dag, and with X = T'^dag U' the prefix pass alone gives
+    d1_a. From there the arithmetic is real: one product with `_RHO_ROWS`
+    writes rho(f_i) and rho(df_i) into a buffer the calls share, where the
+    prefixes rho(R_i), R_i = f_{i-1} ... f_0 (R_0 = 1), are scanned in place by
+    doubling; no array the function returns is a view of it. Every factor is
+    unitary, so the part of U' after unit i is U' R_{i+1}^dag, and with
+    X = T'^dag U' the prefix pass alone gives
     d Tr(T'^dag U') / dtau_i = Tr(R_{i+1}^dag df_i R_i X). This is the
     forward/backward-propagator gradient of GRAPE."""
     k = len(gate_names) - 1
     kernel = compiler._gate_kernels[[_GATE_NAMES.index(g) for g in gate_names[:-1]]]
-    last = target_h @ compiler.to_eigenbasis(_GATE_4X4[gate_names[-1]])
+    last = _rho(target_h @ compiler.to_eigenbasis(_GATE_4X4[gate_names[-1]]))
     phases = -2j * np.pi * compiler._vals
-    buf = np.zeros((2, k + 1, 4, 4), dtype=complex)  # [R_i, df_{i-1}]
-    buf[0, 0] = np.eye(4)
+    buf = np.zeros((2, k + 1, 8, 8))  # [rho(R_i), rho(df_{i-1})]
+    buf[0, 0] = np.eye(8)
     prefix, d_factors = buf[0], buf[1, 1:]
+    rows = buf.reshape(2, k + 1, 4, 16)[:, 1:]  # the row pairs of rho(f_i), rho(df_i)
     scan = _doubling_scan(prefix)
-    before = prefix[:-1].reshape(-1, 4)  # R_0 ... R_{k-1} stacked, for one GEMM
-    # Re Tr(A^dag B) as the dot of A's and B's real and imaginary parts
-    after = prefix[1:].view(float).reshape(k, 32, 1)
+    before = prefix[:-1].reshape(-1, 8)  # R_0 ... R_{k-1} stacked, for one GEMM
+    after = prefix[1:].reshape(k, 64, 1)
 
-    def fidelity_and_gradient(taus):
+    def cost_and_gradient(taus):
         d1 = np.exp(np.multiply.outer(taus, phases))
         v = ((d1 * d1)[:, :, None] * d1[:, None, :]).reshape(k, 1, 16)  # d2_m d1_b
-        f = (v @ kernel).reshape(k, 2, 4, 4).transpose(1, 0, 2, 3)
-        np.multiply(f, d1[:, :, None], out=buf[:, 1:])
+        f = (v @ kernel).reshape(k, 2, 4, 4)
+        f *= d1[:, None, :, None]
+        np.matmul(f.view(float).transpose(1, 0, 2, 3), _RHO_ROWS, out=rows)
         for later, earlier in scan:
             np.matmul(later, earlier, out=later)
         x = last @ prefix[-1]
-        overlap = complex(x.trace())
-        size = abs(overlap)
+        re, im = (_RHO_TRACES @ x.reshape(64)).tolist()
+        size = math.hypot(re, im)
         if size <= 1e-300:
-            return size / 4, np.zeros(k)
-        x *= overlap.conjugate() / (size * 4)  # d|z| = Re(z^* dz) / |z|
-        y = d_factors @ (before @ x).reshape(k, 4, 4)
-        return size / 4, (y.view(float).reshape(k, 1, 32) @ after).reshape(k)
+            return 1 - size / 4, np.zeros(k)
+        # dF = Re(z^* dz) / 4|z|: X times rho(-z^* / 8|z|), halved as Tr rho = 2 Re Tr
+        c = -0.125 / size
+        x = x.reshape(32, 2) @ np.array([[c * re, c * im], [-c * im, c * re]])
+        y = d_factors @ (before @ x.reshape(8, 8)).reshape(k, 8, 8)
+        return 1 - size / 4, (y.reshape(k, 1, 64) @ after).reshape(k)
 
-    return fidelity_and_gradient
+    return cost_and_gradient
 
 
 # L-BFGS-B stops once a step lowers 1 - F by at most _FTOL (the objective lies
@@ -331,26 +356,52 @@ def _objective(gate_names, target_h, compiler):
 _FTOL = 1e-12
 
 
-def minimize(fun, x0, **kw):
-    """scipy.optimize.minimize, imported on first use so that the package
-    loads no scipy for runs that only simulate."""
-    from scipy.optimize import minimize as scipy_minimize
+def _shared_evaluation(fun):
+    """Split `fun`, which returns a value and its gradient, into a value and
+    a gradient callable that share one call of it: the gradient at the x of
+    the last value call, bit for bit, is that call's, and any other x is
+    evaluated anew."""
+    last = [None, None]  # the bytes of the last value call's x, its gradient
 
-    return scipy_minimize(fun, x0, **kw)
+    def value(x):
+        f, last[1] = fun(x)
+        last[0] = x.tobytes()
+        return f
+
+    def gradient(x):
+        if x.tobytes() != last[0]:
+            value(x)
+        return last[1]
+
+    return value, gradient
+
+
+def minimize(fun, x0, *, jac, method, bounds, options):
+    """scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=bounds, options=options) for options maxiter, ftol and gtol,
+    without its front end: the same iterates, value and evaluation count,
+    from scipy's fmin_l_bfgs_b, which runs the same L-BFGS-B loop on a value
+    and a gradient callable (`_shared_evaluation`). scipy is imported on
+    first use, so that the package loads no scipy for runs that only
+    simulate."""
+    from scipy.optimize import OptimizeResult, fmin_l_bfgs_b
+
+    if jac is not True or method != "L-BFGS-B":
+        raise ValueError("minimize runs L-BFGS-B on a function that returns its gradient")
+    value, gradient = _shared_evaluation(fun)
+    x, f, info = fmin_l_bfgs_b(
+        value, x0, fprime=gradient, bounds=bounds, maxiter=options["maxiter"],
+        factr=options["ftol"] / np.finfo(float).eps, pgtol=options["gtol"],
+    )
+    return OptimizeResult(x=x, fun=f, nfev=info["funcalls"])
 
 
 def _polish(taus, gate_names, target_h, compiler, lb, ub, maxiter=800):
     """L-BFGS-B over the spacings in [lb, ub] at fixed electron gates, from
     `taus`: returns (spacings, fidelity, evaluations). The objective is built
     once per polish (`_objective`), for the gates and target it holds fixed."""
-    fidelity_and_gradient = _objective(gate_names, target_h, compiler)
-
-    def neg(x):
-        f, g = fidelity_and_gradient(x)
-        return 1 - f, -g
-
     res = minimize(
-        neg, taus, jac=True, method="L-BFGS-B",
+        _objective(gate_names, target_h, compiler), taus, jac=True, method="L-BFGS-B",
         bounds=[(lb, ub)] * len(taus),
         options=dict(maxiter=maxiter, ftol=_FTOL, gtol=1e-14),
     )

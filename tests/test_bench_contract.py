@@ -48,6 +48,28 @@ def test_traced_noisy_run_reaches_the_protocol_layers(packaged):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 
 
+def test_traced_synthesis_times_every_objective_call(siv, monkeypatch):
+    # the tracer times the objective as the first argument synthesis.minimize
+    # receives; a minimize that stopped passing it there would read 0 in
+    # synthesis.objective.* and move its time into lbfgs_overhead_s
+    from spincluster import synthesis
+
+    polished, polish = [], synthesis._polish
+
+    def counted(*args, **kwargs):
+        out = polish(*args, **kwargs)
+        polished.append(out[2])  # the polish's nfev
+        return out
+
+    monkeypatch.setattr(synthesis, "_polish", counted)
+    t = tracer.Tracer(run_id=0)
+    with t.installed():
+        synthesis.synthesize("rz90_nuclear", siv, ks=[4], restarts=2)
+    layers = t.layers()
+    assert layers["synthesis.minimize"]["calls"] == len(polished) > 0
+    assert layers["synthesis.objective"]["calls"] == sum(polished)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_builds(workload):

@@ -62,7 +62,7 @@ from spincluster.states import (
 )
 from spincluster.synthesis import (
     _BATH_SIGN, _GATE_NAMES, ELECTRON_GATES, PI_PULSE, TARGETS, DDSequence, UnitCompiler,
-    _ALL_GATES, _discrete_sweep, _gate_stack, _objective, _prefix_pass,
+    _ALL_GATES, _RHO_TRACES, _discrete_sweep, _gate_stack, _objective, _prefix_pass, _rho,
     _slot_fidelities, gate_fidelity, noisy_sequence_unitary, sequence_unitary,
 )
 
@@ -587,6 +587,20 @@ def test_unit_stacks_match_per_unit_products(siv):
         assert np.max(np.abs(u - unit_and_derivative(t, compiler)[0])) <= 1e-12
 
 
+def test_real_form_is_an_algebra_map():
+    # the objective multiplies rho(C) = Re C (x) 1_2 + Im C (x) J in place of C
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=(2, 7, 4, 4)) + 1j * rng.normal(size=(2, 7, 4, 4)))
+    assert np.max(np.abs(_rho(a @ b) - _rho(a) @ _rho(b))) <= 1e-14
+    assert np.max(np.abs(_rho(a.conj().transpose(0, 2, 1)) - _rho(a).transpose(0, 2, 1))) <= 1e-14
+    traces = np.trace(a, axis1=1, axis2=2)
+    read = _rho(a).reshape(7, 64) @ _RHO_TRACES.T
+    assert np.max(np.abs(read[:, 0] - traces.real)) <= 1e-14
+    assert np.max(np.abs(read[:, 1] - traces.imag)) <= 1e-14
+    # the 2x2 blocks of one entry: [[Re, -Im], [Im, Re]]
+    np.testing.assert_array_equal(_rho(np.diag([1 + 2j, 0, 0, 0]))[:2, :2], [[1, -2], [2, 1]])
+
+
 # every depth of the doubling scan: no step (k = 1), one, and k on both sides
 # of 8 and 16, where a step is added
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 9, 12, 16, 17, 20])
@@ -597,10 +611,11 @@ def test_objective_matches_list_products(siv, k, target):
     target_h = compiler.to_eigenbasis(TARGETS[target].conj().T)
     for _ in range(3):
         taus, names = random_sequence(rng, k)
-        fid, grad = _objective(names, target_h, compiler)(taus)
+        cost, grad = _objective(names, target_h, compiler)(taus)
         ref_fid, ref_grad = list_fidelity_and_gradient(taus, names, TARGETS[target], compiler)
-        assert abs(fid - ref_fid) <= 1e-12
-        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        # the objective is what the polish minimizes: (1 - F, -dF/dtau)
+        assert abs(cost - (1 - ref_fid)) <= 1e-12
+        assert np.max(np.abs(grad + ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
 def test_objective_reuses_its_buffer_without_carrying_state(siv):
@@ -642,7 +657,7 @@ def test_gradient_matches_central_difference(siv):
     compiler = UnitCompiler(siv)
     taus, names = random_sequence(np.random.default_rng(8), 6)
     objective = _objective(names, compiler.to_eigenbasis(TARGETS["cz"].conj().T), compiler)
-    _, grad = objective(taus)
+    _, grad = objective(taus)  # -dF/dtau, the slope of the cost 1 - F
     # a 0.1 ps step: truncation (h^2 f''') and rounding (eps / h) both stay
     # below 1e-8 of the gradient
     h = 1e-13

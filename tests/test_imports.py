@@ -16,9 +16,9 @@ Inside `spincluster.protocol` only the trajectory engine, `_contract`, may
 reach the noisy gate assembly (`_gate_unitaries`, `noisy_sequence_unitary`):
 a second path to it would be a second noisy engine.
 
-scipy serves only gate synthesis and the coherence fits, so a fresh
-interpreter that imports the package and runs trajectories,
-`noisy_gate_fidelity`, `run` and `figure fig3b` must not load it.
+scipy serves only gate synthesis, so a fresh interpreter that imports the
+package and runs trajectories, `noisy_gate_fidelity`, `run`, `figure fig3b`
+and the coherence fits must not load it.
 """
 import ast
 import os
@@ -225,8 +225,8 @@ def test_check_flags_a_second_path_to_the_noisy_gates():
 
 
 # a noisy lean 2x1 run on the packaged gates with component fidelities, the
-# packaged CZ's noisy gate fidelity, then `run` and `figure fig3b`, in a
-# fresh interpreter
+# packaged CZ's noisy gate fidelity, then `run`, `figure fig3b` and both
+# coherence fits, in a fresh interpreter
 COLD_PATH = """
 import os, sys
 import spincluster
@@ -242,6 +242,9 @@ protocol.run(spec, components=True)
 synthesis.noisy_gate_fidelity(lib["cz"], params, bath)
 assert cli.main(["run", "--trials", "20", "--output", os.devnull]) == 0
 assert cli.main(["figure", "fig3b", "--trials", "20", "--output", os.devnull]) == 0
+times = [1e-6, 2e-6, 3e-6]
+noise.fit_t2star(times, noise.fid_echo_signals(bath, times, 100)[0])
+noise.fit_t2_hahn(times, noise.fid_echo_signals(bath, times, 100)[1])
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

@@ -206,6 +206,29 @@ class TestCoherenceOracles:
         fitted = fit_t2_hahn(times, echo)
         assert abs(fitted - n.t2_hahn) / n.t2_hahn < 0.10
 
+    @pytest.mark.parametrize("case", range(5))
+    def test_fit_matches_curve_fit(self, case):
+        # the package's own least-squares fit against scipy's, on the inputs
+        # of the two tests above, of criterion 4 and of `spincluster verify`'s
+        # ou_t2star_calibration: (noise, times, trajectories, seed, power)
+        from scipy.optimize import curve_fit
+
+        fids = [OUNoise(b=2e5, tau_c=1e-2, seed=s) for s in (11, 21)]
+        echoes = [OUNoise(b=2e5, tau_c=1e-4, seed=s) for s in (12, 22)]
+        verify = ou_from_coherence(1e-6, 10e-6, seed=0)
+        noise, times, n_traj, seed, power = [
+            (fids[0], np.linspace(0.1, 2.5, 14) * fids[0].t2_star, 4000, None, 2),
+            (echoes[0], np.linspace(0.2, 2.0, 12) * echoes[0].t2_hahn, 4000, None, 3),
+            (fids[1], np.linspace(0.1, 2.5, 14) * fids[1].t2_star, 3000, None, 2),
+            (echoes[1], np.linspace(0.2, 2.0, 12) * echoes[1].t2_hahn, 3000, None, 3),
+            (verify, np.linspace(0.05e-6, 2.5e-6, 12), 6400, 0, 2),
+        ][case]
+        fid, echo = fid_echo_signals(noise, times, n_traj=n_traj, seed=seed)
+        signal, fit = (fid, fit_t2star) if power == 2 else (echo, fit_t2_hahn)
+        popt, _ = curve_fit(lambda t, big_t: np.exp(-(t / big_t) ** power / 2), times, signal,
+                            p0=[times[len(times) // 2]])
+        assert abs(fit(times, signal) / abs(popt[0]) - 1) <= 1e-6
+
     def test_echo_beats_fid(self):
         n = OUNoise(b=2e5, tau_c=1e-5, seed=13)
         times = np.array([0.5, 1.0, 1.5]) * n.t2_star * 5

@@ -190,16 +190,58 @@ class TestSynthesize:
             synthesize("rz90_nuclear", siv, ks=[4], restarts=1, lb=5e-8, ub=6e-8)
 
     def test_minimize_forwards_to_scipy(self, siv, monkeypatch):
-        # the package's minimize imports scipy's on first call and hands on
-        # every argument; the search is the same as with scipy's directly
+        # the package's minimize runs scipy's L-BFGS-B loop without
+        # scipy.optimize.minimize's front end: a polish ends on the same
+        # spacings, cost and evaluation count, bit for bit, from starts inside
+        # the bounds and on them, and when maxiter stops it
         from scipy.optimize import minimize as scipy_minimize
 
+        compiler = UnitCompiler(siv)
+        target_h = compiler.to_eigenbasis(CZ.conj().T)
+        rng = np.random.default_rng(4)
+        lb, ub = 1e-9, 9e-8
+        for k in (1, 4, 10, 17):
+            names = [synthesis._GATE_NAMES[i] for i in rng.integers(5, size=k + 1)]
+            inside = rng.uniform(lb, ub, size=k)
+            on_bounds = inside.copy()
+            on_bounds[::3], on_bounds[1::3] = lb, ub
+            for x0, maxiter in ((inside, 800), (on_bounds, 800), (inside, 2)):
+                kw = dict(jac=True, method="L-BFGS-B", bounds=[(lb, ub)] * k,
+                          options=dict(maxiter=maxiter, ftol=synthesis._FTOL, gtol=1e-14))
+                ours = synthesis.minimize(synthesis._objective(names, target_h, compiler), x0, **kw)
+                theirs = scipy_minimize(synthesis._objective(names, target_h, compiler), x0, **kw)
+                assert np.array_equal(ours.x, theirs.x)
+                assert ours.fun == theirs.fun and ours.nfev == theirs.nfev
+            assert theirs.status == (k > 1)  # the last run stops at maxiter past k = 1
+        # a whole search is the same with scipy's minimize in its place
         kw = dict(threshold=0.99, ks=[4], restarts=2, hops=2, seed=5)
         assert callable(synthesis.minimize)
         forwarded = synthesize("rz90_nuclear", siv, **kw)
         monkeypatch.setattr(synthesis, "minimize", scipy_minimize)
         direct = synthesize("rz90_nuclear", siv, **kw)
         assert forwarded == direct
+
+    def test_minimize_evaluates_once_per_point(self):
+        # the value and gradient callables share one call of the objective at
+        # the same x, bit for bit, and evaluate any other x anew
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return float(x @ x), 2 * x
+
+        value, gradient = synthesis._shared_evaluation(fun)
+        a, b = np.array([0.5, -1.0]), np.array([3.0, 0.25])
+        assert value(a) == 1.25
+        np.testing.assert_array_equal(gradient(a.copy()), 2 * a)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(gradient(b), 2 * b)
+        assert len(calls) == 2
+        # the x of the last value call is kept as it was, not as a reference
+        value(a)
+        a[0] = 7.0
+        np.testing.assert_array_equal(gradient(a), 2 * a)
+        assert len(calls) == 4
 
     def test_duration_limit_respected(self, siv):
         rep = synthesize("rz90_nuclear", siv, threshold=0.9, ks=[4],
@@ -364,14 +406,15 @@ class TestStoppingRule:
         calls = 0
 
         def shifted_objective(*args):
-            fidelity_and_gradient = exact(*args)
+            cost_and_gradient = exact(*args)
 
             def shifted(taus):
                 nonlocal calls
                 calls += 1
-                f, g = fidelity_and_gradient(taus)
+                cost, g = cost_and_gradient(taus)
+                f = 1 - cost
                 up = np.asarray(taus, float).view(np.uint64).sum() % 2
-                return f + (1 if up else -1) * np.spacing(f), g
+                return 1 - (f + (1 if up else -1) * np.spacing(f)), g
 
             return shifted
 
