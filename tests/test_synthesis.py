@@ -215,7 +215,6 @@ class TestSynthesize:
             assert theirs.status == (k > 1)  # the last run stops at maxiter past k = 1
         # a whole search is the same with scipy's minimize in its place
         kw = dict(threshold=0.99, ks=[4], restarts=2, hops=2, seed=5)
-        assert callable(synthesis.minimize)
         forwarded = synthesize("rz90_nuclear", siv, **kw)
         monkeypatch.setattr(synthesis, "minimize", scipy_minimize)
         direct = synthesize("rz90_nuclear", siv, **kw)
