@@ -75,7 +75,8 @@ def minimize_sequence_field(
 ):
     """Pick the (Bx, Bz) grid point minimizing one building-block gate time
     (one SWAP + one CZ), subject to the microwave drive frequency
-    gamma_e * Bz staying under `mw_ceiling`.
+    gamma_e * Bz staying under `mw_ceiling`; the points are synthesized with
+    the same gamma_e, which sets the secular-approximation check.
 
     field_grid is an iterable of (bx, bz) pairs in Tesla; every admissible
     point is synthesized afresh with `synth_kwargs`. Returns
@@ -89,7 +90,7 @@ def minimize_sequence_field(
         if gamma_e * bz > mw_ceiling:
             continue
         attempted += 1
-        p = SpinSystemParams(a_par=a_par, b_field=(bx, 0.0, bz))
+        p = SpinSystemParams(a_par=a_par, gamma_e=gamma_e, b_field=(bx, 0.0, bz))
         total = 0.0
         ok = True
         for target in ("swap", "cz"):

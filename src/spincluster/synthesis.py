@@ -356,44 +356,53 @@ def _objective(gate_names, target_h, compiler):
 _FTOL = 1e-12
 
 
-def _shared_evaluation(fun):
-    """Split `fun`, which returns a value and its gradient, into a value and
-    a gradient callable that share one call of it: the gradient at the x of
-    the last value call, bit for bit, is that call's, and any other x is
-    evaluated anew."""
-    last = [None, None]  # the bytes of the last value call's x, its gradient
-
-    def value(x):
-        f, last[1] = fun(x)
-        last[0] = x.tobytes()
-        return f
-
-    def gradient(x):
-        if x.tobytes() != last[0]:
-            value(x)
-        return last[1]
-
-    return value, gradient
-
-
 def minimize(fun, x0, *, jac, method, bounds, options):
     """scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
-    bounds=bounds, options=options) for options maxiter, ftol and gtol,
-    without its front end: the same iterates, value and evaluation count,
-    from scipy's fmin_l_bfgs_b, which runs the same L-BFGS-B loop on a value
-    and a gradient callable (`_shared_evaluation`). scipy is imported on
-    first use, so that the package loads no scipy for runs that only
-    simulate."""
-    from scipy.optimize import OptimizeResult, fmin_l_bfgs_b
+    bounds=bounds, options=options) for bounds above zero and options maxiter,
+    ftol and gtol: the same iterates, value and evaluation count, bit for bit.
+
+    It drives scipy's compiled L-BFGS-B step (`setulb`, Byrd, Lu, Nocedal &
+    Zhu 1995), a reverse-communication routine, with the loop of scipy's own
+    `_minimize_lbfgsb` and none of its wrappers: the start is clipped into the
+    bounds and evaluated once, and each later request for the value and
+    gradient (task 3) evaluates `fun` only at an x that differs, byte for
+    byte, from the last evaluated one (scipy's `ScalarFunction` caches the
+    same way). `fun` receives the routine's own x, which the next step
+    overwrites, so it must not keep it. scipy is imported on first use, so
+    that the package loads no scipy for runs that only simulate."""
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._lbfgsb import setulb
 
     if jac is not True or method != "L-BFGS-B":
         raise ValueError("minimize runs L-BFGS-B on a function that returns its gradient")
-    value, gradient = _shared_evaluation(fun)
-    x, f, info = fmin_l_bfgs_b(
-        value, x0, fprime=gradient, bounds=bounds, maxiter=options["maxiter"],
-        factr=options["ftol"] / np.finfo(float).eps, pgtol=options["gtol"],
-    )
-    return OptimizeResult(x=x, fun=f, nfev=info["funcalls"])
+    lo, hi = np.array(bounds, dtype=float).T.copy()
+    x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)  # setulb steps x in place
+    n, m = x.size, 10  # m: scipy's default number of stored corrections
+    value, grad = fun(x)
+    nfev, nit, last = 1, 0, x.tobytes()
+    f, g = 0.0, np.zeros(n)
+    nbd = np.full(n, 2, np.int32)  # both bounds on every variable
+    factr, pgtol = options["ftol"] / np.finfo(float).eps, options["gtol"]
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+               20, ln_task)  # maxls: at most 20 line-search steps
+        if task[0] == 3:  # FG: the value and gradient at x
+            if x.tobytes() != last:  # x > lb > 0, so no -0.0 or NaN to compare
+                value, grad = fun(x)
+                nfev, last = nfev + 1, x.tobytes()
+            f, g = value, np.array(grad, dtype=float)  # a fresh copy, as scipy's
+        elif task[0] == 1:  # NEW_X: an iteration is complete
+            nit += 1
+            if nit >= options["maxiter"]:
+                task[:] = 5, 504
+            elif nfev > 15000:  # scipy's default maxfun
+                task[:] = 5, 502
+        else:
+            return OptimizeResult(x=x, fun=f, nfev=nfev)
 
 
 def _polish(taus, gate_names, target_h, compiler, lb, ub, maxiter=800):

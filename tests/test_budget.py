@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ from spincluster.budget import (
     EfficiencyBudget, FidelityBudget, extrapolated_fidelity, generation_rate,
     minimize_sequence_field,
 )
-from spincluster.hamiltonian import SpinSystemParams, resonance_spacing
+from spincluster.hamiltonian import (
+    SecularApproximationWarning, SpinSystemParams, resonance_spacing,
+)
 
 
 class TestEfficiencyBudget:
@@ -124,6 +129,25 @@ class TestFieldSelection:
                 70e6, [(0.6, 10.0)], mw_ceiling=20e9,
                 synth_kwargs=self.CHEAP,
             )
+
+    def test_secular_warning_follows_gamma_e(self):
+        # each point is synthesized with the caller's gamma_e: at Bx = 0.2 T,
+        # gamma_e Bx is 2.8 GHz at 14 GHz/T and 5.6 GHz at 28 GHz/T, against
+        # 0.1 lambda_SO = 5 GHz, so only the second is outside the secular
+        # approximation (and Bz = 0.6 T stays under both microwave ceilings).
+        # The warning comes with the point's Hamiltonian, before the search,
+        # so whether this short search meets its threshold does not matter.
+        quick = dict(threshold=0.6, ks=[2], restarts=1, hops=0, seed=0)
+
+        def select(**kw):
+            with contextlib.suppress(RuntimeError):
+                minimize_sequence_field(70e6, [(0.2, 0.6)], synth_kwargs=quick, **kw)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SecularApproximationWarning)
+            select()
+        with pytest.warns(SecularApproximationWarning):
+            select(gamma_e=28e9)
 
     def test_spacing_shrinks_with_hyperfine(self):
         # stronger parallel coupling shortens the resonance spacing, the

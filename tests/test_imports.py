@@ -18,7 +18,11 @@ a second path to it would be a second noisy engine.
 
 scipy serves only gate synthesis, so a fresh interpreter that imports the
 package and runs trajectories, `noisy_gate_fidelity`, `run`, `figure fig3b`
-and the coherence fits must not load it.
+and the coherence fits must not load it. Its one user is
+`synthesis.minimize`, which drives scipy's private compiled L-BFGS-B step:
+every scipy import of the package must be one of minimize's own, so that
+neither a module-level import nor a second use of a private scipy API can
+enter unnoticed.
 """
 import ast
 import os
@@ -222,6 +226,52 @@ def test_check_flags_a_second_path_to_the_noisy_gates():
         "def target():\n    return _dense()\n"
     )
     assert reached_past(src, {"noisy"}, "_engine") == ["_dense", "target"]
+
+
+def scipy_imports(sources: dict) -> list:
+    """Every import of scipy or of a scipy module in {file name: source}, as
+    "file scope: name", where scope is the dotted path of the functions and
+    classes around the import, or <module>."""
+    found = []
+
+    def visit(node, file, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, file, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            where = ".".join(scope) or "<module>"
+            found.extend(f"{file} {where}: {name}" for name in names
+                         if name.split(".")[0] == "scipy")
+            visit(child, file, scope)
+
+    for file, source in sources.items():
+        visit(ast.parse(source), file, [])
+    return sorted(found)
+
+
+def test_scipy_is_imported_only_by_minimize():
+    assert scipy_imports({p.name: p.read_text() for p in PACKAGE}) == [
+        "synthesis.py minimize: scipy.optimize.OptimizeResult",
+        "synthesis.py minimize: scipy.optimize._lbfgsb.setulb",
+    ]
+
+
+def test_check_lists_every_scipy_import():
+    sources = {
+        "a.py": "import numpy\nimport scipy.linalg as la\nfrom . import scipy\n",
+        "b.py": "def f():\n    if True:\n        from scipy.optimize import _lbfgsb, minimize\n"
+                "class C:\n    def g(self):\n        import scipy\n",
+    }
+    assert scipy_imports(sources) == [
+        "a.py <module>: scipy.linalg", "b.py C.g: scipy",
+        "b.py f: scipy.optimize._lbfgsb", "b.py f: scipy.optimize.minimize",
+    ]
 
 
 # a noisy lean 2x1 run on the packaged gates with component fidelities, the

@@ -190,10 +190,11 @@ class TestSynthesize:
             synthesize("rz90_nuclear", siv, ks=[4], restarts=1, lb=5e-8, ub=6e-8)
 
     def test_minimize_forwards_to_scipy(self, siv, monkeypatch):
-        # the package's minimize runs scipy's L-BFGS-B loop without
-        # scipy.optimize.minimize's front end: a polish ends on the same
+        # the package's minimize drives scipy's compiled L-BFGS-B step with
+        # the loop of scipy.optimize.minimize: a polish ends on the same
         # spacings, cost and evaluation count, bit for bit, from starts inside
-        # the bounds and on them, and when maxiter stops it
+        # the bounds, on them and outside them (clipped), and when maxiter
+        # stops it
         from scipy.optimize import minimize as scipy_minimize
 
         compiler = UnitCompiler(siv)
@@ -205,7 +206,9 @@ class TestSynthesize:
             inside = rng.uniform(lb, ub, size=k)
             on_bounds = inside.copy()
             on_bounds[::3], on_bounds[1::3] = lb, ub
-            for x0, maxiter in ((inside, 800), (on_bounds, 800), (inside, 2)):
+            outside = inside.copy()
+            outside[::2], outside[1::2] = -inside[::2], inside[1::2] + ub
+            for x0, maxiter in ((inside, 800), (on_bounds, 800), (outside, 800), (inside, 2)):
                 kw = dict(jac=True, method="L-BFGS-B", bounds=[(lb, ub)] * k,
                           options=dict(maxiter=maxiter, ftol=synthesis._FTOL, gtol=1e-14))
                 ours = synthesis.minimize(synthesis._objective(names, target_h, compiler), x0, **kw)
@@ -221,26 +224,26 @@ class TestSynthesize:
         assert forwarded == direct
 
     def test_minimize_evaluates_once_per_point(self):
-        # the value and gradient callables share one call of the objective at
-        # the same x, bit for bit, and evaluate any other x anew
+        # the objective runs once for each new point L-BFGS-B asks for: nfev
+        # calls in all, never twice in a row at the same x, bit for bit; and
+        # the caller's start is left as it was, though the routine steps its
+        # own x in place
         calls = []
+        centre = np.array([0.2, 3.0, 1.5])
 
         def fun(x):
-            calls.append(x.copy())
-            return float(x @ x), 2 * x
+            calls.append(x.tobytes())
+            return float((x - centre) @ (x - centre)), 2 * (x - centre)
 
-        value, gradient = synthesis._shared_evaluation(fun)
-        a, b = np.array([0.5, -1.0]), np.array([3.0, 0.25])
-        assert value(a) == 1.25
-        np.testing.assert_array_equal(gradient(a.copy()), 2 * a)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(gradient(b), 2 * b)
-        assert len(calls) == 2
-        # the x of the last value call is kept as it was, not as a reference
-        value(a)
-        a[0] = 7.0
-        np.testing.assert_array_equal(gradient(a), 2 * a)
-        assert len(calls) == 4
+        x0 = np.array([0.9, 0.5, 1.25])
+        start = x0.copy()
+        res = synthesis.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                 bounds=[(0.5, 2.0)] * 3,
+                                 options=dict(maxiter=800, ftol=1e-12, gtol=1e-14))
+        np.testing.assert_allclose(res.x, [0.5, 2.0, 1.5])
+        assert len(calls) == res.nfev > 2
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+        np.testing.assert_array_equal(x0, start)
 
     def test_duration_limit_respected(self, siv):
         rep = synthesize("rz90_nuclear", siv, threshold=0.9, ks=[4],
