@@ -48,6 +48,11 @@ TARGETS = {
 }
 
 
+def _check_spacings(taus):
+    if not all(np.isfinite(t) and t > 0 for t in taus):
+        raise ValueError(f"all spacings must be finite and positive, got {taus}")
+
+
 @dataclass(frozen=True)
 class DDSequence:
     """k DD units with spacings tau_f and electron gates between them.
@@ -62,8 +67,7 @@ class DDSequence:
     def __post_init__(self):
         if len(self.electron_gates) != len(self.tau_f) + 1:
             raise ValueError("need exactly k+1 electron gate labels")
-        if not all(np.isfinite(t) and t > 0 for t in self.tau_f):
-            raise ValueError(f"all spacings must be finite and positive, got {self.tau_f}")
+        _check_spacings(self.tau_f)
         for g in self.electron_gates:
             if g not in ELECTRON_GATES:
                 raise ValueError(f"unknown electron gate {g!r}")
@@ -79,6 +83,10 @@ class DDSequence:
 
 @dataclass(frozen=True)
 class SynthesisReport:
+    """The outcome of `synthesize`. `iterations` counts the work of the
+    search: every objective evaluation of every polish plus every candidate
+    gate the discrete sweeps compared, not L-BFGS-B iterations; a report
+    read from a gate file has 0."""
     sequence: DDSequence
     unitary_fidelity: float
     iterations: int
@@ -97,6 +105,7 @@ class UnitCompiler:
         self._vals, self._vecs = np.linalg.eigh(self.h)
         self._pi = self._vecs.conj().T @ PI_PULSE @ self._vecs
         self._bath_blocks = {}
+        self._workspaces = {}
 
     def free_propagator(self, t: float) -> np.ndarray:
         return (self._vecs * np.exp(-2j * np.pi * self._vals * t)) @ self._vecs.conj().T
@@ -125,8 +134,19 @@ class UnitCompiler:
         """K_g[(m, b), (s, a, c)] = W[m, s, a, b] G'_g[b, c] for each electron
         gate g in `_GATE_NAMES` order, G'_g in the eigenbasis: a (5, 16, 32)
         stack, the unit weights with the gate of a slot folded in."""
-        gates = self.to_eigenbasis(_ALL_GATES)
-        return np.einsum("msab,gbc->gmbsac", self._unit_weights, gates).reshape(-1, 16, 32)
+        kernels = np.einsum("msab,gbc->gmbsac", self._unit_weights, self._eigen_gates)
+        return kernels.reshape(-1, 16, 32)
+
+    @cached_property
+    def _eigen_gates(self):
+        """The electron gates G'_g in the eigenbasis, in `_GATE_NAMES` order."""
+        return self.to_eigenbasis(_ALL_GATES)
+
+    def polish_workspace(self, k: int) -> _PolishWorkspace:
+        """The arrays the objectives of k units write, built on first use."""
+        if k not in self._workspaces:
+            self._workspaces[k] = _PolishWorkspace(k, self._vals)
+        return self._workspaces[k]
 
     def eigen_units(self, taus):
         """The units b = D1 Pi' D2 Pi' D1 in the eigenbasis for all spacings
@@ -174,8 +194,7 @@ class UnitCompiler:
 
 def dd_unit(tau_f: float, compiler: UnitCompiler) -> np.ndarray:
     """F(tau) Pi F(2 tau) Pi F(tau) on (electron, nucleus)."""
-    if tau_f <= 0:
-        raise ValueError("tau_f must be positive")
+    _check_spacings((tau_f,))
     return compiler.units([tau_f])[0]
 
 
@@ -295,55 +314,105 @@ def _rho(c):
 _RHO_TRACES = _rho(np.array([np.eye(4), 1j * np.eye(4)])).reshape(2, 64) / 2
 
 
+class _PolishWorkspace:
+    """Every array an evaluation of `_objective` for k units writes, with the
+    views it writes them through, built once per (UnitCompiler, k) and shared
+    by all objectives of that unit count. An evaluation overwrites each array
+    before it reads it, so objectives sharing one may be called in any
+    order, though not at the same time."""
+
+    def __init__(self, k, vals):
+        self.phases = -2j * np.pi * vals
+        self.d1 = np.empty((k, 4), complex)
+        self.d2 = np.empty((k, 4), complex)
+        self.d1_a, self.d1_b = self.d1[:, None, :, None], self.d1[:, None, :]
+        self.d2_m = self.d2[:, :, None]
+        self.v = np.empty((k, 1, 16), complex)  # d2_m d1_b
+        self.v_mb = self.v.reshape(k, 4, 4)
+        self.f = np.empty((k, 1, 32), complex)  # f_i and df_i, entries (s, a, c)
+        self.f_sac = self.f.reshape(k, 2, 4, 4)
+        self.f_real = self.f_sac.view(float).transpose(1, 0, 2, 3)
+        buf = np.zeros((2, k + 1, 8, 8))  # [rho(R_i), rho(df_{i-1})]
+        buf[0, 0] = np.eye(8)
+        prefix, self.d_factors = buf[0], buf[1, 1:]
+        self.rows = buf.reshape(2, k + 1, 4, 16)[:, 1:]  # the row pairs of rho(f_i), rho(df_i)
+        self.scan = _doubling_scan(prefix)
+        self.final = prefix[-1]
+        self.before = prefix[:-1].reshape(-1, 8)  # R_0 ... R_{k-1} stacked, for one GEMM
+        self.after = prefix[1:].reshape(k, 64, 1)
+        self.x = np.empty((8, 8))
+        self.x_flat, self.x_pairs = self.x.reshape(64), self.x.reshape(32, 2)
+        self.traces = np.empty(2)
+        self.scale = np.empty((2, 2))
+        self.x_scaled = np.empty((32, 2))
+        self.x_scaled_8 = self.x_scaled.reshape(8, 8)
+        self.rx = np.empty((8 * k, 8))  # rho(R_i) times the scaled X
+        self.rx_i = self.rx.reshape(k, 8, 8)
+        self.y = np.empty((k, 8, 8))
+        self.y_rows = self.y.reshape(k, 1, 64)
+        self.grad = np.empty((k, 1, 1))
+        self.grad_flat = self.grad.reshape(k)
+
+
 def _objective(gate_names, target_h, compiler):
     """The cost function of a polish: taus -> (1 - F, -dF/dtau) with
     F = |Tr(T^dag U)| / 4, for the k + 1 electron gates `gate_names` and
     `target_h` = T^dag in the eigenbasis (`UnitCompiler.to_eigenbasis`),
     which stay fixed while the spacings move.
 
-    All that does not depend on the spacings is built here, once. The factor
+    Of what does not depend on the spacings, the slots' kernels and the last
+    gate are picked here, once per polish, and the arrays an evaluation
+    writes come from the compiler's workspace for k units
+    (`UnitCompiler.polish_workspace`), which every numpy call writes into
+    through `out=`; only the returned gradient is new. The factor
     f_i = b_i G'_i of `eigen_units`' unit b_i is
     f_ac = d1_a sum_{m,b} d2_m d1_b W[m, 0, a, b] G'_bc, so with each slot's
     gate folded into the unit weights (`UnitCompiler._gate_kernels`), every f_i
     and df_i = db_i G'_i is one (k, 1, 16) @ (k, 16, 32) product scaled by
     d1_a. From there the arithmetic is real: one product with `_RHO_ROWS`
-    writes rho(f_i) and rho(df_i) into a buffer the calls share, where the
-    prefixes rho(R_i), R_i = f_{i-1} ... f_0 (R_0 = 1), are scanned in place by
-    doubling; no array the function returns is a view of it. Every factor is
-    unitary, so the part of U' after unit i is U' R_{i+1}^dag, and with
-    X = T'^dag U' the prefix pass alone gives
+    writes rho(f_i) and rho(df_i) into the workspace, where the prefixes
+    rho(R_i), R_i = f_{i-1} ... f_0 (R_0 = 1), are scanned in place by
+    doubling. Every factor is unitary, so the part of U' after unit i is
+    U' R_{i+1}^dag, and with X = T'^dag U' the prefix pass alone gives
     d Tr(T'^dag U') / dtau_i = Tr(R_{i+1}^dag df_i R_i X). This is the
     forward/backward-propagator gradient of GRAPE."""
     k = len(gate_names) - 1
     kernel = compiler._gate_kernels[[_GATE_NAMES.index(g) for g in gate_names[:-1]]]
-    last = _rho(target_h @ compiler.to_eigenbasis(_GATE_4X4[gate_names[-1]]))
-    phases = -2j * np.pi * compiler._vals
-    buf = np.zeros((2, k + 1, 8, 8))  # [rho(R_i), rho(df_{i-1})]
-    buf[0, 0] = np.eye(8)
-    prefix, d_factors = buf[0], buf[1, 1:]
-    rows = buf.reshape(2, k + 1, 4, 16)[:, 1:]  # the row pairs of rho(f_i), rho(df_i)
-    scan = _doubling_scan(prefix)
-    before = prefix[:-1].reshape(-1, 8)  # R_0 ... R_{k-1} stacked, for one GEMM
-    after = prefix[1:].reshape(k, 64, 1)
+    last = _rho(target_h @ compiler._eigen_gates[_GATE_NAMES.index(gate_names[-1])])
+    w = compiler.polish_workspace(k)
+    phases, d1, d2, d1_a, d1_b, d2_m = w.phases, w.d1, w.d2, w.d1_a, w.d1_b, w.d2_m
+    v, v_mb, f, f_sac, f_real, rows, scan = w.v, w.v_mb, w.f, w.f_sac, w.f_real, w.rows, w.scan
+    final, x, x_flat, x_pairs, traces, scale = w.final, w.x, w.x_flat, w.x_pairs, w.traces, w.scale
+    x_scaled, x_scaled_8, before, rx, rx_i = w.x_scaled, w.x_scaled_8, w.before, w.rx, w.rx_i
+    d_factors, y, y_rows, after = w.d_factors, w.y, w.y_rows, w.after
+    grad, grad_flat = w.grad, w.grad_flat
 
     def cost_and_gradient(taus):
-        d1 = np.exp(np.multiply.outer(taus, phases))
-        v = ((d1 * d1)[:, :, None] * d1[:, None, :]).reshape(k, 1, 16)  # d2_m d1_b
-        f = (v @ kernel).reshape(k, 2, 4, 4)
-        f *= d1[:, None, :, None]
-        np.matmul(f.view(float).transpose(1, 0, 2, 3), _RHO_ROWS, out=rows)
+        np.multiply.outer(taus, phases, out=d1)
+        np.exp(d1, out=d1)
+        np.multiply(d1, d1, out=d2)
+        np.multiply(d2_m, d1_b, out=v_mb)
+        np.matmul(v, kernel, out=f)
+        np.multiply(f_sac, d1_a, out=f_sac)
+        np.matmul(f_real, _RHO_ROWS, out=rows)
         for later, earlier in scan:
             np.matmul(later, earlier, out=later)
-        x = last @ prefix[-1]
-        re, im = (_RHO_TRACES @ x.reshape(64)).tolist()
+        np.matmul(last, final, out=x)
+        np.matmul(_RHO_TRACES, x_flat, out=traces)
+        re, im = traces.tolist()
         size = math.hypot(re, im)
         if size <= 1e-300:
             return 1 - size / 4, np.zeros(k)
         # dF = Re(z^* dz) / 4|z|: X times rho(-z^* / 8|z|), halved as Tr rho = 2 Re Tr
         c = -0.125 / size
-        x = x.reshape(32, 2) @ np.array([[c * re, c * im], [-c * im, c * re]])
-        y = d_factors @ (before @ x.reshape(8, 8)).reshape(k, 8, 8)
-        return 1 - size / 4, (y.reshape(k, 1, 64) @ after).reshape(k)
+        scale[0, 0] = scale[1, 1] = c * re
+        scale[0, 1] = c * im
+        scale[1, 0] = -c * im
+        np.matmul(x_pairs, scale, out=x_scaled)
+        np.matmul(before, x_scaled_8, out=rx)
+        np.matmul(d_factors, rx_i, out=y)
+        np.matmul(y_rows, after, out=grad)
+        return 1 - size / 4, grad_flat.copy()
 
     return cost_and_gradient
 
@@ -435,7 +504,7 @@ def _discrete_sweep(taus, gate_names, target_h, compiler, rng):
     table of candidate fidelities is rebuilt only after a slot changes."""
     names = list(gate_names)
     units = compiler.eigen_units(taus)
-    candidates = compiler.to_eigenbasis(_ALL_GATES)
+    candidates = compiler._eigen_gates
     table = _slot_fidelities(units, names, target_h, candidates)
     best = table[0, _GATE_NAMES.index(names[0])]
     improved = True
@@ -444,7 +513,7 @@ def _discrete_sweep(taus, gate_names, target_h, compiler, rng):
         improved = False
         for slot in rng.permutation(len(names)):
             current = names[slot]
-            for cand, f in zip(_GATE_NAMES, table[slot]):
+            for cand, f in zip(_GATE_NAMES, table[slot].tolist()):
                 if cand == current:
                     continue
                 evals += 1

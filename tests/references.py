@@ -11,11 +11,14 @@ Born-weighted sum over every branch that `run` computes instead; the dense
 component fidelities that `protocol.component_fidelities` replaced by the
 same contraction; and the OU sampler that formed its mean term
 as a third (T, segments) array, which the package's blocked form must match
-byte for byte. The first three need scipy, which the package does not load
-on its simulation path.
+byte for byte; and the synthesis objective that built its buffers once per
+polish and allocated its intermediates on every call, which the package's
+shared workspace must match bit for bit. The first three need scipy, which
+the package does not load on its simulation path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +30,10 @@ from spincluster import protocol
 from spincluster.hamiltonian import propagator
 from spincluster.noise import _excess
 from spincluster.states import QuantumState, apply_gate
-from spincluster.synthesis import _GATE_4X4, DDSequence, UnitCompiler, _gate_stack
+from spincluster.synthesis import (
+    _GATE_4X4, _GATE_NAMES, _RHO_ROWS, _RHO_TRACES, DDSequence, UnitCompiler, _doubling_scan,
+    _gate_stack, _rho,
+)
 
 
 def evolve(state: QuantumState, h: np.ndarray, t: float, targets=None) -> QuantumState:
@@ -274,3 +280,56 @@ def ou_segments_whole(noise, durations: np.ndarray, n_traj: int, rng: np.random.
     mean *= tau * half
     phases += mean
     return b, phases
+
+
+def reference_objective(gate_names, target_h, compiler):
+    """The cost function of a polish: taus -> (1 - F, -dF/dtau) with
+    F = |Tr(T^dag U)| / 4, for the k + 1 electron gates `gate_names` and
+    `target_h` = T^dag in the eigenbasis (`UnitCompiler.to_eigenbasis`),
+    which stay fixed while the spacings move.
+
+    All that does not depend on the spacings is built here, once. The factor
+    f_i = b_i G'_i of `eigen_units`' unit b_i is
+    f_ac = d1_a sum_{m,b} d2_m d1_b W[m, 0, a, b] G'_bc, so with each slot's
+    gate folded into the unit weights (`UnitCompiler._gate_kernels`), every f_i
+    and df_i = db_i G'_i is one (k, 1, 16) @ (k, 16, 32) product scaled by
+    d1_a. From there the arithmetic is real: one product with `_RHO_ROWS`
+    writes rho(f_i) and rho(df_i) into a buffer the calls share, where the
+    prefixes rho(R_i), R_i = f_{i-1} ... f_0 (R_0 = 1), are scanned in place by
+    doubling; no array the function returns is a view of it. Every factor is
+    unitary, so the part of U' after unit i is U' R_{i+1}^dag, and with
+    X = T'^dag U' the prefix pass alone gives
+    d Tr(T'^dag U') / dtau_i = Tr(R_{i+1}^dag df_i R_i X). This is the
+    forward/backward-propagator gradient of GRAPE."""
+    k = len(gate_names) - 1
+    kernel = compiler._gate_kernels[[_GATE_NAMES.index(g) for g in gate_names[:-1]]]
+    last = _rho(target_h @ compiler.to_eigenbasis(_GATE_4X4[gate_names[-1]]))
+    phases = -2j * np.pi * compiler._vals
+    buf = np.zeros((2, k + 1, 8, 8))  # [rho(R_i), rho(df_{i-1})]
+    buf[0, 0] = np.eye(8)
+    prefix, d_factors = buf[0], buf[1, 1:]
+    rows = buf.reshape(2, k + 1, 4, 16)[:, 1:]  # the row pairs of rho(f_i), rho(df_i)
+    scan = _doubling_scan(prefix)
+    before = prefix[:-1].reshape(-1, 8)  # R_0 ... R_{k-1} stacked, for one GEMM
+    after = prefix[1:].reshape(k, 64, 1)
+
+    def cost_and_gradient(taus):
+        d1 = np.exp(np.multiply.outer(taus, phases))
+        v = ((d1 * d1)[:, :, None] * d1[:, None, :]).reshape(k, 1, 16)  # d2_m d1_b
+        f = (v @ kernel).reshape(k, 2, 4, 4)
+        f *= d1[:, None, :, None]
+        np.matmul(f.view(float).transpose(1, 0, 2, 3), _RHO_ROWS, out=rows)
+        for later, earlier in scan:
+            np.matmul(later, earlier, out=later)
+        x = last @ prefix[-1]
+        re, im = (_RHO_TRACES @ x.reshape(64)).tolist()
+        size = math.hypot(re, im)
+        if size <= 1e-300:
+            return 1 - size / 4, np.zeros(k)
+        # dF = Re(z^* dz) / 4|z|: X times rho(-z^* / 8|z|), halved as Tr rho = 2 Re Tr
+        c = -0.125 / size
+        x = x.reshape(32, 2) @ np.array([[c * re, c * im], [-c * im, c * re]])
+        y = d_factors @ (before @ x.reshape(8, 8)).reshape(k, 8, 8)
+        return 1 - size / 4, (y.reshape(k, 1, 64) @ after).reshape(k)
+
+    return cost_and_gradient

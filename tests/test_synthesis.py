@@ -3,7 +3,7 @@ import importlib.resources as resources
 import numpy as np
 import pytest
 
-from references import segment_durations
+from references import reference_objective, segment_durations
 from spincluster import synthesis
 from spincluster.hamiltonian import resonance_spacing
 from spincluster.noise import OUNoise
@@ -28,6 +28,12 @@ class TestDDUnit:
     def test_invalid_spacing(self, siv):
         with pytest.raises(ValueError):
             dd_unit(0.0, UnitCompiler(siv))
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing(self, siv, tau):
+        # NaN <= 0 is false, so only a finiteness check rejects NaN
+        with pytest.raises(ValueError, match="all spacings must be finite and positive"):
+            dd_unit(tau, UnitCompiler(siv))
 
     def test_decoupling_at_unconditional_spacing(self, siv):
         # at the unconditional spacing both conditional nuclear rotations
@@ -366,6 +372,48 @@ class TestSerialization:
 
 
 # criterion 3's CZ job cut to three restarts at one unit count (~0.4 s)
+class TestObjective:
+    @pytest.mark.parametrize("target", ["cz", "swap"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 9, 12, 16, 17, 20])
+    def test_matches_the_reference_bit_for_bit(self, siv, k, target):
+        # the last bit of the objective steers criterion 3's SWAP search, so
+        # writing into a shared workspace must not move any bit of it
+        compiler = UnitCompiler(siv)
+        target_h = compiler.to_eigenbasis(TARGETS[target].conj().T)
+        rng = np.random.default_rng([k, len(target)])
+        for _ in range(3):
+            names = [synthesis._GATE_NAMES[i] for i in rng.integers(5, size=k + 1)]
+            taus = rng.uniform(1e-9, 9e-8, size=k)
+            cost, grad = synthesis._objective(names, target_h, compiler)(taus)
+            ref_cost, ref_grad = reference_objective(names, target_h, compiler)(taus)
+            assert cost == ref_cost
+            assert grad.shape == (k,) and np.array_equal(grad, ref_grad)
+
+    def test_objectives_sharing_a_workspace_do_not_interfere(self, siv):
+        # two live objectives of 6 units and one of 9, called in turn: each
+        # result is that of an objective on a compiler of its own, and no
+        # gradient is a view of the workspace the next call overwrites
+        compiler = UnitCompiler(siv)
+        target_h = compiler.to_eigenbasis(CZ.conj().T)
+        rng = np.random.default_rng(8)
+        gates = [["I", "Rx90", "Rz90", "Rx180", "Ry90", "I", "Rx90"],
+                 ["Ry90", "Rx180", "I", "Rz90", "Rz90", "Rx90", "Rx180"],
+                 ["Rx90", "I", "Rx180", "Ry90", "I", "Rz90", "Rx90", "Ry90", "I", "Rz90"]]
+        live = [synthesis._objective(names, target_h, compiler) for names in gates]
+        calls = []
+        for which in (0, 1, 2, 0, 0, 2, 1, 0, 1, 2):
+            taus = rng.uniform(1e-9, 9e-8, size=len(gates[which]) - 1)
+            calls.append((which, taus, live[which](taus)))
+        shared = [a for k in (6, 9) for a in vars(compiler.polish_workspace(k)).values()
+                  if isinstance(a, np.ndarray)]
+        for which, taus, (cost, grad) in calls:
+            fresh = UnitCompiler(siv)
+            own_cost, own_grad = synthesis._objective(
+                gates[which], fresh.to_eigenbasis(CZ.conj().T), fresh)(taus)
+            assert cost == own_cost and np.array_equal(grad, own_grad)
+            assert not any(np.shares_memory(grad, a) for a in shared)
+
+
 REDUCED_CZ = dict(threshold=0.999, seed=101, restarts=3, ks=[10], ub=9e-8, duration_limit=2.2e-6)
 
 
