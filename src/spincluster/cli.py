@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import warnings
@@ -19,12 +20,12 @@ from .clifford import lc_equivalence
 from .emission import EmissionParams, emission_fidelity
 from .hamiltonian import SecularApproximationWarning, resonance_spacing
 from .noise import ou_from_coherence, fid_echo_signals, fit_t2star
-from .presets import load_preset, preset_names, spin_params
+from .presets import load_preset, spin_params
 from .protocol import (
     ProtocolSpec, ideal_library, packaged_gate_library, run,
     target_tableau, verify_appendix_a,
 )
-from .synthesis import TARGETS, serialize_sequence, synthesize
+from .synthesis import serialize_sequence, synthesize
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,73 +48,41 @@ def _header(args, out):
         out.write(f"# seed={args.seed}\n")
 
 
-def _open_output(args):
-    if args.output == "-":
-        return sys.stdout, False
-    return open(args.output, "w"), True
-
-
-def cmd_synthesize(args) -> int:
-    if args.preset not in preset_names():
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.target not in TARGETS:
-        print(f"unknown target {args.target!r}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_synthesize(args, out) -> int:
     p = spin_params(args.preset)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SecularApproximationWarning)
-        try:
-            report = synthesize(
-                args.target, p, threshold=args.threshold,
-                ks=range(2, args.max_k + 1, 2),
-                seed=args.seed, restarts=args.restarts,
-                duration_limit=args.duration_limit,
-            )
-        except ValueError as e:
-            print(f"synthesize: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    out, close = _open_output(args)
+    report = synthesize(
+        args.target, p, threshold=args.threshold,
+        ks=range(2, args.max_k + 1, 2),
+        seed=args.seed, restarts=args.restarts,
+        duration_limit=args.duration_limit,
+    )
     out.write(serialize_sequence(report, p))
-    if close:
-        out.close()
     print(
         f"target={args.target} k={report.sequence.k} "
         f"duration={report.sequence.total_duration * 1e6:.4f}us "
         f"fidelity={report.unitary_fidelity:.7f} "
         f"met_threshold={report.met_threshold}",
-        file=sys.stdout if close else sys.stderr,  # keep a gate file on stdout clean
+        file=sys.stderr if args.output == "-" else sys.stdout,  # keep a gate file on stdout clean
     )
     return EXIT_OK if report.met_threshold else EXIT_CHECK_FAILED
 
 
-def cmd_run(args) -> int:
-    if args.preset not in preset_names():
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_run(args, out) -> int:
     d = load_preset(args.preset)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SecularApproximationWarning)
-        if args.ideal_gates:
-            lib, params = ideal_library(), None
-            noise = None
-        else:
-            lib, params, _ = packaged_gate_library()
-            t2 = args.t2 if args.t2 is not None else d.get("t2_s", 300e-6)
-            ratio = d.get("t2_star_ratio", 0.01)
-            t2_star = args.t2_star if args.t2_star is not None else ratio * t2
-            noise = ou_from_coherence(t2_star, t2, seed=args.seed)
-        try:
-            spec = ProtocolSpec(
-                m=args.m, n=args.n, gate_library=lib, params=params, noise=noise,
-                style=args.style, completion=args.completion, trials=args.trials,
-                seed=args.seed,
-            )
-            result = run(spec, components=args.components)
-        except ValueError as e:
-            print(f"run: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    out, close = _open_output(args)
+    if args.ideal_gates:
+        lib, params, noise = ideal_library(), None, None
+    else:
+        lib, params, _ = packaged_gate_library()
+        t2 = args.t2 if args.t2 is not None else d.get("t2_s", 300e-6)
+        ratio = d.get("t2_star_ratio", 0.01)
+        t2_star = args.t2_star if args.t2_star is not None else ratio * t2
+        noise = ou_from_coherence(t2_star, t2, seed=args.seed)
+    spec = ProtocolSpec(
+        m=args.m, n=args.n, gate_library=lib, params=params, noise=noise,
+        style=args.style, completion=args.completion, trials=args.trials,
+        seed=args.seed,
+    )
+    result = run(spec, components=args.components)
     _header(args, out)
     out.write("m,n,style,fidelity,fidelity_se,prep_fidelity,block_fidelity,"
               "wall_clock_s,postselect_probability,trials\n")
@@ -123,20 +92,15 @@ def cmd_run(args) -> int:
         f"{result.block_fidelity},{result.wall_clock_model:.6e},"
         f"{result.postselect_probability:.6f},{result.trials}\n"
     )
-    if close:
-        out.close()
     return EXIT_OK
 
 
-def cmd_rate(args) -> int:
+def cmd_rate(args, out) -> int:
     e = EfficiencyBudget.from_combined(args.eta_combined)
     r = generation_rate(e, args.photons, args.duration)
-    out, close = _open_output(args)
     _header(args, out)
     out.write("eta_combined,photons,duration_s,rate_hz\n")
     out.write(f"{args.eta_combined},{args.photons},{args.duration:.6e},{r:.6e}\n")
-    if close:
-        out.close()
     return EXIT_OK
 
 
@@ -200,22 +164,17 @@ def _figure_rates(args, out):
         )
 
 
-def cmd_figure(args) -> int:
+def cmd_figure(args, out) -> int:
     makers = {
         "fig3a": _figure_fig3a, "fig3b": _figure_fig3b,
         "fig3c": _figure_fig3c, "rates": _figure_rates,
     }
-    out, close = _open_output(args)
     _header(args, out)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SecularApproximationWarning)
-        makers[args.name](args, out)
-    if close:
-        out.close()
+    makers[args.name](args, out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     checks = []
 
     def check(name, fn):
@@ -225,112 +184,110 @@ def cmd_verify(args) -> int:
             ok, detail = False, f"exception: {exc}"
         checks.append((name, ok, detail))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SecularApproximationWarning)
-        rep = verify_appendix_a()
-        check(
-            "appendix_state_tracking",
-            lambda: (
-                rep.equivalent and rep.all_ones_probability > 0,
-                f"overlap={rep.overlap:.9f} p(all-1)={rep.all_ones_probability:.4f}",
-            ),
+    rep = verify_appendix_a()
+    check(
+        "appendix_state_tracking",
+        lambda: (
+            rep.equivalent and rep.all_ones_probability > 0,
+            f"overlap={rep.overlap:.9f} p(all-1)={rep.all_ones_probability:.4f}",
+        ),
+    )
+
+    def noiseless_grid():
+        for m in (2, 3):
+            for n in (1, 2):
+                spec = ProtocolSpec(m=m, n=n, gate_library=ideal_library())
+                r = run(spec)
+                if abs(r.fidelity - 1.0) > 1e-9:
+                    return False, f"M={m} N={n} F={r.fidelity}"
+        return True, "F=1 for (M,N) in {2,3}x{1,2}"
+
+    check("noiseless_self_consistency", noiseless_grid)
+
+    def resonance_ratios():
+        p = spin_params("siv29")
+        c1 = resonance_spacing(p, 1, "conditional")
+        c2 = resonance_spacing(p, 2, "conditional")
+        u1 = resonance_spacing(p, 1, "unconditional")
+        ok = np.isclose(c2 / c1, 3.0) and np.isclose(u1 / c1, 2.0)
+        return ok, f"c2/c1={c2 / c1:.6f} u1/c1={u1 / c1:.6f}"
+
+    check("resonance_spacing_ratios", resonance_ratios)
+
+    def seed_reproducibility():
+        # under postselection each trajectory's weight is its all-|1>
+        # probability, set by the bath phases the seed draws; a summed
+        # (corrected) F barely depends on them at this T2
+        lib, params, _ = packaged_gate_library()
+        spec = ProtocolSpec(
+            m=2, n=1, gate_library=lib, params=params, style="lean", trials=150,
+            completion="postselect",
+            noise=ou_from_coherence(3e-6, 300e-6, seed=args.seed), seed=args.seed,
+        )
+        a, b = run(spec), run(spec)
+        other = run(replace(spec, seed=args.seed + 1))
+        same = (a.fidelity == b.fidelity and a.fidelity_se == b.fidelity_se
+                and np.array_equal(a.weights, b.weights))
+        moved = float(np.max(np.abs(other.weights - a.weights)))
+        ok = same and moved > 0
+        return bool(ok), (
+            "two noisy postselected 2x1 runs, one seed: identical F, SE and weights; "
+            f"seed + 1 moves a trajectory weight by up to {moved:.2e}"
         )
 
-        def noiseless_grid():
-            for m in (2, 3):
-                for n in (1, 2):
-                    spec = ProtocolSpec(m=m, n=n, gate_library=ideal_library())
-                    r = run(spec)
-                    if abs(r.fidelity - 1.0) > 1e-9:
-                        return False, f"M={m} N={n} F={r.fidelity}"
-            return True, "F=1 for (M,N) in {2,3}x{1,2}"
+    check("seed_reproducibility", seed_reproducibility)
 
-        check("noiseless_self_consistency", noiseless_grid)
+    def ou_calibration():
+        noise = ou_from_coherence(1e-6, 10e-6, seed=args.seed)
+        times = np.linspace(0.05e-6, 2.5e-6, 12)
+        # 6400 paths put the fitted T2*'s SD near 1.3%, so the 5% bound
+        # sits about 4 SD out
+        fid, _ = fid_echo_signals(noise, times, 6400, seed=args.seed)
+        t2s = fit_t2star(times, fid)
+        ok = abs(t2s - noise.t2_star) / noise.t2_star < 0.05
+        return ok, f"fitted T2*={t2s * 1e6:.3f}us vs {noise.t2_star * 1e6:.3f}us"
 
-        def resonance_ratios():
-            p = spin_params("siv29")
-            c1 = resonance_spacing(p, 1, "conditional")
-            c2 = resonance_spacing(p, 2, "conditional")
-            u1 = resonance_spacing(p, 1, "unconditional")
-            ok = np.isclose(c2 / c1, 3.0) and np.isclose(u1 / c1, 2.0)
-            return ok, f"c2/c1={c2 / c1:.6f} u1/c1={u1 / c1:.6f}"
+    check("ou_t2star_calibration", ou_calibration)
 
-        check("resonance_spacing_ratios", resonance_ratios)
-
-        def seed_reproducibility():
-            # under postselection each trajectory's weight is its all-|1>
-            # probability, set by the bath phases the seed draws; a summed
-            # (corrected) F barely depends on them at this T2
-            lib, params, _ = packaged_gate_library()
+    def monotone_in_noise():
+        lib, params, _ = packaged_gate_library()
+        fids = []
+        for t2 in (300e-6, 2e-6):
             spec = ProtocolSpec(
-                m=2, n=1, gate_library=lib, params=params, style="lean", trials=150,
-                completion="postselect",
-                noise=ou_from_coherence(3e-6, 300e-6, seed=args.seed), seed=args.seed,
+                m=2, n=1, gate_library=lib, params=params,
+                noise=ou_from_coherence(0.01 * t2, t2, seed=args.seed),
+                style="lean", trials=150, seed=args.seed,
             )
-            a, b = run(spec), run(spec)
-            other = run(replace(spec, seed=args.seed + 1))
-            same = (a.fidelity == b.fidelity and a.fidelity_se == b.fidelity_se
-                    and np.array_equal(a.weights, b.weights))
-            moved = float(np.max(np.abs(other.weights - a.weights)))
-            ok = same and moved > 0
-            return bool(ok), (
-                "two noisy postselected 2x1 runs, one seed: identical F, SE and weights; "
-                f"seed + 1 moves a trajectory weight by up to {moved:.2e}"
-            )
+            fids.append(run(spec).fidelity)
+        ok = fids[0] >= fids[1] and fids[0] > 0.99
+        return ok, f"F(T2=300us)={fids[0]:.5f} F(T2=2us)={fids[1]:.5f}"
 
-        check("seed_reproducibility", seed_reproducibility)
+    check("protocol_noise_monotonicity", monotone_in_noise)
 
-        def ou_calibration():
-            noise = ou_from_coherence(1e-6, 10e-6, seed=args.seed)
-            times = np.linspace(0.05e-6, 2.5e-6, 12)
-            # 6400 paths put the fitted T2*'s SD near 1.3%, so the 5% bound
-            # sits about 4 SD out
-            fid, _ = fid_echo_signals(noise, times, 6400, seed=args.seed)
-            t2s = fit_t2star(times, fid)
-            ok = abs(t2s - noise.t2_star) / noise.t2_star < 0.05
-            return ok, f"fitted T2*={t2s * 1e6:.3f}us vs {noise.t2_star * 1e6:.3f}us"
+    def emission_limits():
+        f0 = emission_fidelity(EmissionParams(tau=1e-9, delta_omega=0.0))
+        finf = emission_fidelity(EmissionParams(tau=1e-9, delta_omega=1e18))
+        ok = abs(f0 - 1) < 1e-12 and abs(finf - np.sqrt(0.5)) < 1e-6
+        return ok, f"F(0)={f0:.6f} F(inf)={finf:.6f}"
 
-        check("ou_t2star_calibration", ou_calibration)
+    check("emission_fidelity_limits", emission_limits)
 
-        def monotone_in_noise():
-            lib, params, _ = packaged_gate_library()
-            fids = []
-            for t2 in (300e-6, 2e-6):
-                spec = ProtocolSpec(
-                    m=2, n=1, gate_library=lib, params=params,
-                    noise=ou_from_coherence(0.01 * t2, t2, seed=args.seed),
-                    style="lean", trials=150, seed=args.seed,
-                )
-                fids.append(run(spec).fidelity)
-            ok = fids[0] >= fids[1] and fids[0] > 0.99
-            return ok, f"F(T2=300us)={fids[0]:.5f} F(T2=2us)={fids[1]:.5f}"
+    def rail_order():
+        # lean emits the second column's rails in the opposite order
+        ped, lean = target_tableau(2, 2), target_tableau(2, 2, "lean")
+        emitted = lc_equivalence(ped, lean) is not None
+        lean.swap(2, 3)
+        swapped = lc_equivalence(ped, lean) is not None
+        return not emitted and swapped, (
+            f"lean vs pedagogical 2x2 LC-equivalent: as emitted {emitted}, "
+            f"photons 2 and 3 swapped {swapped}")
 
-        check("protocol_noise_monotonicity", monotone_in_noise)
-
-        def emission_limits():
-            f0 = emission_fidelity(EmissionParams(tau=1e-9, delta_omega=0.0))
-            finf = emission_fidelity(EmissionParams(tau=1e-9, delta_omega=1e18))
-            ok = abs(f0 - 1) < 1e-12 and abs(finf - np.sqrt(0.5)) < 1e-6
-            return ok, f"F(0)={f0:.6f} F(inf)={finf:.6f}"
-
-        check("emission_fidelity_limits", emission_limits)
-
-        def rail_order():
-            # lean emits the second column's rails in the opposite order
-            ped, lean = target_tableau(2, 2), target_tableau(2, 2, "lean")
-            emitted = lc_equivalence(ped, lean) is not None
-            lean.swap(2, 3)
-            swapped = lc_equivalence(ped, lean) is not None
-            return not emitted and swapped, (
-                f"lean vs pedagogical 2x2 LC-equivalent: as emitted {emitted}, "
-                f"photons 2 and 3 swapped {swapped}")
-
-        check("rail_order_equivalence", rail_order)
+    check("rail_order_equivalence", rail_order)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
+    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed", file=out)
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
@@ -397,8 +354,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Its output goes to a buffer, written to --output (or
+    stdout) only once the command returns, whatever its exit code. A
+    ValueError or KeyError it raises (a bad value, an unknown or incomplete
+    preset, an unknown target) is a usage error: one stderr line, nothing
+    written, exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    out = io.StringIO()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SecularApproximationWarning)
+            code = args.func(args, out)
+    except (ValueError, KeyError) as exc:
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if len(exc.args) == 1 else exc
+        print(f"{args.command}: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "output", "-") == "-":
+        sys.stdout.write(out.getvalue())
+    else:
+        with open(args.output, "w") as f:
+            f.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

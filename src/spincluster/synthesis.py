@@ -422,13 +422,16 @@ def _objective(gate_names, target_h, compiler):
 # only to ~1.1e-16, so a tolerance at that scale fires only on steps that leave
 # F's float unchanged and the polish ends in rounding noise; 1e-12 is ~1e4
 # times that resolution and far below any fidelity gap the search compares.
-_FTOL = 1e-12
+# It stops too once no projected gradient entry exceeds _GTOL.
+_FTOL, _GTOL = 1e-12, 1e-14
 
 
-def minimize(fun, x0, *, jac, method, bounds, options):
-    """scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
-    bounds=bounds, options=options) for bounds above zero and options maxiter,
-    ftol and gtol: the same iterates, value and evaluation count, bit for bit.
+def minimize(fun, x0, lb, ub, maxiter):
+    """Minimizes fun(x) -> (value, gradient) over lb <= x <= ub, with
+    0 < lb < ub, from x0: returns (x, value, evaluations). These are the x,
+    fun and nfev of scipy.optimize.minimize(fun, x0, jac=True,
+    method="L-BFGS-B", bounds=[(lb, ub)] * len(x0), options=dict(
+    maxiter=maxiter, ftol=_FTOL, gtol=_GTOL)), bit for bit.
 
     It drives scipy's compiled L-BFGS-B step (`setulb`, Byrd, Lu, Nocedal &
     Zhu 1995), a reverse-communication routine, with the loop of scipy's own
@@ -439,25 +442,22 @@ def minimize(fun, x0, *, jac, method, bounds, options):
     same way). `fun` receives the routine's own x, which the next step
     overwrites, so it must not keep it. scipy is imported on first use, so
     that the package loads no scipy for runs that only simulate."""
-    from scipy.optimize import OptimizeResult
     from scipy.optimize._lbfgsb import setulb
 
-    if jac is not True or method != "L-BFGS-B":
-        raise ValueError("minimize runs L-BFGS-B on a function that returns its gradient")
-    lo, hi = np.array(bounds, dtype=float).T.copy()
-    x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)  # setulb steps x in place
+    x = np.clip(np.asarray(x0, dtype=float).ravel(), lb, ub)  # setulb steps x in place
     n, m = x.size, 10  # m: scipy's default number of stored corrections
+    lo, hi = np.full(n, float(lb)), np.full(n, float(ub))
     value, grad = fun(x)
     nfev, nit, last = 1, 0, x.tobytes()
     f, g = 0.0, np.zeros(n)
     nbd = np.full(n, 2, np.int32)  # both bounds on every variable
-    factr, pgtol = options["ftol"] / np.finfo(float).eps, options["gtol"]
+    factr = _FTOL / np.finfo(float).eps
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
     while True:
-        setulb(m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave, dsave,
+        setulb(m, x, lo, hi, nbd, f, g, factr, _GTOL, wa, iwa, task, lsave, isave, dsave,
                20, ln_task)  # maxls: at most 20 line-search steps
         if task[0] == 3:  # FG: the value and gradient at x
             if x.tobytes() != last:  # x > lb > 0, so no -0.0 or NaN to compare
@@ -466,24 +466,21 @@ def minimize(fun, x0, *, jac, method, bounds, options):
             f, g = value, np.array(grad, dtype=float)  # a fresh copy, as scipy's
         elif task[0] == 1:  # NEW_X: an iteration is complete
             nit += 1
-            if nit >= options["maxiter"]:
+            if nit >= maxiter:
                 task[:] = 5, 504
             elif nfev > 15000:  # scipy's default maxfun
                 task[:] = 5, 502
         else:
-            return OptimizeResult(x=x, fun=f, nfev=nfev)
+            return x, f, nfev
 
 
 def _polish(taus, gate_names, target_h, compiler, lb, ub, maxiter=800):
     """L-BFGS-B over the spacings in [lb, ub] at fixed electron gates, from
     `taus`: returns (spacings, fidelity, evaluations). The objective is built
     once per polish (`_objective`), for the gates and target it holds fixed."""
-    res = minimize(
-        _objective(gate_names, target_h, compiler), taus, jac=True, method="L-BFGS-B",
-        bounds=[(lb, ub)] * len(taus),
-        options=dict(maxiter=maxiter, ftol=_FTOL, gtol=1e-14),
-    )
-    return res.x, 1 - res.fun, res.nfev
+    x, cost, evaluations = minimize(
+        _objective(gate_names, target_h, compiler), taus, lb, ub, maxiter)
+    return x, 1 - cost, evaluations
 
 
 def _slot_fidelities(units, names, target_h, candidates):
@@ -548,6 +545,8 @@ def synthesize(
     """
     target_name = target if isinstance(target, str) else "custom"
     if isinstance(target, str):
+        if target not in TARGETS:
+            raise KeyError(f"unknown target {target!r}, not one of {', '.join(TARGETS)}")
         target = TARGETS[target]
     if not (0 < threshold <= 1):
         raise ValueError("threshold must be in (0, 1]")
@@ -558,6 +557,9 @@ def synthesize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if hops < 0:
         raise ValueError(f"hops must be >= 0, got {hops}")
+    for name, value in (("lb", lb), ("ub", ub), ("duration_limit", duration_limit)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     identity_fid = gate_fidelity(np.eye(4, dtype=complex), target)
     if identity_fid >= threshold:

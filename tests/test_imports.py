@@ -257,7 +257,6 @@ def scipy_imports(sources: dict) -> list:
 
 def test_scipy_is_imported_only_by_minimize():
     assert scipy_imports({p.name: p.read_text() for p in PACKAGE}) == [
-        "synthesis.py minimize: scipy.optimize.OptimizeResult",
         "synthesis.py minimize: scipy.optimize._lbfgsb.setulb",
     ]
 

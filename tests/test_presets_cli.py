@@ -87,6 +87,33 @@ class TestCLI:
         assert "restarts" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--duration", "0"],
+        ["rate", "--eta-combined", "1.5"],
+        ["figure", "fig3c", "--tau-min", "0"],
+        ["figure", "fig3b", "--trials", "1"],
+        ["run", "--t2", "1e-6", "--t2-star", "2e-6"],
+        ["synthesize", "--target", "cz", "--preset", "snv"],  # no Hamiltonian fields
+        ["synthesize", "--target", "cz", "--duration-limit", "nan"],
+    ], ids=" ".join)
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv):
+        # every command reports a ValueError or KeyError on one stderr line,
+        # without a traceback, and leaves its --output as it was
+        missing, existing = tmp_path / "missing.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"kept\n")
+        for out in (missing, existing):
+            assert main(argv + ["--output", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+        assert not missing.exists()
+        assert existing.read_bytes() == b"kept\n"
+
+    def test_unknown_target_names_the_targets(self, capsys):
+        assert main(["synthesize", "--target", "toffoli"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("synthesize: unknown target 'toffoli'") and "cz" in err
+
     def test_synthesize_below_threshold(self, tmp_path):
         # an unattainably tight threshold with a tiny search must report
         # failure through the exit code but still write the best sequence

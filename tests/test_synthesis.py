@@ -19,6 +19,15 @@ def _packaged_text(name):
     return resources.files("spincluster").joinpath(f"data/{name}.ddseq").read_text()
 
 
+def _scipy_minimize(fun, x0, lb, ub, maxiter):
+    """synthesis.minimize's call made through scipy.optimize.minimize: its
+    OptimizeResult."""
+    from scipy.optimize import minimize
+
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=[(lb, ub)] * len(x0),
+                    options=dict(maxiter=maxiter, ftol=synthesis._FTOL, gtol=synthesis._GTOL))
+
+
 class TestDDUnit:
     def test_unitary(self, siv):
         comp = UnitCompiler(siv)
@@ -195,14 +204,28 @@ class TestSynthesize:
                                              r"\[5e-08, 4\.49+\d*e-08\] is empty"):
             synthesize("rz90_nuclear", siv, ks=[4], restarts=1, lb=5e-8, ub=6e-8)
 
+    @pytest.mark.parametrize("name,value", [
+        ("lb", np.nan), ("lb", -1e-7), ("lb", 0.0), ("lb", np.inf),
+        ("ub", np.nan), ("ub", -1e-7), ("ub", np.inf),
+        ("duration_limit", np.nan), ("duration_limit", -1.0), ("duration_limit", 0.0),
+        ("duration_limit", np.inf),
+    ])
+    def test_bounds_must_be_finite_and_positive(self, siv, monkeypatch, name, value):
+        # each is refused, by name, before the search builds anything; a NaN
+        # fails every comparison, so the reversed-bounds checks let it through
+        def no_search(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(synthesis, "UnitCompiler", no_search)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            synthesize("rz90_nuclear", siv, ks=[2], restarts=1, hops=0, **{name: value})
+
     def test_minimize_forwards_to_scipy(self, siv, monkeypatch):
         # the package's minimize drives scipy's compiled L-BFGS-B step with
         # the loop of scipy.optimize.minimize: a polish ends on the same
         # spacings, cost and evaluation count, bit for bit, from starts inside
         # the bounds, on them and outside them (clipped), and when maxiter
         # stops it
-        from scipy.optimize import minimize as scipy_minimize
-
         compiler = UnitCompiler(siv)
         target_h = compiler.to_eigenbasis(CZ.conj().T)
         rng = np.random.default_rng(4)
@@ -215,17 +238,21 @@ class TestSynthesize:
             outside = inside.copy()
             outside[::2], outside[1::2] = -inside[::2], inside[1::2] + ub
             for x0, maxiter in ((inside, 800), (on_bounds, 800), (outside, 800), (inside, 2)):
-                kw = dict(jac=True, method="L-BFGS-B", bounds=[(lb, ub)] * k,
-                          options=dict(maxiter=maxiter, ftol=synthesis._FTOL, gtol=1e-14))
-                ours = synthesis.minimize(synthesis._objective(names, target_h, compiler), x0, **kw)
-                theirs = scipy_minimize(synthesis._objective(names, target_h, compiler), x0, **kw)
-                assert np.array_equal(ours.x, theirs.x)
-                assert ours.fun == theirs.fun and ours.nfev == theirs.nfev
+                args = (x0, lb, ub, maxiter)
+                x, cost, nfev = synthesis.minimize(
+                    synthesis._objective(names, target_h, compiler), *args)
+                theirs = _scipy_minimize(synthesis._objective(names, target_h, compiler), *args)
+                assert np.array_equal(x, theirs.x)
+                assert cost == theirs.fun and nfev == theirs.nfev
             assert theirs.status == (k > 1)  # the last run stops at maxiter past k = 1
         # a whole search is the same with scipy's minimize in its place
+        def through_scipy(*args):
+            res = _scipy_minimize(*args)
+            return res.x, res.fun, res.nfev
+
         kw = dict(threshold=0.99, ks=[4], restarts=2, hops=2, seed=5)
         forwarded = synthesize("rz90_nuclear", siv, **kw)
-        monkeypatch.setattr(synthesis, "minimize", scipy_minimize)
+        monkeypatch.setattr(synthesis, "minimize", through_scipy)
         direct = synthesize("rz90_nuclear", siv, **kw)
         assert forwarded == direct
 
@@ -243,11 +270,9 @@ class TestSynthesize:
 
         x0 = np.array([0.9, 0.5, 1.25])
         start = x0.copy()
-        res = synthesis.minimize(fun, x0, jac=True, method="L-BFGS-B",
-                                 bounds=[(0.5, 2.0)] * 3,
-                                 options=dict(maxiter=800, ftol=1e-12, gtol=1e-14))
-        np.testing.assert_allclose(res.x, [0.5, 2.0, 1.5])
-        assert len(calls) == res.nfev > 2
+        x, _, nfev = synthesis.minimize(fun, x0, 0.5, 2.0, 800)
+        np.testing.assert_allclose(x, [0.5, 2.0, 1.5])
+        assert len(calls) == nfev > 2
         assert all(a != b for a, b in zip(calls, calls[1:]))
         np.testing.assert_array_equal(x0, start)
 
@@ -425,7 +450,7 @@ class TestStoppingRule:
         late = total = 0
         inner = synthesis.minimize
 
-        def counted(fun, x0, **kw):
+        def counted(fun, *args):
             nonlocal late, total
             values = []
 
@@ -434,8 +459,8 @@ class TestStoppingRule:
                 values.append(out[0])
                 return out
 
-            res = inner(recorded, x0, **kw)
-            settled = next(i for i, v in enumerate(values) if abs(v - res.fun) <= 1e-12)
+            res = inner(recorded, *args)
+            settled = next(i for i, v in enumerate(values) if abs(v - res[1]) <= 1e-12)
             late += len(values) - 1 - settled
             total += len(values)
             return res
