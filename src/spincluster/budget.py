@@ -27,6 +27,8 @@ class EfficiencyBudget:
     @staticmethod
     def from_combined(eta: float) -> "EfficiencyBudget":
         """Single overall efficiency, folded into one factor."""
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError("eta_combined must be in [0, 1]")
         return EfficiencyBudget(eta, 1.0, 1.0, 1.0)
 
 

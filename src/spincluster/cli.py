@@ -105,6 +105,10 @@ def cmd_rate(args, out) -> int:
 
 
 def _figure_fig3c(args, out):
+    for flag in ("tau_min", "tau_max", "omega_min", "omega_max"):
+        v = getattr(args, flag)
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite and > 0, got {v}")
     out.write("tau_s,delta_omega_rad_s,fidelity\n")
     taus = np.geomspace(args.tau_min, args.tau_max, args.grid)
     omegas = np.geomspace(args.omega_min, args.omega_max, args.grid)

@@ -313,7 +313,8 @@ def find_corrections(spec: ProtocolSpec):
 
     Returns {outcome bits: list of 2x2 Paulis, or None for a branch of
     probability zero}; the all-|1> branch gets identities. Raises ValueError
-    if the all-|1> branch has probability zero."""
+    if the all-|1> branch has probability zero. `run` reads only which
+    branches are reachable (`_complete`)."""
     tab = Tableau(spec.m, ones=spec.init_one).run(build_schedule(spec))
     return {
         bits: None if q is None else list(_PAULIS[2 * q[0] + q[1]])
@@ -374,12 +375,8 @@ def run(spec: ProtocolSpec, components: bool = False) -> ProtocolResult:
     compiler = _compiler_for(spec)
     if spec.noise is not None and compiler is None:
         raise ValueError("noisy runs require DD-sequence gates and spin parameters")
-    corrections = (
-        find_corrections(spec) if spec.completion == "corrected" and spec.n > 0
-        else None
-    )
     phases = _sample_phases(spec, sched, np.random.default_rng(spec.seed))
-    overlaps, weights = _complete(spec, sched, compiler, phases, corrections)
+    overlaps, weights = _complete(spec, sched, compiler, phases)
     fid2 = overlaps.sum() / max(weights.sum(), 1e-300)
     fid = float(np.sqrt(max(fid2, 0.0)))
     t = len(weights)
@@ -403,36 +400,7 @@ def _initial_spins(spec) -> np.ndarray:
     return psi
 
 
-def _emission_masks(corrections, photons: int, m: int, density: bool) -> np.ndarray:
-    """Per-photon masks (photons, 2^M, slots, 2^M) of `_contract`'s
-    boundary: slot c of the candidates holds B_c and, under `density`, one
-    more slot the spin density. Entry [a, c, b] of B_c's slot is
-    ph_{c,p}(b_0) where a_0 = b_0 xor f_{c,p}, else 0, for the noisy and
-    ideal electron bits a_0 and b_0 at emission p and the correction
-    (f_{c,p}, ph_{c,p}) that candidate c applies to photon p, read from its
-    Pauli u as (P v)[b] = u[b, b ^ f] v[b ^ f]; rho's slot keeps a_0 = b_0.
-    Without corrections there is one candidate, the identity; a branch of
-    probability zero has none, a zero u, and a zero mask."""
-    cands = [[I2] * photons] if corrections is None else [
-        [np.zeros((2, 2))] * photons if locals_ is None else locals_
-        for locals_ in corrections.values()
-    ]
-    slots = len(cands) + density
-    u = np.array(cands, dtype=complex).reshape(len(cands), photons, 2, 2)
-    c, p, b = np.ogrid[:len(cands), :photons, :2]
-    a = b ^ (u[:, :, :1, 0] == 0)  # f = 1 for an off-diagonal X or Y
-    bits = np.zeros((photons, 2, slots, 2), dtype=complex)
-    bits[p, a, c, b] = u[c, p, b, a]
-    if density:
-        bits[:, [0, 1], -1, [0, 1]] = 1.0
-    h = 2 ** (m - 1)
-    shape = (photons, 2, h, slots, 2, h)
-    return np.broadcast_to(bits[:, :, None, :, :, None], shape).reshape(
-        photons, 2 * h, slots, 2 * h
-    )
-
-
-# keeps the entries of a spin density whose electron bits agree
+# keeps the entries of a spin density or a boundary whose electron bits agree
 _SAME_BIT = np.eye(2)[:, None, :, None]
 
 
@@ -445,10 +413,10 @@ def _ideal_frames(spec, sched, psi):
     """The ideal-gate circuit as seen from a boundary tensor's ideal wires:
     for each emission and for the end, the product W of the ideal gates
     since the previous emission, as the matrix W^dagger that B is multiplied
-    by from the right; and the all-|1> probability of the ideal register
-    started from the spin vector `psi`, from its spin density carried with
-    the same masks.
-    Returns ((emissions + 1, 2^M, 2^M) array, float)."""
+    by from the right; and the outcome probabilities p_ideal(o) of the ideal
+    register started from the spin vector `psi`, the diagonal of its spin
+    density carried with the same-bit mask at every emission.
+    Returns ((emissions + 1, 2^M, 2^M) array, (2^M,) array)."""
     ideal = replace(spec, gate_library=ideal_library(), noise=None)
     d, frames, full = 2 ** spec.m, [], {}
     frame = np.eye(d, dtype=complex)
@@ -466,7 +434,7 @@ def _ideal_frames(spec, sched, psi):
             frame = np.eye(d, dtype=complex)
             rho = (rho.reshape(2, d // 2, 2, d // 2) * _SAME_BIT).reshape(d, d)
     frames.append(frame)
-    return np.array(frames), rho[-1, -1].real
+    return np.array(frames), rho.diagonal().real
 
 
 def _frame(b, frame):
@@ -476,31 +444,29 @@ def _frame(b, frame):
 
 
 # peak bytes of `_contract`, fitted under tracemalloc: six boundary tensors
-# (3.1 to 5.97 traced from 2048 trials on), and room for the groups of
+# (3.1 to 5.9 traced from 2048 trials on), and room for the groups of
 # noisy unitaries, 256 B per trajectory-column and up to `_COLUMNS` columns
 # per DD sequence, which outweigh the boundary on fewer trials
 _BOUNDARY_COPIES, _GROUP_BYTES = 6, 8 * 256 * _COLUMNS
 
 
-def _contract(spec, sched, compiler, phases, psi, frames, masks, density):
+def _contract(spec, sched, compiler, phases, psi, frames, density):
     """Boundary tensor of every trajectory after `sched` from the spin
-    register `psi`, with no photonic state: (T, 2^M noisy spin, slots, 2^M
-    ideal spin), one trajectory per row of `phases` (one without them).
+    register `psi`, with no photonic state: (T, 2^M noisy spin, 1 + density,
+    2^M ideal spin), one trajectory per row of `phases` (one without them).
 
     Sequentially emitted photons form a matrix-product state of bond
     dimension 2^M (Schoen et al., PRL 95, 110503 (2005)), so each trajectory
-    carries the boundary tensor
-        B_c = sum_x psi(., x xor f_c) psi_ideal(., x)^dagger prod_p ph_{c,p}(x_p),
-    the photon contraction of the noisy and ideal-gate registers under the
-    correction (f_c, ph_c) of each completion outcome c; it starts as
-    psi psi^dagger. A noisy gate U acts as U B, the ideal gates V as
+    carries the boundary tensor B[a, b] = sum_x psi(a, x) psi_ideal(b, x)^*,
+    the photon contraction of the noisy and ideal-gate registers; it starts
+    as psi psi^dagger. A noisy gate U acts as U B, the ideal gates V as
     B V^dagger (`frames`, from `_ideal_frames`, one matrix per emission and
-    one for the end, applied here); an emission masks B with `masks`, from
-    `_emission_masks`. The slots are the candidates' B_c and, last under
-    `density`, the noisy spin density rho (T, 2^M, 2^M), carried the same
-    way; with the identity as the one candidate and no rho,
-    tr B = <ideal|noisy> over the whole register. That is O(T 8^M) memory
-    for any number of columns.
+    one for the end, applied here). An emission copies the electron bit into
+    a new photon on both sides, so it keeps the entries whose electron bits
+    agree (`_SAME_BIT`). Slot 0 holds B, whose trace is <ideal|noisy> over
+    the whole register; under `density`, slot 1 holds the noisy spin density
+    rho (T, 2^M, 2^M), carried the same way. That is O(T 4^M) memory for
+    any number of columns.
     Raises ValueError before allocating if its peak, `_BOUNDARY_COPIES`
     boundaries and `_GROUP_BYTES`, is more bytes than the physical memory.
 
@@ -510,8 +476,7 @@ def _contract(spec, sched, compiler, phases, psi, frames, masks, density):
     their own."""
     m, d = spec.m, 2 ** spec.m
     rows = 1 if phases is None else len(phases)
-    slots = masks.shape[2]
-    cands = slots - density
+    slots = 1 + density
     need = _BOUNDARY_COPIES * 16 * rows * d * slots * d + _GROUP_BYTES
     _refuse_past_memory(need, "the boundary tensor")
     x = np.broadcast_to(np.outer(psi, psi.conj())[:, None], (rows, d, slots, d)).copy()
@@ -549,35 +514,38 @@ def _contract(spec, sched, compiler, phases, psi, frames, masks, density):
                 apply(u, item.wires)
         elif item.kind == "emit":
             release()
-            x[:, :, :cands] = _frame(x[:, :, :cands], frames[photon])
-            x = x * masks[photon]
+            x[:, :, :1] = _frame(x[:, :, :1], frames[photon])
+            halves = (rows, 2, d // 2, slots, 2, d // 2)
+            x = (x.reshape(halves) * _SAME_BIT[:, :, None]).reshape(x.shape)
             photon += 1
     release()
-    x[:, :, :cands] = _frame(x[:, :, :cands], frames[-1])
+    x[:, :, :1] = _frame(x[:, :, :1], frames[-1])
     return x
 
 
-def _complete(spec, sched, compiler, phases, corrections):
+def _complete(spec, sched, compiler, phases):
     """(overlaps o_t, weights w_t), each (T,), of every trajectory's
     completed photonic state against the target, read from `_contract`'s
-    boundary. With corrections, every spin outcome o is summed by its Born
-    weight: o_t = sum_o |B_o[o, 1...1]|^2 / p_ideal(1...1), the mean over o
-    of the corrected branch's |B_o[o, 1...1]|^2 / (p_t(o) p_ideal), with
-    weight 1, so no spin density is carried. Without, the all-|1> branch,
-    whose probability p_t(1...1) the carried spin density gives: the
-    weight under postselection, else the branch's normalisation."""
+    boundary B. A corrected run with photons sums every spin outcome o by
+    its Born weight, with weight 1: outcome o's Pauli correction is unitary
+    and maps ideal branch o onto sqrt(p_ideal(o)) times the target, up to
+    phase, so o_t = sum_o |B[o, o]|^2 / p_ideal(o) over the outcomes that
+    `find_corrections` reaches, none applied. Other runs read the all-|1>
+    branch, whose probability p_t(1...1) the carried spin density gives:
+    the weight under postselection, else the branch's normalisation."""
     psi = _initial_spins(spec)
-    frames, p_one = _ideal_frames(spec, sched, psi)
-    if p_one < 1e-12:
+    frames, p_ideal = _ideal_frames(spec, sched, psi)
+    if p_ideal[-1] < 1e-12:
         raise ValueError("all-|1> completion branch has zero probability")
-    density = corrections is None
-    masks = _emission_masks(corrections, len(frames) - 1, spec.m, density)
-    x = _contract(spec, sched, compiler, phases, psi, frames, masks, density)
+    density = spec.completion == "postselect" or spec.n == 0
+    x = _contract(spec, sched, compiler, phases, psi, frames, density)
     ones = np.ones(len(x))
     if not density:
-        branches = np.diagonal(x[..., -1], axis1=1, axis2=2)  # B_o[o, 1...1]
-        return np.sum(np.abs(branches) ** 2, axis=1) / p_one, ones
-    overlaps = np.abs(x[:, -1, 0, -1]) ** 2 / p_one
+        reachable = [np.ravel_multi_index(bits, (2,) * spec.m)
+                     for bits, locals_ in find_corrections(spec).items() if locals_ is not None]
+        branches = np.diagonal(x[:, :, 0], axis1=1, axis2=2)[:, reachable]  # B[o, o]
+        return np.sum(np.abs(branches) ** 2 / p_ideal[reachable], axis=1), ones
+    overlaps = np.abs(x[:, -1, 0, -1]) ** 2 / p_ideal[-1]
     p_all_one = x[:, -1, -1, -1].real
     if spec.completion == "postselect":
         return overlaps, p_all_one
@@ -612,8 +580,7 @@ def component_fidelities(spec: ProtocolSpec, compiler=None):
     for items, seed in zip(_schedule_split(one_col), (spec.seed + 1, spec.seed + 2)):
         frames, _ = _ideal_frames(one_col, items, psi)
         phases = _sample_phases(one_col, items, np.random.default_rng(seed))
-        masks = _emission_masks(None, len(frames) - 1, spec.m, False)
-        x = _contract(one_col, items, compiler, phases, psi, frames, masks, False)
+        x = _contract(one_col, items, compiler, phases, psi, frames, False)
         fids.append(float(np.sqrt(np.mean(np.abs(np.trace(x[:, :, 0], axis1=1, axis2=2)) ** 2))))
         # the preparation emits no photon, so its one frame is W^dagger for
         # the whole block, and the prepared register is W psi

@@ -17,7 +17,8 @@ piecewise-constant slices.
 
 `run` never forms the dense batch: it contracts each trajectory with the
 target column by column, and a corrected run sums every completion branch
-by its Born weight. The references are dense: `references.dense_branch_sum`
+by its Born weight, each noisy branch against the same ideal branch, with
+no correction applied. The references are dense: `references.dense_branch_sum`
 corrects every branch of the whole batch and sums its overlaps with
 `ideal_target`; `references.dense_run`, the path `run` replaced, takes the
 all-|1> branch under postselection, or samples one corrected branch per
@@ -405,6 +406,22 @@ def test_uncorrectable_branch_contributes_zero(packaged, monkeypatch):
     got = protocol.run(spec)
     assert abs(got.fidelity ** 2 - (full.fidelity ** 2 - share)) <= 1e-12
     assert abs(got.fidelity - dense_branch_sum(spec)[0]) <= 1e-12
+
+
+def test_run_reads_only_which_branches_are_reachable(packaged, monkeypatch):
+    # a corrected run compares each noisy branch with the same ideal branch,
+    # so it applies no correction: identities in place of every reachable
+    # branch's Paulis leave F and SE as they were
+    spec = _lean_noisy(packaged, 2)
+    corrections = find_corrections(spec)
+    full = protocol.run(spec)
+    monkeypatch.setattr(protocol, "find_corrections", lambda spec_: {
+        bits: None if locals_ is None else [I2] * len(locals_)
+        for bits, locals_ in corrections.items()
+    })
+    got = protocol.run(spec)
+    assert abs(got.fidelity - full.fidelity) <= 1e-12
+    assert abs(got.fidelity_se - full.fidelity_se) <= 1e-12
 
 
 _SEGMENT_GRID = [

@@ -87,25 +87,32 @@ class TestCLI:
         assert "restarts" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["rate", "--duration", "0"],
-        ["rate", "--eta-combined", "1.5"],
-        ["figure", "fig3c", "--tau-min", "0"],
-        ["figure", "fig3b", "--trials", "1"],
-        ["run", "--t2", "1e-6", "--t2-star", "2e-6"],
-        ["synthesize", "--target", "cz", "--preset", "snv"],  # no Hamiltonian fields
-        ["synthesize", "--target", "cz", "--duration-limit", "nan"],
-    ], ids=" ".join)
-    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv):
-        # every command reports a ValueError or KeyError on one stderr line,
-        # without a traceback, and leaves its --output as it was
+    @pytest.mark.parametrize("argv,named", [
+        pytest.param(argv, named, id=" ".join(argv)) for argv, named in [
+            (["rate", "--duration", "0"], "duration"),
+            (["rate", "--eta-combined", "1.5"], "eta_combined"),
+            (["figure", "fig3c", "--tau-min", "0"], "--tau-min"),
+            (["figure", "fig3c", "--tau-max", "nan"], "--tau-max"),
+            (["figure", "fig3c", "--omega-min=-1e7"], "--omega-min"),
+            (["figure", "fig3c", "--omega-max", "inf"], "--omega-max"),
+            (["figure", "fig3b", "--trials", "1"], "trials"),
+            (["run", "--t2", "1e-6", "--t2-star", "2e-6"], "T2"),
+            # no Hamiltonian fields
+            (["synthesize", "--target", "cz", "--preset", "snv"], "snv"),
+            (["synthesize", "--target", "cz", "--duration-limit", "nan"], "duration_limit"),
+        ]
+    ])
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv, named):
+        # every command reports a ValueError or KeyError on one stderr line
+        # that names the parameter at fault, without a traceback, and leaves
+        # its --output as it was
         missing, existing = tmp_path / "missing.csv", tmp_path / "existing.csv"
         existing.write_bytes(b"kept\n")
         for out in (missing, existing):
             assert main(argv + ["--output", str(out)]) == EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
-            assert "Traceback" not in err
+            assert named in err and "Traceback" not in err
         assert not missing.exists()
         assert existing.read_bytes() == b"kept\n"
 
@@ -170,9 +177,9 @@ class TestCLI:
         assert not out.exists()
 
     def test_run_refusal_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # M = 6 at the default 2000 noisy trials needs an 8.4-GB boundary:
-        # on a 7-GiB box run refuses it before the engine starts, and the
-        # CLI reports the refusal, not a traceback
+        # M = 8 at the default 2000 noisy trials needs a 2.1-GB boundary,
+        # six of which are refused on a 7-GiB box before the engine starts,
+        # and the CLI reports the refusal, not a traceback
         def no_allocation(*args):
             raise AssertionError("the engine ran")
 
@@ -180,7 +187,7 @@ class TestCLI:
         monkeypatch.setattr(protocol.os, "sysconf", memory.__getitem__)
         monkeypatch.setattr(protocol, "_gate_unitaries", no_allocation)
         out = tmp_path / "run.csv"
-        rc = main(["run", "--m", "6", "--n", "1", "--style", "pedagogical",
+        rc = main(["run", "--m", "8", "--n", "1", "--style", "pedagogical",
                    "--output", str(out)])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err

@@ -569,12 +569,11 @@ class TestTrajectoryFactor:
         return peaks
 
     def test_oversized_batch_refused_before_allocation(self, packaged, monkeypatch):
-        # the boundary of 5 corrected lean 2x2 trajectories is 5 * 4 * 4 * 4
-        # complex entries, one slot per outcome and no spin density, 5120 B:
-        # refused one byte below six of them and the room for the noisy
-        # unitaries
+        # the boundary of 5 corrected lean 2x2 trajectories is 5 * 4 * 1 * 4
+        # complex entries, one slot and no spin density, 1280 B: refused one
+        # byte below six of them and the room for the noisy unitaries
         spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=5)
-        need = 6 * 5120 + 8 * 256 * 2048
+        need = 6 * 1280 + 8 * 256 * 2048
 
         def no_allocation(*args):
             raise AssertionError("the engine ran")
@@ -590,9 +589,10 @@ class TestTrajectoryFactor:
         monkeypatch.setattr(protocol, "_execute", no_allocation)
         with pytest.raises(ValueError, match="ideal target needs 4096 B, more than the 4095 B"):
             ideal_target(2, 2, style="lean")
-        # M = 6 pedagogical at the CLI's 2000 trials: its boundary alone is
-        # 2000 * 64 * 64 * 64 * 16 B = 8.4 GB, refused on a 7-GiB box
-        big = replace(spec, m=6, n=1, style="pedagogical", trials=2000)
+        # M = 8 pedagogical at the CLI's 2000 trials: its boundary alone is
+        # 2000 * 256 * 256 * 16 B = 2.1 GB, and six of them are refused on a
+        # 7-GiB box
+        big = replace(spec, m=8, n=1, style="pedagogical", trials=2000)
         monkeypatch.setattr(protocol.os, "sysconf", self._memory(7 * 2 ** 30))
         with pytest.raises(ValueError, match="boundary tensor needs"):
             run(big)
@@ -602,10 +602,10 @@ class TestTrajectoryFactor:
 
     def test_batch_below_memory_refused_when_its_peak_is_not(self, packaged, monkeypatch):
         # the boundary of 2048 noisy corrected lean 2x2 trajectories is
-        # 2.1 MB, and the contraction peaks near four times that: memory of
+        # 0.5 MB, and the contraction peaks near six times that: memory of
         # 1.5 boundaries and the room for the noisy unitaries is refused
         spec = replace(self._lean_2x2(packaged, "corrected", 1), trials=2048)
-        boundary = 16 * 2048 * 4 * 4 * 4
+        boundary = 16 * 2048 * 4 * 1 * 4
         monkeypatch.setattr(protocol.os, "sysconf",
                             self._memory(3 * boundary // 2 + 8 * 256 * 2048))
         with pytest.raises(ValueError, match="boundary tensor needs .* more than the"):
