@@ -48,7 +48,17 @@ def _header(args, out):
         out.write(f"# seed={args.seed}\n")
 
 
+def _finite_positive(flag, *values):
+    """Refuse a value of `flag` that is not finite and > 0."""
+    for v in values:
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{flag} must be finite and > 0, got {v}")
+
+
 def cmd_synthesize(args, out) -> int:
+    if args.max_k < 2:
+        raise ValueError(f"--max-k must be >= 2 to leave even unit counts to search, "
+                         f"got {args.max_k}")
     p = spin_params(args.preset)
     report = synthesize(
         args.target, p, threshold=args.threshold,
@@ -72,6 +82,8 @@ def cmd_run(args, out) -> int:
     if args.ideal_gates:
         lib, params, noise = ideal_library(), None, None
     else:
+        if args.t2 is not None:
+            _finite_positive("--t2", args.t2)
         lib, params, _ = packaged_gate_library()
         t2 = args.t2 if args.t2 is not None else d.get("t2_s", 300e-6)
         ratio = d.get("t2_star_ratio", 0.01)
@@ -106,9 +118,9 @@ def cmd_rate(args, out) -> int:
 
 def _figure_fig3c(args, out):
     for flag in ("tau_min", "tau_max", "omega_min", "omega_max"):
-        v = getattr(args, flag)
-        if not (np.isfinite(v) and v > 0):
-            raise ValueError(f"--{flag.replace('_', '-')} must be finite and > 0, got {v}")
+        _finite_positive(f"--{flag.replace('_', '-')}", getattr(args, flag))
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     out.write("tau_s,delta_omega_rad_s,fidelity\n")
     taus = np.geomspace(args.tau_min, args.tau_max, args.grid)
     omegas = np.geomspace(args.omega_min, args.omega_max, args.grid)
@@ -133,6 +145,8 @@ def _noisy_2x2_rows(t2s, args, components):
 
 
 def _figure_fig3b(args, out):
+    if args.max_columns < 1:
+        raise ValueError(f"--max-columns must be >= 1, got {args.max_columns}")
     out.write("t2_s,n_columns,photons,fidelity,fidelity_spin_photon_94\n")
     for t2, result in _noisy_2x2_rows((2e-6, 8e-6, 300e-6), args, components=True):
         for n in range(1, args.max_columns + 1):
@@ -149,6 +163,7 @@ def _figure_fig3b(args, out):
 
 
 def _figure_fig3a(args, out):
+    _finite_positive("--t2-list", *args.t2_list)
     out.write("a_par_hz,t2_s,fidelity,fidelity_se\n")
     _, params, _ = packaged_gate_library()
     for t2, result in _noisy_2x2_rows(args.t2_list, args, components=False):

@@ -33,6 +33,9 @@ from .synthesis import (
 # published state tracking
 RY_PROTO = ry(-np.pi / 2)
 
+# the ideal gate of each schedule item, which the fidelities compare against
+_IDEAL = {"ry": RY_PROTO, "swap": SWAP, "cz": CZ}
+
 PHOTON_LABELS = {0: "L", 1: "R"}  # |1> maps to right-circular
 
 
@@ -205,7 +208,7 @@ def _gate_unitary(spec, item, compiler):
     """Shared unitary of a gate item: the library's matrix, the noiseless
     unitary of its DD sequence, or the published y rotation."""
     if item.gate == "ry":
-        return spec.gate_library.get("ry", RY_PROTO)
+        return RY_PROTO
     g = spec.gate_library[item.gate]
     return sequence_unitary(g, compiler) if isinstance(g, DDSequence) else g
 
@@ -323,7 +326,7 @@ def find_corrections(spec: ProtocolSpec):
 
 
 def ideal_library() -> dict:
-    return {"swap": SWAP.copy(), "cz": CZ.copy()}
+    return {name: _IDEAL[name].copy() for name in ("swap", "cz")}
 
 
 def packaged_gate_library():
@@ -409,34 +412,6 @@ def _full_matrix(u, wires, m: int) -> np.ndarray:
     return _apply_matrix_vec(np.eye(2 ** m, dtype=complex), u, wires, m).T
 
 
-def _ideal_frames(spec, sched, psi):
-    """The ideal-gate circuit as seen from a boundary tensor's ideal wires:
-    for each emission and for the end, the product W of the ideal gates
-    since the previous emission, as the matrix W^dagger that B is multiplied
-    by from the right; and the outcome probabilities p_ideal(o) of the ideal
-    register started from the spin vector `psi`, the diagonal of its spin
-    density carried with the same-bit mask at every emission.
-    Returns ((emissions + 1, 2^M, 2^M) array, (2^M,) array)."""
-    ideal = replace(spec, gate_library=ideal_library(), noise=None)
-    d, frames, full = 2 ** spec.m, [], {}
-    frame = np.eye(d, dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    for item in sched:
-        if item.kind == "gate":
-            key = (item.gate, item.wires)
-            if key not in full:
-                full[key] = _full_matrix(_gate_unitary(ideal, item, None), item.wires, spec.m)
-            v = full[key]
-            frame = frame @ v.conj().T
-            rho = v @ rho @ v.conj().T
-        elif item.kind == "emit":
-            frames.append(frame)
-            frame = np.eye(d, dtype=complex)
-            rho = (rho.reshape(2, d // 2, 2, d // 2) * _SAME_BIT).reshape(d, d)
-    frames.append(frame)
-    return np.array(frames), rho.diagonal().real
-
-
 def _frame(b, frame):
     """Boundary slots `b` (T, 2^M, slots, 2^M) times the ideal gates' `frame`
     from the right, as one GEMM."""
@@ -450,18 +425,21 @@ def _frame(b, frame):
 _BOUNDARY_COPIES, _GROUP_BYTES = 6, 8 * 256 * _COLUMNS
 
 
-def _contract(spec, sched, compiler, phases, psi, frames, density):
+def _contract(spec, sched, compiler, phases, psi, density):
     """Boundary tensor of every trajectory after `sched` from the spin
     register `psi`, with no photonic state: (T, 2^M noisy spin, 1 + density,
-    2^M ideal spin), one trajectory per row of `phases` (one without them).
+    2^M ideal spin), one trajectory per row of `phases` (one without them);
+    returned with the ideal frame W^dagger (2^M, 2^M) of the gates after the
+    last emission.
 
     Sequentially emitted photons form a matrix-product state of bond
     dimension 2^M (Schoen et al., PRL 95, 110503 (2005)), so each trajectory
     carries the boundary tensor B[a, b] = sum_x psi(a, x) psi_ideal(b, x)^*,
     the photon contraction of the noisy and ideal-gate registers; it starts
-    as psi psi^dagger. A noisy gate U acts as U B, the ideal gates V as
-    B V^dagger (`frames`, from `_ideal_frames`, one matrix per emission and
-    one for the end, applied here). An emission copies the electron bit into
+    as psi psi^dagger. A noisy gate U acts as U B, the ideal gates V (`_IDEAL`)
+    as B W^dagger: their frame W^dagger, the product of the V^dagger since
+    the last emission, is built in the same walk and applied at each
+    emission and at the end. An emission copies the electron bit into
     a new photon on both sides, so it keeps the entries whose electron bits
     agree (`_SAME_BIT`). Slot 0 holds B, whose trace is <ideal|noisy> over
     the whole register; under `density`, slot 1 holds the noisy spin density
@@ -480,7 +458,8 @@ def _contract(spec, sched, compiler, phases, psi, frames, density):
     need = _BOUNDARY_COPIES * 16 * rows * d * slots * d + _GROUP_BYTES
     _refuse_past_memory(need, "the boundary tensor")
     x = np.broadcast_to(np.outer(psi, psi.conj())[:, None], (rows, d, slots, d)).copy()
-    held, full, whole = None, {}, tuple(range(m))
+    held, full, ideal, whole = None, {}, {}, tuple(range(m))
+    frame = np.eye(d, dtype=complex)
 
     def apply(u, wires):
         nonlocal x
@@ -497,12 +476,15 @@ def _contract(spec, sched, compiler, phases, psi, frames, density):
             apply(held, whole)
             held = None
 
-    photon, unitaries = 0, _gate_unitaries(spec, sched, compiler, phases)
+    unitaries = _gate_unitaries(spec, sched, compiler, phases)
     for item in sched:
         if item.kind == "gate":
+            key = (item.gate, item.wires)
+            if key not in ideal:
+                ideal[key] = _full_matrix(_IDEAL[item.gate], item.wires, m)
+            frame = frame @ ideal[key].conj().T
             u = next(unitaries)
             if np.ndim(u) == 2:
-                key = (item.gate, item.wires)
                 if key not in full:
                     full[key] = _full_matrix(u, item.wires, m)
                 held = full[key] if held is None else full[key] @ held
@@ -514,38 +496,38 @@ def _contract(spec, sched, compiler, phases, psi, frames, density):
                 apply(u, item.wires)
         elif item.kind == "emit":
             release()
-            x[:, :, :1] = _frame(x[:, :, :1], frames[photon])
+            x[:, :, :1] = _frame(x[:, :, :1], frame)
+            frame = np.eye(d, dtype=complex)
             halves = (rows, 2, d // 2, slots, 2, d // 2)
             x = (x.reshape(halves) * _SAME_BIT[:, :, None]).reshape(x.shape)
-            photon += 1
     release()
-    x[:, :, :1] = _frame(x[:, :, :1], frames[-1])
-    return x
+    x[:, :, :1] = _frame(x[:, :, :1], frame)
+    return x, frame
 
 
 def _complete(spec, sched, compiler, phases):
     """(overlaps o_t, weights w_t), each (T,), of every trajectory's
     completed photonic state against the target, read from `_contract`'s
-    boundary B. A corrected run with photons sums every spin outcome o by
-    its Born weight, with weight 1: outcome o's Pauli correction is unitary
-    and maps ideal branch o onto sqrt(p_ideal(o)) times the target, up to
-    phase, so o_t = sum_o |B[o, o]|^2 / p_ideal(o) over the outcomes that
-    `find_corrections` reaches, none applied. Other runs read the all-|1>
-    branch, whose probability p_t(1...1) the carried spin density gives:
-    the weight under postselection, else the branch's normalisation."""
-    psi = _initial_spins(spec)
-    frames, p_ideal = _ideal_frames(spec, sched, psi)
-    if p_ideal[-1] < 1e-12:
-        raise ValueError("all-|1> completion branch has zero probability")
+    boundary B. The ideal register is a stabiliser state, so its outcomes o
+    are uniform over those it reaches (Aaronson & Gottesman, PRA 70, 052328
+    (2004)), and on every schedule it reaches all 2^M: p_ideal(o) = 2^-M.
+    A corrected run with photons sums every spin outcome o by its Born
+    weight, with weight 1: outcome o's Pauli correction is unitary and maps
+    ideal branch o onto sqrt(p_ideal(o)) times the target, up to phase, so
+    o_t = 2^M sum_o |B[o, o]|^2 over the outcomes that `find_corrections`
+    reaches, none applied. Other runs read the all-|1> branch,
+    2^M |B[1...1, 1...1]|^2, whose probability p_t(1...1) the carried spin
+    density gives: the weight under postselection, else the branch's
+    normalisation."""
     density = spec.completion == "postselect" or spec.n == 0
-    x = _contract(spec, sched, compiler, phases, psi, frames, density)
+    x, _ = _contract(spec, sched, compiler, phases, _initial_spins(spec), density)
     ones = np.ones(len(x))
     if not density:
         reachable = [np.ravel_multi_index(bits, (2,) * spec.m)
                      for bits, locals_ in find_corrections(spec).items() if locals_ is not None]
         branches = np.diagonal(x[:, :, 0], axis1=1, axis2=2)[:, reachable]  # B[o, o]
-        return np.sum(np.abs(branches) ** 2 / p_ideal[reachable], axis=1), ones
-    overlaps = np.abs(x[:, -1, 0, -1]) ** 2 / p_ideal[-1]
+        return 2 ** spec.m * np.sum(np.abs(branches) ** 2, axis=1), ones
+    overlaps = 2 ** spec.m * np.abs(x[:, -1, 0, -1]) ** 2
     p_all_one = x[:, -1, -1, -1].real
     if spec.completion == "postselect":
         return overlaps, p_all_one
@@ -572,19 +554,19 @@ def component_fidelities(spec: ProtocolSpec, compiler=None):
 
     Preparation runs the initialisation block alone; the building block runs
     one column starting from the ideally prepared spin register, the output
-    of the initialisation block with ideal gates and no noise. Both use
+    of the initialisation block with ideal gates and no noise, which the
+    preparation's `_contract` returns as its end frame. Both use
     `compiler`, the one of `spec`'s run, or one built here for both."""
     compiler = _compiler_for(spec) if compiler is None else compiler
     one_col = replace(spec, n=min(spec.n, 1))
     fids, psi = [], _initial_spins(spec)
     for items, seed in zip(_schedule_split(one_col), (spec.seed + 1, spec.seed + 2)):
-        frames, _ = _ideal_frames(one_col, items, psi)
         phases = _sample_phases(one_col, items, np.random.default_rng(seed))
-        x = _contract(one_col, items, compiler, phases, psi, frames, False)
+        x, end = _contract(one_col, items, compiler, phases, psi, False)
         fids.append(float(np.sqrt(np.mean(np.abs(np.trace(x[:, :, 0], axis1=1, axis2=2)) ** 2))))
-        # the preparation emits no photon, so its one frame is W^dagger for
+        # the preparation emits no photon, so its end frame is W^dagger for
         # the whole block, and the prepared register is W psi
-        psi = frames[-1].conj().T @ psi
+        psi = end.conj().T @ psi
     return tuple(fids)
 
 

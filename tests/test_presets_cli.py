@@ -97,6 +97,13 @@ class TestCLI:
             (["figure", "fig3c", "--omega-max", "inf"], "--omega-max"),
             (["figure", "fig3b", "--trials", "1"], "trials"),
             (["run", "--t2", "1e-6", "--t2-star", "2e-6"], "T2"),
+            (["run", "--t2", "0"], "--t2 "),
+            (["figure", "fig3a", "--t2-list", "-1"], "--t2-list"),
+            (["figure", "fig3b", "--max-columns", "-1"], "--max-columns"),
+            (["figure", "fig3b", "--max-columns", "0"], "--max-columns"),
+            (["figure", "fig3c", "--grid", "-1"], "--grid"),
+            (["figure", "fig3c", "--grid", "0"], "--grid"),
+            (["synthesize", "--target", "cz", "--max-k", "1"], "--max-k"),
             # no Hamiltonian fields
             (["synthesize", "--target", "cz", "--preset", "snv"], "snv"),
             (["synthesize", "--target", "cz", "--duration-limit", "nan"], "duration_limit"),

@@ -229,11 +229,14 @@ def _target_stabiliser(spec):
 
 class TestCorrections:
     def test_all_branches_correctable(self):
-        for m, n, style in ((2, 1, "lean"), (2, 2, "pedagogical"), (3, 1, "pedagogical")):
-            corr = find_corrections(_spec(m, n, style=style))
-            seen = [bits for bits, c in corr.items() if c is not None]
-            assert (1,) * m in seen
-            assert len(seen) >= 2  # more than just the reference branch
+        # every completion outcome is reachable, so the ideal register's
+        # outcomes are uniform and `_complete` reads p_ideal(o) as 2^-M
+        shapes = [(2, n, "lean") for n in range(5)]
+        shapes += [(m, n, "pedagogical") for m in (2, 3, 4) for n in range(4)]
+        for (m, n, style), init_one in itertools.product(shapes, (False, True)):
+            corr = find_corrections(_spec(m, n, style=style, init_one=init_one))
+            assert len(corr) == 2 ** m
+            assert all(c is not None for c in corr.values()), (m, n, style, init_one)
 
     def test_reference_branch_identity(self):
         corr = find_corrections(_spec(2, 1))
@@ -560,9 +563,9 @@ class TestTrajectoryFactor:
         def traced(*args):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            x = contract(*args)
-            peaks.append((needs[-1], tracemalloc.get_traced_memory()[1] - held, x.nbytes))
-            return x
+            out = contract(*args)
+            peaks.append((needs[-1], tracemalloc.get_traced_memory()[1] - held, out[0].nbytes))
+            return out
 
         monkeypatch.setattr(protocol, "_refuse_past_memory", lambda need, what: needs.append(need))
         monkeypatch.setattr(protocol, "_contract", traced)
