@@ -63,8 +63,8 @@ def generation_rate(e: EfficiencyBudget, photons: int, scheme_duration: float) -
     """R = eta_combined^photons / scheme_duration, in Hz."""
     if scheme_duration <= 0:
         raise ValueError("scheme duration must be positive")
-    if photons < 0:
-        raise ValueError("photon count must be non-negative")
+    if photons < 1:
+        raise ValueError(f"photons must be >= 1, got {photons}")
     return e.combined ** photons / scheme_duration
 
 

@@ -80,6 +80,9 @@ def cmd_synthesize(args, out) -> int:
 def cmd_run(args, out) -> int:
     d = load_preset(args.preset)
     if args.ideal_gates:
+        for flag, value in (("--t2", args.t2), ("--t2-star", args.t2_star)):
+            if value is not None:
+                raise ValueError(f"{flag} sets the bath, and --ideal-gates runs without one")
         lib, params, noise = ideal_library(), None, None
     else:
         if args.t2 is not None:
@@ -116,11 +119,12 @@ def cmd_rate(args, out) -> int:
     return EXIT_OK
 
 
-def _figure_fig3c(args, out):
+def _figure_fig3c(args, out) -> int:
     for flag in ("tau_min", "tau_max", "omega_min", "omega_max"):
         _finite_positive(f"--{flag.replace('_', '-')}", getattr(args, flag))
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    _header(args, out)
     out.write("tau_s,delta_omega_rad_s,fidelity\n")
     taus = np.geomspace(args.tau_min, args.tau_max, args.grid)
     omegas = np.geomspace(args.omega_min, args.omega_max, args.grid)
@@ -128,6 +132,7 @@ def _figure_fig3c(args, out):
         for w in omegas:
             f = emission_fidelity(EmissionParams(tau=tau, delta_omega=w))
             out.write(f"{tau:.6e},{w:.6e},{f:.8f}\n")
+    return EXIT_OK
 
 
 def _noisy_2x2_rows(t2s, args, components):
@@ -144,9 +149,10 @@ def _noisy_2x2_rows(t2s, args, components):
         yield t2, run(spec, components=components)
 
 
-def _figure_fig3b(args, out):
+def _figure_fig3b(args, out) -> int:
     if args.max_columns < 1:
         raise ValueError(f"--max-columns must be >= 1, got {args.max_columns}")
+    _header(args, out)
     out.write("t2_s,n_columns,photons,fidelity,fidelity_spin_photon_94\n")
     for t2, result in _noisy_2x2_rows((2e-6, 8e-6, 300e-6), args, components=True):
         for n in range(1, args.max_columns + 1):
@@ -160,10 +166,12 @@ def _figure_fig3b(args, out):
                 f"{t2:.2e},{n},{2 * n},{extrapolated_fidelity(fb):.6f},"
                 f"{extrapolated_fidelity(fb94):.6f}\n"
             )
+    return EXIT_OK
 
 
-def _figure_fig3a(args, out):
+def _figure_fig3a(args, out) -> int:
     _finite_positive("--t2-list", *args.t2_list)
+    _header(args, out)
     out.write("a_par_hz,t2_s,fidelity,fidelity_se\n")
     _, params, _ = packaged_gate_library()
     for t2, result in _noisy_2x2_rows(args.t2_list, args, components=False):
@@ -171,9 +179,11 @@ def _figure_fig3a(args, out):
             f"{params.a_par:.3e},{t2:.3e},{result.fidelity:.6f},"
             f"{result.fidelity_se:.2e}\n"
         )
+    return EXIT_OK
 
 
-def _figure_rates(args, out):
+def _figure_rates(args, out) -> int:
+    _header(args, out)
     out.write("photons,duration_s,rate_hz\n")
     e = EfficiencyBudget.from_combined(0.85)
     for photons, duration in ((10, 3e-6), (100, 30e-6)):
@@ -181,15 +191,6 @@ def _figure_rates(args, out):
             f"{photons},{duration:.2e},"
             f"{generation_rate(e, photons, duration):.6e}\n"
         )
-
-
-def cmd_figure(args, out) -> int:
-    makers = {
-        "fig3a": _figure_fig3a, "fig3b": _figure_fig3b,
-        "fig3c": _figure_fig3c, "rates": _figure_rates,
-    }
-    _header(args, out)
-    makers[args.name](args, out)
     return EXIT_OK
 
 
@@ -345,19 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     f = sub.add_parser("figure", help="emit a figure-reproduction CSV")
-    f.add_argument("name", choices=["fig3a", "fig3b", "fig3c", "rates"])
-    f.add_argument("--grid", type=int, default=20)
-    f.add_argument("--tau-min", type=float, default=0.1e-9)
-    f.add_argument("--tau-max", type=float, default=30e-9)
-    f.add_argument("--omega-min", type=float, default=1e7)
-    f.add_argument("--omega-max", type=float, default=1e11)
-    f.add_argument("--t2-list", type=float, nargs="+",
-                   default=[2e-6, 8e-6, 300e-6])
-    f.add_argument("--max-columns", type=int, default=50)
-    f.add_argument("--trials", type=int, default=500)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--output", default="-")
-    f.set_defaults(func=cmd_figure)
+    figures = f.add_subparsers(dest="name", required=True)
+    drawn = argparse.ArgumentParser(add_help=False)  # the figures that run trajectories
+    drawn.add_argument("--trials", type=int, default=500)
+    drawn.add_argument("--seed", type=int, default=0)
+    fa = figures.add_parser("fig3a", parents=[drawn], help="fidelity against T2")
+    fa.add_argument("--t2-list", type=float, nargs="+", default=[2e-6, 8e-6, 300e-6])
+    fb = figures.add_parser("fig3b", parents=[drawn], help="extrapolation to long clusters")
+    fb.add_argument("--max-columns", type=int, default=50)
+    fc = figures.add_parser("fig3c", help="emission-fidelity surface")
+    fc.add_argument("--grid", type=int, default=20)
+    fc.add_argument("--tau-min", type=float, default=0.1e-9)
+    fc.add_argument("--tau-max", type=float, default=30e-9)
+    fc.add_argument("--omega-min", type=float, default=1e7)
+    fc.add_argument("--omega-max", type=float, default=1e11)
+    fr = figures.add_parser("rates", help="generation rates at 10 and 100 photons")
+    for g, func in ((fa, _figure_fig3a), (fb, _figure_fig3b),
+                    (fc, _figure_fig3c), (fr, _figure_rates)):
+        g.add_argument("--output", default="-")
+        g.set_defaults(func=func)
 
     v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("--seed", type=int, default=0)

@@ -442,9 +442,9 @@ def _contract(spec, sched, compiler, phases, psi, density):
     emission and at the end. An emission copies the electron bit into
     a new photon on both sides, so it keeps the entries whose electron bits
     agree (`_SAME_BIT`). Slot 0 holds B, whose trace is <ideal|noisy> over
-    the whole register; under `density`, slot 1 holds the noisy spin density
-    rho (T, 2^M, 2^M), carried the same way. That is O(T 4^M) memory for
-    any number of columns.
+    the whole register; under `density` (a postselected run, for its
+    weights), slot 1 holds the noisy spin density rho (T, 2^M, 2^M), carried
+    the same way. That is O(T 4^M) memory for any number of columns.
     Raises ValueError before allocating if its peak, `_BOUNDARY_COPIES`
     boundaries and `_GROUP_BYTES`, is more bytes than the physical memory.
 
@@ -511,27 +511,21 @@ def _complete(spec, sched, compiler, phases):
     boundary B. The ideal register is a stabiliser state, so its outcomes o
     are uniform over those it reaches (Aaronson & Gottesman, PRA 70, 052328
     (2004)), and on every schedule it reaches all 2^M: p_ideal(o) = 2^-M.
-    A corrected run with photons sums every spin outcome o by its Born
-    weight, with weight 1: outcome o's Pauli correction is unitary and maps
-    ideal branch o onto sqrt(p_ideal(o)) times the target, up to phase, so
-    o_t = 2^M sum_o |B[o, o]|^2 over the outcomes that `find_corrections`
-    reaches, none applied. Other runs read the all-|1> branch,
-    2^M |B[1...1, 1...1]|^2, whose probability p_t(1...1) the carried spin
-    density gives: the weight under postselection, else the branch's
-    normalisation."""
-    density = spec.completion == "postselect" or spec.n == 0
+    A corrected run, with or without photons, sums every spin outcome o by
+    its Born weight, with weight 1: outcome o's Pauli correction is unitary
+    and maps ideal branch o onto sqrt(p_ideal(o)) times the target, up to
+    phase, so o_t = 2^M sum_o |B[o, o]|^2 over the outcomes that
+    `find_corrections` reaches, none applied. A postselected run reads the
+    all-|1> branch, 2^M |B[1...1, 1...1]|^2, with the weight p_t(1...1)
+    that the carried spin density gives."""
+    density = spec.completion == "postselect"
     x, _ = _contract(spec, sched, compiler, phases, _initial_spins(spec), density)
-    ones = np.ones(len(x))
-    if not density:
-        reachable = [np.ravel_multi_index(bits, (2,) * spec.m)
-                     for bits, locals_ in find_corrections(spec).items() if locals_ is not None]
-        branches = np.diagonal(x[:, :, 0], axis1=1, axis2=2)[:, reachable]  # B[o, o]
-        return 2 ** spec.m * np.sum(np.abs(branches) ** 2, axis=1), ones
-    overlaps = 2 ** spec.m * np.abs(x[:, -1, 0, -1]) ** 2
-    p_all_one = x[:, -1, -1, -1].real
-    if spec.completion == "postselect":
-        return overlaps, p_all_one
-    return overlaps / np.maximum(p_all_one, 1e-300), ones
+    if density:
+        return 2 ** spec.m * np.abs(x[:, -1, 0, -1]) ** 2, x[:, -1, -1, -1].real
+    reachable = [np.ravel_multi_index(bits, (2,) * spec.m)
+                 for bits, locals_ in find_corrections(spec).items() if locals_ is not None]
+    branches = np.diagonal(x[:, :, 0], axis1=1, axis2=2)[:, reachable]  # B[o, o]
+    return 2 ** spec.m * np.sum(np.abs(branches) ** 2, axis=1), np.ones(len(x))
 
 
 def _pauli_action(locals_):

@@ -112,11 +112,9 @@ class UnitCompiler:
 
     def units(self, taus):
         """DD units F(tau) Pi F(2 tau) Pi F(tau) for all spacings at once, a
-        (k, 4, 4) stack: V b V^dag with b the unit in the eigenbasis, where
-        F(t) is the diagonal D(t), so b = D1 Pi' D2 Pi' D1 with D2 = D1^2."""
-        d1 = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(taus, float), self._vals))
-        b = (d1[:, :, None] * self._pi * (d1 * d1)[:, None, :]) @ (self._pi * d1[:, None, :])
-        return self._vecs @ b @ self._vecs.conj().T
+        (k, 4, 4) stack: V b V^dag with b the unit in the eigenbasis from
+        `eigen_units`, the same unit weights the sweep uses."""
+        return self._vecs @ self.eigen_units(taus) @ self._vecs.conj().T
 
     @cached_property
     def _unit_weights(self):

@@ -88,8 +88,9 @@ class TestGenerationRate:
         e = EfficiencyBudget.from_combined(0.8)
         with pytest.raises(ValueError):
             generation_rate(e, 10, 0.0)
-        with pytest.raises(ValueError):
-            generation_rate(e, -1, 1e-6)
+        for photons in (0, -1):
+            with pytest.raises(ValueError, match="photons must be >= 1"):
+                generation_rate(e, photons, 1e-6)
 
 
 class TestFieldSelection:

@@ -98,6 +98,10 @@ class TestCLI:
             (["figure", "fig3b", "--trials", "1"], "trials"),
             (["run", "--t2", "1e-6", "--t2-star", "2e-6"], "T2"),
             (["run", "--t2", "0"], "--t2 "),
+            (["run", "--ideal-gates", "--t2", "-5"], "--t2 "),
+            (["run", "--ideal-gates", "--t2-star", "1e-6"], "--t2-star"),
+            (["rate", "--photons", "0"], "photons"),
+            (["rate", "--photons", "-3"], "photons"),
             (["figure", "fig3a", "--t2-list", "-1"], "--t2-list"),
             (["figure", "fig3b", "--max-columns", "-1"], "--max-columns"),
             (["figure", "fig3b", "--max-columns", "0"], "--max-columns"),
@@ -218,13 +222,48 @@ class TestCLI:
         assert exit_.value.code == EXIT_USAGE
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3a", "--grid", "3"], ["fig3a", "--max-columns", "2"],
+        ["fig3b", "--t2-list", "1e-6"], ["fig3b", "--tau-min", "1e-9"],
+        ["fig3c", "--trials", "5"], ["fig3c", "--seed", "1"],
+        ["rates", "--seed", "1"], ["rates", "--grid", "3"],
+    ], ids=" ".join)
+    def test_figure_takes_only_its_own_flags(self, capsys, argv):
+        # a flag that another figure reads is refused, not dropped
+        with pytest.raises(SystemExit) as exit_:
+            main(["figure"] + argv)
+        assert exit_.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,draws", [
+        pytest.param(argv, draws, id=argv[0]) for argv, draws in [
+            (["fig3a", "--t2-list", "8e-6", "--trials", "2"], True),
+            (["fig3b", "--trials", "2", "--max-columns", "1"], True),
+            (["fig3c", "--grid", "2"], False),
+            (["rates"], False),
+        ]
+    ])
+    def test_figure_header_names_a_seed_only_if_it_draws(self, capsys, argv, draws):
+        assert main(["figure"] + argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# spincluster ") and lines[1].startswith("# config_hash=")
+        assert (lines[2] == "# seed=0") == draws
+        assert sum(line.startswith("#") for line in lines) == 2 + draws
+
+    @staticmethod
+    def _columns_and_rows(path):
+        """The column row after a CSV's `#` header lines, and the lines after it."""
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        return lines[i], lines[i + 1:]
+
     def test_figure_emission_grid(self, tmp_path):
         out = tmp_path / "fig3c.csv"
         rc = main(["figure", "fig3c", "--grid", "6", "--output", str(out)])
         assert rc == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[3] == "tau_s,delta_omega_rad_s,fidelity"
-        rows = [line.split(",") for line in lines[4:]]
+        columns, lines = self._columns_and_rows(out)
+        assert columns == "tau_s,delta_omega_rad_s,fidelity"
+        rows = [line.split(",") for line in lines]
         assert len(rows) == 36
         fids = np.array([float(r[2]) for r in rows])
         assert np.all((fids >= np.sqrt(0.5) - 1e-9) & (fids <= 1.0))
@@ -251,10 +290,10 @@ class TestCLI:
     def test_figure_rates(self, tmp_path):
         out = tmp_path / "rates.csv"
         assert main(["figure", "rates", "--output", str(out)]) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[3] == "photons,duration_s,rate_hz"
-        ten = float(lines[4].split(",")[-1])
-        hundred = float(lines[5].split(",")[-1])
+        columns, lines = self._columns_and_rows(out)
+        assert columns == "photons,duration_s,rate_hz"
+        ten = float(lines[0].split(",")[-1])
+        hundred = float(lines[1].split(",")[-1])
         assert abs(ten - 65.6e3) < 1e3
         assert 1e-3 < hundred < 1e-2
 
