@@ -8,7 +8,7 @@ from .hamiltonian import (
     SpinSystemParams, PrecessionAxes, free_hamiltonian, precession_axes,
     resonance_spacing, propagator,
 )
-from .noise import OUNoise, ou_from_coherence, sample_trajectory
+from .noise import OUNoise, ou_from_coherence
 from .synthesis import (
     DDSequence, SynthesisReport, dd_unit, sequence_unitary, gate_fidelity,
     synthesize, noisy_gate_fidelity, serialize_sequence, deserialize_sequence,

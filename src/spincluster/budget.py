@@ -2,6 +2,7 @@
 efficiency rate model, and field selection for minimum sequence length."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .hamiltonian import SpinSystemParams
@@ -61,8 +62,8 @@ def extrapolated_fidelity(b: FidelityBudget) -> float:
 
 def generation_rate(e: EfficiencyBudget, photons: int, scheme_duration: float) -> float:
     """R = eta_combined^photons / scheme_duration, in Hz."""
-    if scheme_duration <= 0:
-        raise ValueError("scheme duration must be positive")
+    if not (math.isfinite(scheme_duration) and scheme_duration > 0):
+        raise ValueError(f"scheme duration must be finite and positive, got {scheme_duration}")
     if photons < 1:
         raise ValueError(f"photons must be >= 1, got {photons}")
     return e.combined ** photons / scheme_duration

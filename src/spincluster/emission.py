@@ -19,10 +19,10 @@ class EmissionParams:
     delta_omega: float  # ground/excited precession mismatch, rad/s
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("lifetime must be positive")
-        if self.delta_omega < 0:
-            raise ValueError("delta_omega must be non-negative")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"lifetime must be finite and positive, got {self.tau}")
+        if not (np.isfinite(self.delta_omega) and self.delta_omega >= 0):
+            raise ValueError(f"delta_omega must be finite and non-negative, got {self.delta_omega}")
 
 
 def coherence_magnitude(p: EmissionParams) -> float:

@@ -36,8 +36,8 @@ class SpinSystemParams:
     lambda_so: float = 50e9  # Hz, spin-orbit splitting
 
     def __post_init__(self):
-        if self.a_par <= 0:
-            raise ValueError("a_par must be positive")
+        if not (np.isfinite(self.a_par) and self.a_par > 0):
+            raise ValueError(f"a_par must be finite and positive, got {self.a_par}")
 
     @property
     def secular_valid(self) -> bool:

@@ -7,8 +7,10 @@ rad/s. Calibration against coherence measurements uses
 
 with the stationary deviation fixed to sigma_st = b / sqrt(2), so that the
 quasi-static free-induction envelope is exp(-b^2 t^2 / 4) and both formulas
-correspond to the exp(-1/2) point of the fitted envelopes. The Monte-Carlo
-free-induction oracle in the tests is the binding check on this convention.
+correspond to the exp(-1/2) point of the decays. `coherence_decays` gives
+the bath's free-induction and Hahn-echo decays in closed form (Cywinski et
+al., PRB 77, 174509 (2008)); they cross exp(-1/2) at T2* and T2 up to the
+offsets of these motional-narrowing formulas.
 
 Because the bath term commutes with every free-precession Hamiltonian used
 here (electron-diagonal), a noisy free segment is exactly the noiseless
@@ -20,11 +22,9 @@ Delta, the end value B(Delta) and the integral int B dt given B(0) are
 jointly Gaussian with closed-form moments (D. T. Gillespie, Phys. Rev. E
 54, 2084 (1996)). One draw per segment is exact for any segment length, so
 no sampler has a step size: `segment_phases` draws the integrals over a
-list of segments, `fid_echo_signals` reads them on the grid {0, t/2, t},
-and `sample_trajectory` keeps the B values on its output grid. The update
-composes: `unit_phases` draws, for each DD unit, the toggling-frame phase
-of its three segments as one update of the same form, which is what the
-DD gates of a run need (Cywinski et al., PRB 77, 174509 (2008)).
+list of segments. The update composes: `unit_phases` draws, for each DD
+unit, the toggling-frame phase of its three segments as one update of the
+same form, which is what the DD gates of a run need (Cywinski et al.).
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ class OUNoise:
     seed: int = 0
 
     def __post_init__(self):
-        if self.b <= 0 or self.tau_c <= 0:
-            raise ValueError("b and tau_c must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.b, self.tau_c)):
+            raise ValueError(f"b and tau_c must be finite and positive, got {self.b}, {self.tau_c}")
 
     @property
     def sigma_st(self) -> float:
@@ -58,13 +58,41 @@ class OUNoise:
 
 
 def ou_from_coherence(t2_star: float, t2_hahn: float, seed: int = 0) -> OUNoise:
-    if t2_star <= 0:
-        raise ValueError("T2* must be positive")
-    if t2_hahn <= t2_star:
-        raise ValueError("T2 must exceed T2* (motional-narrowing formulas)")
+    if not (math.isfinite(t2_star) and t2_star > 0):
+        raise ValueError(f"T2* must be finite and positive, got {t2_star}")
+    if not (math.isfinite(t2_hahn) and t2_hahn > t2_star):
+        raise ValueError(f"T2 must be finite and exceed T2* (motional-narrowing formulas), "
+                         f"got {t2_hahn}")
     b = np.sqrt(2) / t2_star
     tau_c = t2_hahn ** 3 * b ** 2 / 12
     return OUNoise(b=b, tau_c=tau_c, seed=seed)
+
+
+def fid_variance(x):
+    """x - 1 + e^-x: the variance of int_0^t B dt over 2 s^2 tau_c^2, for
+    x = t / tau_c. Below 1e-2 its series avoids the x^2 cancellation."""
+    x = np.asarray(x, float)
+    series = x ** 2 / 2 - x ** 3 / 6 + x ** 4 / 24 - x ** 5 / 120
+    return np.where(x < 1e-2, series, x + np.expm1(-x))
+
+
+def echo_variance(x):
+    """x - 3 + 4 e^(-x/2) - e^-x: the variance of the Hahn-echo phase
+    phi(t) - 2 phi(t/2) over 2 s^2 tau_c^2. It starts at x^3 / 12, and
+    below 1e-2 its series avoids the cancellation of the direct form."""
+    x = np.asarray(x, float)
+    series = x ** 3 / 12 - x ** 4 / 32 + 7 * x ** 5 / 960 - x ** 6 / 768
+    return np.where(x < 1e-2, series, x + 4 * np.expm1(-x / 2) - np.expm1(-x))
+
+
+def coherence_decays(noise: OUNoise, times) -> tuple[np.ndarray, np.ndarray]:
+    """Exact free-induction and Hahn-echo decays <cos phi> at `times`, the
+    echo with its pi pulse at t/2: the phases are Gaussian, so each is
+    exp(-Var phi / 2) = exp(-s^2 tau_c^2 v(t / tau_c)) with v the
+    `fid_variance` or `echo_variance`. Returns (fid, echo)."""
+    x = np.asarray(times, float) / noise.tau_c
+    scale = (noise.sigma_st * noise.tau_c) ** 2
+    return np.exp(-scale * fid_variance(x)), np.exp(-scale * echo_variance(x))
 
 
 # elements of the temporary that `_ou_integrals` forms its mean term in
@@ -165,17 +193,6 @@ def unit_phases(noise: OUNoise, tau_f, n_traj: int, rng: np.random.Generator) ->
     return _ou_integrals(noise, 4 * x, tau * 8 * t * t2 / norm, sd, n_traj, rng)[1]
 
 
-def sample_trajectory(noise: OUNoise, duration: float, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Stationary OU samples B(0), B(dt), ..., covering [0, duration], on
-    the grid dt = min(tau_c / 50, duration / 20)."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    rng = np.random.default_rng(noise.seed) if rng is None else rng
-    dt = min(noise.tau_c / 50, duration / 20)
-    n = int(np.ceil(duration / dt)) + 1
-    return _ou_segments(noise, np.full(n - 1, dt), 1, rng)[0][0]
-
-
 def segment_phases(
     noise: OUNoise,
     durations: np.ndarray,
@@ -188,62 +205,3 @@ def segment_phases(
     segments (the bath does not reset between gates).
     """
     return _ou_segments(noise, durations, n_traj, rng)[1]
-
-
-# ---------------------------------------------------------------- oracles
-
-def fid_echo_signals(noise: OUNoise, times: np.ndarray, n_traj: int, seed: int | None = None):
-    """Monte-Carlo <sigma_x> for free induction and Hahn echo at the given times.
-
-    Times must be positive; the echo places its pi pulse at t/2. Returns
-    (fid_signal, echo_signal) arrays.
-    """
-    rng = np.random.default_rng(noise.seed if seed is None else seed)
-    times = np.asarray(times, float)
-    # one path over the sorted grid {0, t/2, t}; phi(t) is its running sum
-    grid = np.unique(np.concatenate(([0.0], times / 2, times)))
-    cum = np.zeros((n_traj, len(grid)))
-    cum[:, 1:] = np.cumsum(segment_phases(noise, np.diff(grid), n_traj, rng), axis=1)
-    phi = cum[:, np.searchsorted(grid, times)]
-    phi_half = cum[:, np.searchsorted(grid, times / 2)]
-    fid = np.mean(np.cos(phi), axis=0)
-    echo = np.mean(np.cos(phi - 2 * phi_half), axis=0)
-    return fid, echo
-
-
-def _fit_decay(times: np.ndarray, signal: np.ndarray, power: int) -> float:
-    """|T| of the least-squares fit of exp(-(t/T)^power / 2) to `signal`,
-    from the start T0 = times[len(times) // 2]. Gauss-Newton in the one
-    parameter r = (T0/T)^power of the model exp(-r w), w = (t/T0)^power / 2:
-    a step that would not lower the squared residual, or make r <= 0, is
-    halved, and the search ends once a step moves r by 1e-13 of itself."""
-    times = np.asarray(times, float)
-    t0 = times[len(times) // 2]
-    w = (times / t0) ** power / 2
-    y = np.asarray(signal, float)
-
-    def misfit(r):
-        return float(np.sum((np.exp(-r * w) - y) ** 2))
-
-    r, now = 1.0, misfit(1.0)
-    for _ in range(200):
-        model = np.exp(-r * w)
-        slope = w * model  # -d model / dr
-        step = float(slope @ (model - y) / (slope @ slope))
-        while r + step <= 0 or misfit(r + step) > now:
-            step /= 2
-        r += step
-        now = misfit(r)
-        if abs(step) <= 1e-13 * r:
-            break
-    return float(abs(t0 * r ** (-1 / power)))
-
-
-def fit_t2star(times: np.ndarray, signal: np.ndarray) -> float:
-    """Fit exp(-(t/T2*)^2 / 2) to a free-induction decay (`_fit_decay`)."""
-    return _fit_decay(times, signal, 2)
-
-
-def fit_t2_hahn(times: np.ndarray, signal: np.ndarray) -> float:
-    """Fit exp(-(t/T2)^3 / 2) to a Hahn-echo decay (`_fit_decay`)."""
-    return _fit_decay(times, signal, 3)

@@ -9,12 +9,15 @@ boundary-tensor contraction, with the batched noisy executor it ran on and
 its completion, which samples one branch per trajectory; the dense
 Born-weighted sum over every branch that `run` computes instead; the dense
 component fidelities that `protocol.component_fidelities` replaced by the
-same contraction; and the OU sampler that formed its mean term
-as a third (T, segments) array, which the package's blocked form must match
-byte for byte; and the synthesis objective that built its buffers once per
-polish and allocated its intermediates on every call, which the package's
-shared workspace must match bit for bit. The first three need scipy, which
-the package does not load on its simulation path.
+same contraction; the OU sampler that formed its mean term as a third
+(T, segments) array, which the package's blocked form must match byte for
+byte; the OU trajectory sampler and the Monte-Carlo free-induction and
+Hahn-echo signals, with a least-squares fit of their decay times, the
+oracles of the bath's sampler and calibration; and the synthesis objective
+that built its buffers once per polish and allocated its intermediates on
+every call, which the package's shared workspace must match bit for bit.
+The first three and the fit need scipy, which the package does not load on
+its simulation path.
 """
 from __future__ import annotations
 
@@ -24,11 +27,12 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.optimize import curve_fit
 
 from spincluster.emission import EmissionParams
 from spincluster import protocol
 from spincluster.hamiltonian import propagator
-from spincluster.noise import _excess
+from spincluster.noise import OUNoise, _excess, _ou_segments, segment_phases
 from spincluster.states import QuantumState, apply_gate
 from spincluster.synthesis import (
     _GATE_4X4, _GATE_NAMES, _RHO_ROWS, _RHO_TRACES, DDSequence, UnitCompiler, _doubling_scan,
@@ -280,6 +284,46 @@ def ou_segments_whole(noise, durations: np.ndarray, n_traj: int, rng: np.random.
     mean *= tau * half
     phases += mean
     return b, phases
+
+
+def sample_trajectory(noise: OUNoise, duration: float, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Stationary OU samples B(0), B(dt), ..., covering [0, duration], on
+    the grid dt = min(tau_c / 50, duration / 20)."""
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    rng = np.random.default_rng(noise.seed) if rng is None else rng
+    dt = min(noise.tau_c / 50, duration / 20)
+    n = int(np.ceil(duration / dt)) + 1
+    return _ou_segments(noise, np.full(n - 1, dt), 1, rng)[0][0]
+
+
+def fid_echo_signals(noise: OUNoise, times: np.ndarray, n_traj: int, seed: int | None = None):
+    """Monte-Carlo <sigma_x> for free induction and Hahn echo at the given times.
+
+    Times must be positive; the echo places its pi pulse at t/2. Returns
+    (fid_signal, echo_signal) arrays.
+    """
+    rng = np.random.default_rng(noise.seed if seed is None else seed)
+    times = np.asarray(times, float)
+    # one path over the sorted grid {0, t/2, t}; phi(t) is its running sum
+    grid = np.unique(np.concatenate(([0.0], times / 2, times)))
+    cum = np.zeros((n_traj, len(grid)))
+    cum[:, 1:] = np.cumsum(segment_phases(noise, np.diff(grid), n_traj, rng), axis=1)
+    phi = cum[:, np.searchsorted(grid, times)]
+    phi_half = cum[:, np.searchsorted(grid, times / 2)]
+    fid = np.mean(np.cos(phi), axis=0)
+    echo = np.mean(np.cos(phi - 2 * phi_half), axis=0)
+    return fid, echo
+
+
+def fit_decay(times: np.ndarray, signal: np.ndarray, power: int) -> float:
+    """|T| of scipy's least-squares fit of exp(-(t/T)^power / 2) to
+    `signal`, from the start T = times[len(times) // 2]: T2* for power 2 and
+    a free-induction signal, the Hahn-echo T2 for power 3 and an echo."""
+    times = np.asarray(times, float)
+    popt, _ = curve_fit(lambda t, big_t: np.exp(-(t / big_t) ** power / 2), times, signal,
+                        p0=[times[len(times) // 2]])
+    return float(abs(popt[0]))
 
 
 def reference_objective(gate_names, target_h, compiler):

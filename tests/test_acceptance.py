@@ -11,14 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from references import emission_fidelity_numeric
+from references import emission_fidelity_numeric, fid_echo_signals, fit_decay
 from spincluster.budget import (
     EfficiencyBudget, FidelityBudget, extrapolated_fidelity, generation_rate,
 )
 from spincluster.emission import EmissionParams, emission_fidelity
-from spincluster.noise import (
-    OUNoise, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
-)
+from spincluster.noise import OUNoise, ou_from_coherence
 from spincluster.protocol import (
     ProtocolSpec, ideal_library, run, verify_appendix_a,
 )
@@ -97,13 +95,13 @@ def test_criterion_4_noise_calibration():
     fid_noise = OUNoise(b=2e5, tau_c=1e-2, seed=21)
     times = np.linspace(0.1, 2.5, 14) * fid_noise.t2_star
     fid, _ = fid_echo_signals(fid_noise, times, n_traj=3000)
-    t2s = fit_t2star(times, fid)
+    t2s = fit_decay(times, fid, 2)
     err_star = abs(t2s - fid_noise.t2_star) / fid_noise.t2_star
 
     echo_noise = OUNoise(b=2e5, tau_c=1e-4, seed=22)
     times = np.linspace(0.2, 2.0, 12) * echo_noise.t2_hahn
     _, echo = fid_echo_signals(echo_noise, times, n_traj=3000)
-    t2 = fit_t2_hahn(times, echo)
+    t2 = fit_decay(times, echo, 3)
     err_hahn = abs(t2 - echo_noise.t2_hahn) / echo_noise.t2_hahn
 
     ok = err_star < 0.05 and err_hahn < 0.10

@@ -88,6 +88,9 @@ class TestGenerationRate:
         e = EfficiencyBudget.from_combined(0.8)
         with pytest.raises(ValueError):
             generation_rate(e, 10, 0.0)
+        for duration in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="duration must be finite"):
+                generation_rate(e, 10, duration)
         for photons in (0, -1):
             with pytest.raises(ValueError, match="photons must be >= 1"):
                 generation_rate(e, photons, 1e-6)

@@ -29,6 +29,11 @@ class TestParams:
             EmissionParams(tau=1e-9)
         with pytest.raises(ValueError):
             EmissionParams(tau=1e-9, delta_omega=-1e9)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="lifetime must be finite"):
+                EmissionParams(tau=bad, delta_omega=1e9)
+            with pytest.raises(ValueError, match="delta_omega must be finite"):
+                EmissionParams(tau=1e-9, delta_omega=bad)
 
 
 class TestFidelity:

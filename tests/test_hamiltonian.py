@@ -82,8 +82,9 @@ class TestHamiltonianMatrix:
             free_hamiltonian(p)
 
     def test_invalid_a_par(self):
-        with pytest.raises(ValueError):
-            SpinSystemParams(a_par=0.0)
+        for a_par in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="a_par must be finite and positive"):
+                SpinSystemParams(a_par=a_par)
 
     def test_free_hamiltonian_drops_drive(self, siv):
         # no term flips the electron but the optional a_perp flip-flop

@@ -18,7 +18,7 @@ a second path to it would be a second noisy engine.
 
 scipy serves only gate synthesis, so a fresh interpreter that imports the
 package and runs trajectories, `noisy_gate_fidelity`, `run`, `figure fig3b`
-and the coherence fits must not load it. Its one user is
+and the coherence decays must not load it. Its one user is
 `synthesis.minimize`, which drives scipy's private compiled L-BFGS-B step:
 every scipy import of the package must be one of minimize's own, so that
 neither a module-level import nor a second use of a private scipy API can
@@ -275,7 +275,7 @@ def test_check_lists_every_scipy_import():
 
 # a noisy lean 2x1 run on the packaged gates with component fidelities, the
 # packaged CZ's noisy gate fidelity, then `run`, `figure fig3b` and both
-# coherence fits, in a fresh interpreter
+# coherence decays, in a fresh interpreter
 COLD_PATH = """
 import os, sys
 import spincluster
@@ -292,8 +292,7 @@ synthesis.noisy_gate_fidelity(lib["cz"], params, bath)
 assert cli.main(["run", "--trials", "20", "--output", os.devnull]) == 0
 assert cli.main(["figure", "fig3b", "--trials", "20", "--output", os.devnull]) == 0
 times = [1e-6, 2e-6, 3e-6]
-noise.fit_t2star(times, noise.fid_echo_signals(bath, times, 100)[0])
-noise.fit_t2_hahn(times, noise.fid_echo_signals(bath, times, 100)[1])
+noise.coherence_decays(bath, times)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

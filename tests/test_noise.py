@@ -1,29 +1,16 @@
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from references import fold_segment_phases, ou_segments_whole
-from spincluster.noise import (
-    OUNoise, _ou_segments, fid_echo_signals, fit_t2_hahn, fit_t2star, ou_from_coherence,
-    sample_trajectory, segment_phases, unit_phases,
+from references import (
+    fid_echo_signals, fit_decay, fold_segment_phases, ou_segments_whole, sample_trajectory,
 )
-
-
-def fid_variance(x):
-    """x - 1 + e^-x: the variance of int_0^t B dt over 2 s^2 tau_c^2, for
-    x = t / tau_c. Below 1e-2 its series avoids the x^2 cancellation."""
-    x = np.asarray(x, float)
-    series = x ** 2 / 2 - x ** 3 / 6 + x ** 4 / 24 - x ** 5 / 120
-    return np.where(x < 1e-2, series, x + np.expm1(-x))
-
-
-def echo_variance(x):
-    """x - 3 + 4 e^(-x/2) - e^-x: the variance of the Hahn-echo phase
-    phi(t) - 2 phi(t/2) over 2 s^2 tau_c^2. It starts at x^3 / 12."""
-    x = np.asarray(x, float)
-    series = x ** 3 / 12 - x ** 4 / 32 + 7 * x ** 5 / 960 - x ** 6 / 768
-    return np.where(x < 1e-2, series, x + 4 * np.expm1(-x / 2) - np.expm1(-x))
+from spincluster.noise import (
+    OUNoise, _ou_segments, coherence_decays, echo_variance, fid_variance, ou_from_coherence,
+    segment_phases, unit_phases,
+)
 
 
 class TestCalibration:
@@ -52,6 +39,16 @@ class TestCalibration:
             OUNoise(b=0.0, tau_c=1e-3)
         with pytest.raises(ValueError):
             OUNoise(b=1e5, tau_c=-1.0)
+        # NaN fails every comparison, so a bare "<= 0" check lets it through
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="b and tau_c"):
+                OUNoise(b=bad, tau_c=1e-3)
+            with pytest.raises(ValueError, match="b and tau_c"):
+                OUNoise(b=1e5, tau_c=bad)
+            with pytest.raises(ValueError, match=r"T2\* must"):
+                ou_from_coherence(bad, 300e-6)
+            with pytest.raises(ValueError, match="T2 must"):
+                ou_from_coherence(3e-6, bad)
 
 
 class TestTrajectories:
@@ -182,12 +179,49 @@ class TestExactIntegral:
         n = OUNoise(b=1 / (tau_c * np.sqrt(fid_variance(x))), tau_c=tau_c, seed=34)
         times = x * tau_c * np.array([0.5, 1.0, 2.0])
         fid, echo = fid_echo_signals(n, times, self.T)
-        scale = n.b ** 2 * tau_c ** 2  # 2 s^2 tau_c^2
-        for got, var in ((fid, scale * fid_variance(times / tau_c)),
-                         (echo, scale * echo_variance(times / tau_c))):
-            expect = np.exp(-var / 2)
-            sd = np.sqrt(((1 + np.exp(-2 * var)) / 2 - np.exp(-var)) / self.T)
+        for got, expect in zip((fid, echo), coherence_decays(n, times)):
+            # the SD of cos phi over one path: (1 + F^4) / 2 - F^2 is its variance
+            sd = np.sqrt(((1 + expect ** 4) / 2 - expect ** 2) / self.T)
             assert np.all(np.abs(got - expect) <= 4 * sd + 1e-12)
+
+
+def decimal_variances(x):
+    """x - 1 + e^-x and x - 3 + 4 e^(-x/2) - e^-x from their direct forms in
+    60-digit decimal arithmetic, which keeps ~30 digits after the worst
+    cancellation (x^3 / 12 at x = 1e-9)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        return x - 1 + (-x).exp(), x - 3 + 4 * (-x / 2).exp() - (-x).exp()
+
+
+class TestExactDecays:
+    """The closed forms of `coherence_decays` in double precision against
+    decimal arithmetic, with bounds fixed before the run."""
+
+    # a log grid, and the last point below the x = 1e-2 switch to the direct
+    # forms, where the series' truncation error is largest
+    XS = np.append(np.logspace(-9, 2, 111), np.nextafter(1e-2, 0))
+
+    def test_variances_match_decimal(self):
+        exact = np.array([[float(v) for v in decimal_variances(x)] for x in self.XS])
+        for got, ref in ((fid_variance(self.XS), exact[:, 0]), (echo_variance(self.XS), exact[:, 1])):
+            assert np.max(np.abs(got / ref - 1)) <= 1e-10
+
+    def test_verify_pair(self):
+        # the bath set from T2* = 1 us and T2 = 10 us, read at those times:
+        # s = 1 / T2* and tau_c = T2^3 / (6 T2*^2), so with r = T2 / T2*,
+        # -ln F = (r^3 / 6)^2 v(x) at x = 6 / r^3 (T2*) and x = 6 / r^2 (T2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            r = Decimal(10)
+            scale = (r ** 3 / 6) ** 2
+            fid_rate = float(scale * decimal_variances(6 / r ** 3)[0])
+            echo_rate = float(scale * decimal_variances(6 / r ** 2)[1])
+        fid, echo = coherence_decays(ou_from_coherence(1e-6, 10e-6), [1e-6, 10e-6])
+        assert abs(-np.log(fid[0]) - fid_rate) <= 1e-9
+        assert abs(-np.log(echo[1]) - echo_rate) <= 1e-9
+        assert (f"{fid_rate:.6f}", f"{echo_rate:.6f}") == ("0.499001", "0.488906")
 
 
 class TestCoherenceOracles:
@@ -195,7 +229,7 @@ class TestCoherenceOracles:
         n = OUNoise(b=2e5, tau_c=1e-2, seed=11)  # quasi-static regime
         times = np.linspace(0.1, 2.5, 14) * n.t2_star
         fid, _ = fid_echo_signals(n, times, n_traj=4000)
-        fitted = fit_t2star(times, fid)
+        fitted = fit_decay(times, fid, 2)
         assert abs(fitted - n.t2_star) / n.t2_star < 0.05
 
     def test_echo_matches_t2_hahn(self):
@@ -203,31 +237,8 @@ class TestCoherenceOracles:
         n = OUNoise(b=2e5, tau_c=1e-4, seed=12)
         times = np.linspace(0.2, 2.0, 12) * n.t2_hahn
         _, echo = fid_echo_signals(n, times, n_traj=4000)
-        fitted = fit_t2_hahn(times, echo)
+        fitted = fit_decay(times, echo, 3)
         assert abs(fitted - n.t2_hahn) / n.t2_hahn < 0.10
-
-    @pytest.mark.parametrize("case", range(5))
-    def test_fit_matches_curve_fit(self, case):
-        # the package's own least-squares fit against scipy's, on the inputs
-        # of the two tests above, of criterion 4 and of `spincluster verify`'s
-        # ou_t2star_calibration: (noise, times, trajectories, seed, power)
-        from scipy.optimize import curve_fit
-
-        fids = [OUNoise(b=2e5, tau_c=1e-2, seed=s) for s in (11, 21)]
-        echoes = [OUNoise(b=2e5, tau_c=1e-4, seed=s) for s in (12, 22)]
-        verify = ou_from_coherence(1e-6, 10e-6, seed=0)
-        noise, times, n_traj, seed, power = [
-            (fids[0], np.linspace(0.1, 2.5, 14) * fids[0].t2_star, 4000, None, 2),
-            (echoes[0], np.linspace(0.2, 2.0, 12) * echoes[0].t2_hahn, 4000, None, 3),
-            (fids[1], np.linspace(0.1, 2.5, 14) * fids[1].t2_star, 3000, None, 2),
-            (echoes[1], np.linspace(0.2, 2.0, 12) * echoes[1].t2_hahn, 3000, None, 3),
-            (verify, np.linspace(0.05e-6, 2.5e-6, 12), 6400, 0, 2),
-        ][case]
-        fid, echo = fid_echo_signals(noise, times, n_traj=n_traj, seed=seed)
-        signal, fit = (fid, fit_t2star) if power == 2 else (echo, fit_t2_hahn)
-        popt, _ = curve_fit(lambda t, big_t: np.exp(-(t / big_t) ** power / 2), times, signal,
-                            p0=[times[len(times) // 2]])
-        assert abs(fit(times, signal) / abs(popt[0]) - 1) <= 1e-6
 
     def test_echo_beats_fid(self):
         n = OUNoise(b=2e5, tau_c=1e-5, seed=13)

@@ -100,6 +100,10 @@ class TestCLI:
             (["run", "--t2", "0"], "--t2 "),
             (["run", "--ideal-gates", "--t2", "-5"], "--t2 "),
             (["run", "--ideal-gates", "--t2-star", "1e-6"], "--t2-star"),
+            (["run", "--t2-star", "nan", "--trials", "10", "--n", "1"], "--t2-star"),
+            (["run", "--t2-star=-1e-6"], "--t2-star"),
+            (["rate", "--duration", "nan"], "--duration"),
+            (["rate", "--duration", "inf"], "--duration"),
             (["rate", "--photons", "0"], "photons"),
             (["rate", "--photons", "-3"], "photons"),
             (["figure", "fig3a", "--t2-list", "-1"], "--t2-list"),
@@ -307,6 +311,26 @@ class TestCLI:
         assert rc == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "FAIL protocol_noise_monotonicity" in out
+
+    def test_verify_fails_a_miscalibrated_bath(self, capsys, monkeypatch):
+        # tau_c from T2^3 b^2 / 6 in place of / 12 doubles it and halves the
+        # echo's -ln F at T2, so the exact decays must catch the inverse
+        def miscalibrated(t2_star, t2, seed=0):
+            b = np.sqrt(2) / t2_star
+            return OUNoise(b=b, tau_c=t2 ** 3 * b ** 2 / 6, seed=seed)
+
+        monkeypatch.setattr(cli, "ou_from_coherence", miscalibrated)
+        assert main(["verify", "--seed", "0"]) == EXIT_CHECK_FAILED
+        assert "FAIL ou_coherence_calibration" in capsys.readouterr().out
+
+    def test_verify_calibration_reads_no_seed(self, capsys):
+        lines = []
+        for seed in ("0", "7"):
+            main(["verify", "--seed", seed])
+            out = capsys.readouterr().out
+            lines += [line for line in out.splitlines() if "ou_coherence_calibration" in line]
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert lines[0].startswith("PASS ") and "0.499001" in lines[0] and "0.488906" in lines[0]
 
     def test_verify_fails_a_seed_without_effect(self, capsys, monkeypatch):
         # runs that ignore their seed reproduce themselves trivially; the
