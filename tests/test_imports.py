@@ -19,10 +19,13 @@ a second path to it would be a second noisy engine.
 scipy serves only gate synthesis, so a fresh interpreter that imports the
 package and runs trajectories, `noisy_gate_fidelity`, `run`, `figure fig3b`
 and the coherence decays must not load it. Its one user is
-`synthesis.minimize`, which drives scipy's private compiled L-BFGS-B step:
-every scipy import of the package must be one of minimize's own, so that
-neither a module-level import nor a second use of a private scipy API can
-enter unnoticed.
+`synthesis.minimize`, which drives scipy's private compiled L-BFGS-B step
+`setulb`. The package's one scipy import is the `import scipy` of
+`synthesis._lbfgsb_setulb`, which loads that step from its extension file:
+`scipy.optimize` is never imported, so a fresh interpreter that runs
+`minimize` loads `scipy.optimize._lbfgsb` and not `scipy.optimize`. Listing
+every scipy import keeps a module-level import or a second use of a private
+scipy API from entering unnoticed.
 """
 import ast
 import os
@@ -33,6 +36,7 @@ from pathlib import Path
 import pytest
 
 import spincluster
+from spincluster import synthesis
 
 PACKAGE = sorted(Path(spincluster.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -257,7 +261,7 @@ def scipy_imports(sources: dict) -> list:
 
 def test_scipy_is_imported_only_by_minimize():
     assert scipy_imports({p.name: p.read_text() for p in PACKAGE}) == [
-        "synthesis.py minimize: scipy.optimize._lbfgsb.setulb",
+        "synthesis.py _lbfgsb_setulb: scipy",
     ]
 
 
@@ -297,12 +301,57 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-@pytest.mark.slow
-def test_simulation_path_loads_no_scipy():
+def fresh_interpreter(script: str) -> str:
+    """The standard output of `script` run in a new interpreter that imports
+    the package from these sources."""
     src = str(Path(spincluster.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", COLD_PATH],
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.mark.slow
+def test_simulation_path_loads_no_scipy():
+    assert fresh_interpreter(COLD_PATH) == "[]"
+
+
+# a smooth bounded problem, Rosenbrock's in three variables with its minimum
+# at 1 inside [0.1, 2], and synthesis.minimize's answer to it as float.hex
+MINIMIZE_CALL = """
+import numpy as np
+from spincluster import synthesis
+
+def rosenbrock(x):
+    d, r = x[1:] - x[:-1] ** 2, 1 - x[:-1]
+    grad = np.zeros_like(x)
+    grad[:-1] = -400 * x[:-1] * d - 2 * r
+    grad[1:] += 200 * d
+    return float(100 * d @ d + r @ r), grad
+
+x, value, nfev = synthesis.minimize(rosenbrock, [0.5, 1.5, 0.3], 0.1, 2.0, 800)
+answer = [v.hex() for v in x.tolist()], float(value).hex(), nfev
+"""
+
+
+@pytest.mark.slow
+def test_minimize_loads_only_the_lbfgsb_step():
+    # a fresh interpreter that runs minimize loads scipy's compiled step and
+    # at most ten other scipy modules, never scipy.optimize, and gets the
+    # answer this process gets with scipy.optimize loaded, bit for bit
+    import scipy.optimize
+
+    answer, modules = fresh_interpreter(MINIMIZE_CALL + (
+        "import sys\nprint(answer)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")).splitlines()
+    loaded = ast.literal_eval(modules)
+    assert "scipy.optimize._lbfgsb" in loaded and "scipy.optimize" not in loaded
+    assert len(loaded) <= 11, loaded
+
+    here = {}
+    exec(MINIMIZE_CALL, here)
+    assert here["answer"][2] > 5
+    assert answer == str(here["answer"])
+    assert synthesis._lbfgsb_setulb() is scipy.optimize._lbfgsb.setulb

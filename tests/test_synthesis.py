@@ -1,4 +1,5 @@
 import importlib.resources as resources
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +276,35 @@ class TestSynthesize:
         assert len(calls) == nfev > 2
         assert all(a != b for a, b in zip(calls, calls[1:]))
         np.testing.assert_array_equal(x0, start)
+
+    @pytest.mark.parametrize("lb,ub", [
+        (1.0, 0.1), (0.5, 0.5), (0.0, 1.0), (-0.1, 1.0), (np.nan, 1.0), (0.1, np.nan),
+        (0.1, np.inf),
+    ])
+    def test_minimize_refuses_bounds_outside_0_lb_ub(self, lb, ub):
+        # setulb stops at its start on reversed bounds without asking for a
+        # value, so the loop would return a cost of 0 it never evaluated
+        def fun(x):
+            raise AssertionError("the objective was evaluated")
+
+        with pytest.raises(ValueError, match=f"got lb = {lb} and ub = {ub}$"):
+            synthesis.minimize(fun, np.full(3, 0.5), lb, ub, 10)
+
+    def test_missing_lbfgsb_extension_named(self, monkeypatch, tmp_path):
+        # a scipy without the compiled step where it is looked for fails with
+        # an ImportError naming scipy's version and the directory searched
+        import scipy
+
+        (tmp_path / "optimize").mkdir()
+        synthesis._lbfgsb_setulb.cache_clear()
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        try:
+            with pytest.raises(ImportError, match=(
+                    f"scipy {re.escape(scipy.__version__)} .* "
+                    f"in {re.escape(str(tmp_path / 'optimize'))}$")):
+                synthesis._lbfgsb_setulb()
+        finally:
+            synthesis._lbfgsb_setulb.cache_clear()
 
     def test_duration_limit_respected(self, siv):
         rep = synthesize("rz90_nuclear", siv, threshold=0.9, ks=[4],
